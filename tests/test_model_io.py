@@ -3,6 +3,7 @@ import pytest
 
 from skelgest.classifiers import (
     BaggedTreeEnsemble,
+    DecisionTree,
     GaussianKernelSVM,
     KNearestNeighbors,
     dumps_model,
@@ -100,3 +101,118 @@ class TestCorruptFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "nope.model")
+
+
+def _svm_by_hand():
+    model = GaussianKernelSVM(sigma=0.5, C=2.0, tol=0.001)
+    model.classes_ = ["left", "right"]
+    model.n_features_ = 2
+    model.X_ = np.array([[-1.0, 0.1], [1.0, -0.25]])
+    model.dual_coef_ = np.array([[1.5, -1.5], [-1.5, 1.5]])
+    model.bias_ = np.array([0.125, -0.125])
+    return model
+
+
+def _tree_by_hand(feature, threshold, children, label):
+    tree = DecisionTree(2)
+    tree.feature = np.array(feature, dtype=np.int64)
+    tree.threshold = np.array(threshold, dtype=np.float64)
+    tree.children = np.array(children, dtype=np.int64).reshape(-1, 2)
+    tree.label = np.array(label, dtype=np.int64)
+    return tree
+
+
+def _edt_by_hand():
+    model = BaggedTreeEnsemble(n_trees=2, bootstrap_fraction=0.3, seed=7)
+    model.classes_ = ["left", "right"]
+    model.n_features_ = 2
+    model.trees_ = [
+        _tree_by_hand([0, -1, -1], [0.5, 0.0, 0.0], [[1, 2], [-1, -1], [-1, -1]], [-1, 0, 1]),
+        _tree_by_hand([-1], [0.0], [[-1, -1]], [1]),
+    ]
+    return model
+
+
+def _knn_by_hand():
+    model = KNearestNeighbors(k=1)
+    model.classes_ = ["left", "right"]
+    model.n_features_ = 2
+    model.X_ = np.array([[-1.0, 0.1], [1.0, -0.25], [0.3, 3.0]])
+    model.y_ = ["left", "right", "right"]
+    return model
+
+
+# Model files as the v1 format writes them. A change to any of these texts is
+# a file-format change: files written by earlier versions would stop loading
+# to the same model.
+GOLDEN_SVM = """\
+skelgest-model v1
+kind svm
+labels 2 left right
+scalar sigma 0.5
+scalar C 2.0
+scalar tol 0.001
+scalar n_features 2
+array X 2 2
+-1.0 0.1
+1.0 -0.25
+array dual_coef 2 2
+1.5 -1.5
+-1.5 1.5
+array bias 1 2
+0.125 -0.125
+end
+"""
+
+GOLDEN_EDT = """\
+skelgest-model v1
+kind edt
+labels 2 left right
+scalar n_trees 2
+scalar bootstrap_fraction 0.3
+scalar seed 7
+scalar n_features 2
+tree 0 3
+0 0.5 1 2 -1
+-1 0.0 -1 -1 0
+-1 0.0 -1 -1 1
+tree 1 1
+-1 0.0 -1 -1 1
+end
+"""
+
+GOLDEN_KNN = """\
+skelgest-model v1
+kind knn
+labels 2 left right
+scalar k 1
+scalar n_features 2
+array X 3 2
+-1.0 0.1
+1.0 -0.25
+0.3 3.0
+array y_idx 1 3
+0 1 1
+end
+"""
+
+GOLDEN_PROBE = np.array([[-0.8, 0.0], [0.9, -0.1], [0.4, 2.5], [0.5, 0.5], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "build, golden, expected",
+    [
+        (_svm_by_hand, GOLDEN_SVM, ["left", "right", "left", "right", "left"]),
+        (_edt_by_hand, GOLDEN_EDT, ["left", "right", "left", "left", "right"]),
+        (_knn_by_hand, GOLDEN_KNN, ["left", "right", "right", "right", "right"]),
+    ],
+    ids=["svm", "edt", "knn"],
+)
+class TestGoldenFiles:
+    def test_dump_matches_golden_text(self, build, golden, expected):
+        assert dumps_model(build()) == golden
+
+    def test_load_restores_predictions(self, build, golden, expected):
+        loaded = loads_model(golden)
+        assert loaded.predict(GOLDEN_PROBE) == build().predict(GOLDEN_PROBE) == expected
+        assert loaded.get_params() == build().get_params()
