@@ -40,6 +40,46 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
+class ClassifierMixin:
+    """score() for classifiers whose predict() returns a list of labels."""
+
+    def score(self, X, y):
+        """Fraction of samples whose predicted label equals y."""
+        pred = self.predict(X)
+        y = check_labels(y, len(pred))
+        return float(np.mean([p == t for p, t in zip(pred, y)]))
+
+
+class SequenceTransformer(ParamsMixin):
+    """Transformer from skeleton sequences to per-sequence feature vectors.
+
+    Subclasses set `sequence_features`, the function giving one sequence's
+    (T, F) feature matrix. transform() accepts a list of SkeletonSequence and
+    returns a (n_sequences, T*F) array of row-major flattened per-frame
+    features. All sequences must share the same frame count. With
+    flatten=False the result is a (n, T, F) stack instead.
+    """
+
+    def __init__(self, flatten=True):
+        self.flatten = flatten
+
+    def fit(self, X, y=None):
+        return self
+
+    def transform(self, X):
+        mats = [self.sequence_features(seq) for seq in X]
+        lengths = {m.shape[0] for m in mats}
+        if len(lengths) > 1:
+            raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
+        stacked = np.stack(mats)
+        if self.flatten:
+            return stacked.reshape(stacked.shape[0], -1)
+        return stacked
+
+    def fit_transform(self, X, y=None):
+        return self.fit(X, y).transform(X)
+
+
 def check_feature_matrix(X, n_features=None, name="X"):
     """Coerce to a finite 2-D float64 array, optionally checking width."""
     X = np.asarray(X, dtype=np.float64)

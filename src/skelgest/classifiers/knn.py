@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from ..base import ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import TrainingDegenerateError
 
 
-class KNearestNeighbors(ParamsMixin):
+class KNearestNeighbors(ClassifierMixin, ParamsMixin):
     """Majority label among the k nearest stored samples.
 
     k must be a positive odd integer (default 1) no larger than the training
@@ -57,8 +57,3 @@ class KNearestNeighbors(ParamsMixin):
         )
         np.maximum(sq, 0.0, out=sq)
         return [self._predict_one(row) for row in sq]
-
-    def score(self, X, y):
-        pred = self.predict(X)
-        y = check_labels(y, len(pred))
-        return float(np.mean([p == t for p, t in zip(pred, y)]))

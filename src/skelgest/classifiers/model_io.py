@@ -20,6 +20,7 @@ ModelFormatError instead of a silently shorter model.
 import numpy as np
 
 from ..errors import ModelFormatError
+from ..skeleton import format_floats
 from .knn import KNearestNeighbors
 from .svm import GaussianKernelSVM
 from .trees import BaggedTreeEnsemble, DecisionTree
@@ -28,193 +29,226 @@ _MAGIC = "skelgest-model"
 _VERSION = "v1"
 
 
-def _fmt_array(name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    lines = [f"array {name} {arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return lines
+def _lines(text):
+    """The lines of a model file; reading past the last one is a format error."""
+    yield from text.splitlines()
+    raise ModelFormatError("unexpected end of model file")
+
+
+def _expect(lines, keyword, count=None):
+    fields = next(lines).split()
+    if not fields or fields[0] != keyword:
+        raise ModelFormatError(f"expected {keyword!r} record, got {fields[:1]}")
+    if count is not None and len(fields) != count:
+        raise ModelFormatError(f"{keyword!r} record has {len(fields)} fields, expected {count}")
+    return fields
+
+
+def _parse(text, cast, what):
+    try:
+        return cast(text)
+    except ValueError:
+        raise ModelFormatError(f"bad {what} {text!r}") from None
+
+
+def _read_scalar(lines, name, cast):
+    # ints are parsed directly; float round-tripping would clip wide seeds
+    fields = _expect(lines, "scalar", 3)
+    if fields[1] != name:
+        raise ModelFormatError(f"expected scalar {name!r}, got {fields[1]!r}")
+    return _parse(fields[2], cast, f"scalar {name!r}")
+
+
+def _fmt_array(name, rows, fmt=format_floats):
+    rows = np.atleast_2d(rows)
+    return [f"array {name} {rows.shape[0]} {rows.shape[1]}"] + [fmt(row) for row in rows]
+
+
+def _read_array(lines, name, cast, dims, sizes):
+    """An array record whose shape matches dims, one letter per dimension.
+
+    A letter already in sizes must have that size; any other takes this
+    array's size, so later arrays are checked against it.
+    """
+    fields = _expect(lines, "array", 4)
+    if fields[1] != name:
+        raise ModelFormatError(f"expected array {name!r}, got {fields[1]!r}")
+    shape = tuple(_parse(v, int, f"array {name!r} size") for v in fields[2:])
+    if min(shape) < 1 or any(sizes.setdefault(d, n) != n for d, n in zip(dims, shape)):
+        expected = tuple(sizes.get(d, d) for d in dims)
+        raise ModelFormatError(f"array {name!r} has shape {shape}, expected {expected}")
+    # rows are kept as they are read, so a huge declared size cannot allocate
+    # more than the file holds
+    rows = []
+    for r in range(shape[0]):
+        values = next(lines).split()
+        if len(values) != shape[1]:
+            raise ModelFormatError(
+                f"array {name!r} row {r} has {len(values)} values, expected {shape[1]}"
+            )
+        try:
+            rows.append(np.array(values, dtype=cast))
+        except (ValueError, OverflowError):
+            raise ModelFormatError(f"array {name!r} row {r} holds a bad value") from None
+    return np.stack(rows)
+
+
+class _Floats:
+    """A float array whose dims name its shape: "n" stored training rows,
+    "d" features, "K" classes. A leading "1" marks a vector, stored as one row."""
+
+    def __init__(self, dims):
+        self.dims = dims
+
+    def dump(self, name, value, model):
+        return _fmt_array(name, value)
+
+    def load(self, lines, name, model, sizes):
+        arr = _read_array(lines, name, float, self.dims, sizes)
+        return arr.reshape(-1) if self.dims[0] == "1" else arr
+
+
+class _LabelIndices:
+    """One label per stored row, written as its index into the labels record."""
+
+    def dump(self, name, labels, model):
+        idx = [model.classes_.index(lab) for lab in labels]
+        return _fmt_array(name, idx, lambda row: " ".join(map(str, row)))
+
+    def load(self, lines, name, model, sizes):
+        idx = _read_array(lines, name, int, "1n", sizes).reshape(-1)
+        if ((idx < 0) | (idx >= sizes["K"])).any():
+            raise ModelFormatError(f"array {name!r} holds a label index outside 0..{sizes['K'] - 1}")
+        return [model.classes_[i] for i in idx]
+
+
+class _Trees:
+    """n_trees records `tree <index> <n_nodes>`, each followed by its nodes,
+    one `feature threshold left right label` line per node."""
+
+    def dump(self, name, trees, model):
+        lines = []
+        for t, tree in enumerate(trees):
+            lines.append(f"{name} {t} {len(tree.feature)}")
+            rows = zip(tree.feature.tolist(), tree.threshold.tolist(),
+                       tree.children.tolist(), tree.label.tolist())
+            lines += [f"{f} {thr!r} {left} {right} {lab}" for f, thr, (left, right), lab in rows]
+        return lines
+
+    def load(self, lines, name, model, sizes):
+        trees = []
+        for t in range(model.n_trees):
+            fields = _expect(lines, name, 3)
+            index, n_nodes = (_parse(v, int, f"{name} record field") for v in fields[1:])
+            if index != t:
+                raise ModelFormatError(f"tree {index} out of order, expected {t}")
+            nodes = []
+            for _ in range(n_nodes):
+                nodes.append(next(lines).split())
+                if len(nodes[-1]) != 5:
+                    raise ModelFormatError("tree node record needs 5 fields")
+            trees.append(_checked_tree(t, nodes, sizes["d"], sizes["K"]))
+        return trees
+
+
+def _checked_tree(t, nodes, n_features, n_classes):
+    """DecisionTree from node records, rejecting one whose prediction could
+    loop, read a missing feature or name an unknown class."""
+    if not nodes:
+        raise ModelFormatError(f"tree {t} has no nodes")
+    table = np.array(nodes)
+    tree = DecisionTree(n_classes)
+    try:
+        tree.threshold = table[:, 1].astype(np.float64)
+        tree.feature, left, right, tree.label = (table[:, c].astype(np.int64) for c in (0, 2, 3, 4))
+    except (ValueError, OverflowError):
+        raise ModelFormatError(f"tree {t} holds a bad node record") from None
+    tree.children = np.stack([left, right], axis=1)
+    leaf = tree.feature < 0
+    # children strictly after their parent make every walk from the root end
+    forward = (tree.children > np.arange(len(nodes))[:, None]) & (tree.children < len(nodes))
+    known_label = (tree.label >= 0) & (tree.label < n_classes)
+    checks = (
+        (forward[~leaf].all(), "an internal node's children must follow it"),
+        ((tree.children[leaf] == -1).all(), "a leaf's children must be -1 -1"),
+        ((tree.feature < n_features).all(), f"a split feature is not below n_features {n_features}"),
+        (known_label[leaf].all(), f"a leaf label is outside 0..{n_classes - 1}"),
+    )
+    for ok, what in checks:
+        if not ok:
+            raise ModelFormatError(f"tree {t}: {what}")
+    return tree
+
+
+# Each kind's records after the labels record, in file order. Scalars are
+# (name, type): the constructor parameters, then the fitted n_features_
+# (the file drops a fitted attribute's trailing "_"). Fields are (record
+# name, attribute, codec).
+_KINDS = {
+    "svm": (
+        GaussianKernelSVM,
+        [("sigma", float), ("C", float), ("tol", float), ("n_features_", int)],
+        [
+            ("X", "X_", _Floats("nd")),
+            ("dual_coef", "dual_coef_", _Floats("Kn")),
+            ("bias", "bias_", _Floats("1K")),
+        ],
+    ),
+    "edt": (
+        BaggedTreeEnsemble,
+        [("n_trees", int), ("bootstrap_fraction", float), ("seed", int), ("n_features_", int)],
+        [("tree", "trees_", _Trees())],
+    ),
+    "knn": (
+        KNearestNeighbors,
+        [("k", int), ("n_features_", int)],
+        [("X", "X_", _Floats("nd")), ("y_idx", "y_", _LabelIndices())],
+    ),
+}
 
 
 def dumps_model(model):
-    lines = [f"{_MAGIC} {_VERSION}"]
-    if isinstance(model, GaussianKernelSVM):
-        lines.append("kind svm")
-        lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
-        lines.append(f"scalar sigma {model.sigma!r}")
-        lines.append(f"scalar C {model.C!r}")
-        lines.append(f"scalar tol {model.tol!r}")
-        lines.append(f"scalar n_features {model.n_features_}")
-        lines += _fmt_array("X", model.X_)
-        lines += _fmt_array("dual_coef", model.dual_coef_)
-        lines += _fmt_array("bias", model.bias_)
-    elif isinstance(model, BaggedTreeEnsemble):
-        lines.append("kind edt")
-        lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
-        lines.append(f"scalar n_trees {model.n_trees}")
-        lines.append(f"scalar bootstrap_fraction {model.bootstrap_fraction!r}")
-        lines.append(f"scalar seed {model.seed}")
-        lines.append(f"scalar n_features {model.n_features_}")
-        for t, tree in enumerate(model.trees_):
-            lines.append(f"tree {t} {len(tree.feature)}")
-            for i in range(len(tree.feature)):
-                lines.append(
-                    f"{int(tree.feature[i])} {float(tree.threshold[i])!r} "
-                    f"{int(tree.children[i, 0])} {int(tree.children[i, 1])} {int(tree.label[i])}"
-                )
-    elif isinstance(model, KNearestNeighbors):
-        lines.append("kind knn")
-        lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
-        lines.append(f"scalar k {model.k}")
-        lines.append(f"scalar n_features {model.n_features_}")
-        lines += _fmt_array("X", model.X_)
-        y_idx = [model.classes_.index(lab) for lab in model.y_]
-        lines.append(f"array y_idx 1 {len(y_idx)}")
-        lines.append(" ".join(str(i) for i in y_idx))
+    for kind, (cls, scalars, fields) in _KINDS.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [f"{_MAGIC} {_VERSION}", f"kind {kind}"]
+    lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
+    for name, _ in scalars:
+        lines.append(f"scalar {name.rstrip('_')} {getattr(model, name)}")
+    for name, attr, codec in fields:
+        lines += codec.dump(name, getattr(model, attr), model)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_line(self):
-        if self.pos >= len(self.lines):
-            raise ModelFormatError("unexpected end of model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_fields(self, keyword, count=None):
-        fields = self.next_line().split()
-        if not fields or fields[0] != keyword:
-            raise ModelFormatError(f"expected {keyword!r} record, got {fields[:1]}")
-        if count is not None and len(fields) != count:
-            raise ModelFormatError(f"{keyword!r} record has {len(fields)} fields, expected {count}")
-        return fields
-
-
-def _read_scalar(reader, name):
-    fields = reader.expect_fields("scalar", 3)
-    if fields[1] != name:
-        raise ModelFormatError(f"expected scalar {name!r}, got {fields[1]!r}")
-    try:
-        return float(fields[2])
-    except ValueError:
-        raise ModelFormatError(f"bad scalar value {fields[2]!r}") from None
-
-
-def _read_int(reader, name):
-    # ints are parsed directly; float round-tripping would clip wide seeds
-    fields = reader.expect_fields("scalar", 3)
-    if fields[1] != name:
-        raise ModelFormatError(f"expected scalar {name!r}, got {fields[1]!r}")
-    try:
-        return int(fields[2])
-    except ValueError:
-        raise ModelFormatError(f"bad integer value {fields[2]!r}") from None
-
-
-def _read_array(reader, name):
-    fields = reader.expect_fields("array", 4)
-    if fields[1] != name:
-        raise ModelFormatError(f"expected array {name!r}, got {fields[1]!r}")
-    try:
-        rows, cols = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ModelFormatError("bad array shape") from None
-    out = np.empty((rows, cols))
-    for r in range(rows):
-        values = reader.next_line().split()
-        if len(values) != cols:
-            raise ModelFormatError(f"array {name!r} row {r} has {len(values)} values, expected {cols}")
-        try:
-            out[r] = [float(v) for v in values]
-        except ValueError:
-            raise ModelFormatError(f"array {name!r} row {r} holds a non-float") from None
-    return out
-
-
 def loads_model(text):
-    reader = _Reader(text)
-    header = reader.next_line().split()
+    lines = _lines(text)
+    header = next(lines).split()
     if header[:1] != [_MAGIC]:
         raise ModelFormatError("not a skelgest model file")
     if header[1:] != [_VERSION]:
         raise ModelFormatError(f"unsupported model version {header[1:]}")
-    kind = reader.expect_fields("kind", 2)[1]
-    labels = reader.expect_fields("labels")
-    try:
-        n_labels = int(labels[1])
-    except (IndexError, ValueError):
-        raise ModelFormatError("bad labels record") from None
+    kind = _expect(lines, "kind", 2)[1]
+    if kind not in _KINDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    cls, scalars, fields = _KINDS[kind]
+    labels = _expect(lines, "labels")
     classes = labels[2:]
-    if len(classes) != n_labels:
+    n_labels = _parse(labels[1], int, "label count") if len(labels) > 1 else None
+    if n_labels != len(classes) or not classes:
         raise ModelFormatError(f"labels record lists {len(classes)} labels, declared {n_labels}")
 
-    if kind == "svm":
-        model = GaussianKernelSVM(
-            sigma=_read_scalar(reader, "sigma"),
-            C=_read_scalar(reader, "C"),
-            tol=_read_scalar(reader, "tol"),
-        )
-        model.classes_ = classes
-        model.n_features_ = _read_int(reader, "n_features")
-        model.X_ = _read_array(reader, "X")
-        model.dual_coef_ = _read_array(reader, "dual_coef")
-        model.bias_ = _read_array(reader, "bias").reshape(-1)
-        if model.dual_coef_.shape != (n_labels, model.X_.shape[0]):
-            raise ModelFormatError("svm coefficient shape mismatch")
-    elif kind == "edt":
-        n_trees = _read_int(reader, "n_trees")
-        model = BaggedTreeEnsemble(
-            n_trees=n_trees,
-            bootstrap_fraction=_read_scalar(reader, "bootstrap_fraction"),
-            seed=_read_int(reader, "seed"),
-        )
-        model.classes_ = classes
-        model.n_features_ = _read_int(reader, "n_features")
-        model.trees_ = []
-        for t in range(n_trees):
-            fields = reader.expect_fields("tree", 3)
-            if int(fields[1]) != t:
-                raise ModelFormatError(f"tree {fields[1]} out of order, expected {t}")
-            n_nodes = int(fields[2])
-            tree = DecisionTree(n_labels)
-            feature, threshold, children, label = [], [], [], []
-            for _ in range(n_nodes):
-                vals = reader.next_line().split()
-                if len(vals) != 5:
-                    raise ModelFormatError("tree node record needs 5 fields")
-                try:
-                    feature.append(int(vals[0]))
-                    threshold.append(float(vals[1]))
-                    children.append((int(vals[2]), int(vals[3])))
-                    label.append(int(vals[4]))
-                except ValueError:
-                    raise ModelFormatError("bad tree node record") from None
-            tree.feature = np.asarray(feature, dtype=np.int64)
-            tree.threshold = np.asarray(threshold, dtype=np.float64)
-            tree.children = np.asarray(children, dtype=np.int64).reshape(-1, 2)
-            tree.label = np.asarray(label, dtype=np.int64)
-            model.trees_.append(tree)
-    elif kind == "knn":
-        model = KNearestNeighbors(k=_read_int(reader, "k"))
-        model.classes_ = classes
-        model.n_features_ = _read_int(reader, "n_features")
-        model.X_ = _read_array(reader, "X")
-        y_idx = _read_array(reader, "y_idx").reshape(-1).astype(int)
-        if len(y_idx) != model.X_.shape[0]:
-            raise ModelFormatError("knn label count mismatch")
-        model.y_ = [classes[i] for i in y_idx]
-    else:
-        raise ModelFormatError(f"unknown model kind {kind!r}")
+    values = {name: _read_scalar(lines, name.rstrip("_"), cast) for name, cast in scalars}
+    model = cls(**{name: v for name, v in values.items() if not name.endswith("_")})
+    model.classes_ = classes
+    model.n_features_ = values["n_features_"]
+    sizes = {"1": 1, "K": n_labels, "d": model.n_features_}
+    for name, attr, codec in fields:
+        setattr(model, attr, codec.load(lines, name, model, sizes))
 
-    if reader.next_line().strip() != "end":
+    if next(lines).strip() != "end":
         raise ModelFormatError("missing end sentinel")
     return model
 

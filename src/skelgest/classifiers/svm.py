@@ -12,7 +12,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample before giving up
@@ -146,7 +146,7 @@ class _BinarySMO:
         return self
 
 
-class GaussianKernelSVM(ParamsMixin):
+class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
     """Multi-class one-vs-all SVM with the Gaussian kernel.
 
     Parameters: sigma (kernel width), C (soft-margin penalty), tol (KKT
@@ -206,8 +206,3 @@ class GaussianKernelSVM(ParamsMixin):
         scores = self.decision_function(np.atleast_2d(x))[0]
         label = self.classes_[int(np.argmax(scores))]
         return label, dict(zip(self.classes_, scores.tolist()))
-
-    def score(self, X, y):
-        pred = self.predict(X)
-        y = check_labels(y, len(pred))
-        return float(np.mean([p == t for p, t in zip(pred, y)]))

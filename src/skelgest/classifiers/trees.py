@@ -10,7 +10,7 @@ exact same model anywhere.
 
 import numpy as np
 
-from ..base import ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import InvalidBootstrapError, TrainingDegenerateError
 from ..rng import PortableRNG
 
@@ -40,28 +40,21 @@ class DecisionTree:
         self.label = np.asarray(self.label, dtype=np.int64)
         return self
 
-    def _add_leaf(self, counts):
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
+    def _add_node(self, feature, threshold, label):
+        self.feature.append(feature)
+        self.threshold.append(threshold)
         self.children.append((-1, -1))
-        self.label.append(int(np.argmax(counts)))
-        return idx
+        self.label.append(label)
+        return len(self.feature) - 1
 
     def _grow(self, X, y_idx):
         counts = np.bincount(y_idx, minlength=self.n_classes)
         n = len(y_idx)
-        if n < 2 or np.max(counts) == n:
-            return self._add_leaf(counts)
-        split = _best_split(X, y_idx, self.n_classes)
+        split = None if n < 2 or np.max(counts) == n else _best_split(X, y_idx, self.n_classes)
         if split is None:
-            return self._add_leaf(counts)
+            return self._add_node(-1, 0.0, int(np.argmax(counts)))
         f, thr = split
-        idx = len(self.feature)
-        self.feature.append(f)
-        self.threshold.append(thr)
-        self.children.append((-1, -1))
-        self.label.append(-1)
+        idx = self._add_node(f, thr, -1)
         mask = X[:, f] <= thr
         left = self._grow(X[mask], y_idx[mask])
         right = self._grow(X[~mask], y_idx[~mask])
@@ -110,7 +103,7 @@ def _best_split(X, y_idx, n_classes):
     return f, float(thr)
 
 
-class BaggedTreeEnsemble(ParamsMixin):
+class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
     """Majority vote over n_trees bootstrap-trained decision trees."""
 
     def __init__(self, n_trees=100, bootstrap_fraction=0.30, seed=0):
@@ -167,8 +160,3 @@ class BaggedTreeEnsemble(ParamsMixin):
         votes = self.vote_counts(np.atleast_2d(x))[0]
         label = self.classes_[int(np.argmax(votes))]
         return label, dict(zip(self.classes_, votes.tolist()))
-
-    def score(self, X, y):
-        pred = self.predict(X)
-        y = check_labels(y, len(pred))
-        return float(np.mean([p == t for p, t in zip(pred, y)]))

@@ -22,10 +22,15 @@ from .classifiers import (
     save_model,
 )
 from .errors import ComputationError, InputFormatError
-from .features import single_person, two_person
+from .features import FEATURE_MODULES
 from .harness import ExperimentConfig, export_dataset
 from .harness.templates import BENCHMARK_CLASSES
-from .skeleton import parse_skeleton_stream, read_skeleton_file, serialize_skeleton_stream
+from .skeleton import (
+    format_floats,
+    parse_skeleton_stream,
+    read_skeleton_file,
+    serialize_skeleton_stream,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,15 +63,20 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _read_lines(path):
+    """Stripped non-blank lines of a text input file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from None
+
+
 def _load_matrix(path):
     """Feature CSV as a float matrix; tolerates a header and a frame column."""
     rows = []
     drop_first = False
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
+    lines = _read_lines(path)
     if not lines:
         raise InputFormatError(f"{path} is empty")
     start = 0
@@ -92,12 +102,7 @@ def _load_matrix(path):
 
 def _load_labels(path):
     """Labels manifest: one `name,label` (or bare `label`) line per sample."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    labels = [ln.split(",")[-1].strip() for ln in lines]
+    labels = [ln.split(",")[-1].strip() for ln in _read_lines(path)]
     if not labels:
         raise InputFormatError(f"{path} holds no labels")
     return labels
@@ -105,13 +110,8 @@ def _load_labels(path):
 
 def _load_manifest(path):
     """(filename, label) pairs for batch feature extraction."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
     pairs = []
-    for ln_no, ln in enumerate(lines, start=1):
+    for ln_no, ln in enumerate(_read_lines(path), start=1):
         fields = [f.strip() for f in ln.split(",")]
         if len(fields) != 2:
             raise InputFormatError(f"{path} line {ln_no}: expected 'filename,label'")
@@ -119,7 +119,8 @@ def _load_manifest(path):
     return pairs
 
 
-_FEATURE_MODULES = {"single": single_person, "two-person": two_person}
+# CLI spelling of each feature kind: dashes for the config's underscores
+_FEATURE_MODULES = {kind.replace("_", "-"): module for kind, module in FEATURE_MODULES.items()}
 
 
 def cmd_extract_features(args):
@@ -127,35 +128,39 @@ def cmd_extract_features(args):
     if args.manifest:
         base = os.path.dirname(os.path.abspath(args.manifest))
         pairs = _load_manifest(args.manifest)
-        rows, labels = [], []
-        for filename, label in pairs:
+        rows = []
+        for filename, _ in pairs:
             seq = read_skeleton_file(os.path.join(base, filename))
             rows.append(module.sequence_features(seq).reshape(-1))
-            labels.append(label)
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise InputFormatError(f"sequences in {args.manifest} have differing lengths")
-        matrix_text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+        matrix_text = "\n".join(format_floats(row, ",") for row in rows) + "\n"
         _emit(matrix_text, args.out)
         if args.labels_out:
-            with open(args.labels_out, "w", encoding="ascii") as fh:
-                fh.write("\n".join(f"{f},{lab}" for (f, _), lab in zip(pairs, labels)) + "\n")
+            _emit("\n".join(f"{f},{lab}" for f, lab in pairs) + "\n", args.labels_out)
         return EXIT_OK
     seq = read_skeleton_file(args.input)
     feats = module.sequence_features(seq)
     if args.flatten:
-        text = ",".join(repr(float(v)) for v in feats.reshape(-1)) + "\n"
+        text = format_floats(feats.reshape(-1), ",") + "\n"
     else:
         text = module.features_to_csv(feats, frame_column=args.frame_column)
     _emit(text, args.out)
     return EXIT_OK
 
 
-def cmd_train(args):
+def _load_labeled(args):
+    """Feature matrix and its labels, one label per row."""
     X = _load_matrix(args.features)
     y = _load_labels(args.labels)
     if len(y) != X.shape[0]:
         raise InputFormatError(f"{X.shape[0]} feature rows but {len(y)} labels")
+    return X, y
+
+
+def cmd_train(args):
+    X, y = _load_labeled(args)
     seed = args.seed if args.seed is not None else _default_seed(0)
     if args.model == "svm":
         model = GaussianKernelSVM(sigma=args.sigma, C=args.cost, tol=args.tol)
@@ -182,16 +187,12 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     model = load_model(args.model)
-    X = _load_matrix(args.features)
-    y = _load_labels(args.labels)
-    if len(y) != X.shape[0]:
-        raise InputFormatError(f"{X.shape[0]} feature rows but {len(y)} labels")
+    X, y = _load_labeled(args)
     predicted = model.predict(X)
     labels = sorted(set(y) | set(model.classes_))
     report = evaluation.evaluate(y, predicted, labels=labels)
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(report.to_csv())
+        _emit(report.to_csv(), args.report)
         print(report.summary(), file=sys.stderr, end="")
     else:
         sys.stdout.write(report.summary())
@@ -199,14 +200,9 @@ def cmd_evaluate(args):
 
 
 def cmd_friedman(args):
-    try:
-        with open(args.scores, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {args.scores}: {exc}") from None
     names = []
     rows = []
-    for ln_no, ln in enumerate(lines, start=1):
+    for ln_no, ln in enumerate(_read_lines(args.scores), start=1):
         fields = [f.strip() for f in ln.split(",")]
         try:
             float(fields[0])
@@ -250,9 +246,7 @@ def cmd_gen_synth(args):
 
 
 def cmd_round_trip_check(args):
-    with open(args.input, "r", encoding="ascii") as fh:
-        text = fh.read()
-    seq = parse_skeleton_stream(text)
+    seq = parse_skeleton_stream("\n".join(_read_lines(args.input)))
     again = parse_skeleton_stream(serialize_skeleton_stream(seq))
     if not np.array_equal(seq.joints, again.joints):
         raise InputFormatError(f"{args.input}: round trip altered coordinates")
@@ -327,16 +321,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    # UnicodeDecodeError is a ValueError, but a non-ASCII file is bad input
+    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"skelgest: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ComputationError as exc:
-        print(f"skelgest: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:
-        print(f"skelgest: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ComputationError, ValueError) as exc:
         print(f"skelgest: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

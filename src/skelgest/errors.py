@@ -51,10 +51,7 @@ class DegenerateDepthError(ComputationError):
         self.mean_depth = mean_depth
         self.triangle = triangle
         self.frame = frame
-        where = ""
-        if triangle is not None:
-            where += f" (triangle {triangle}"
-            where += f", frame {frame})" if frame is not None else ")"
+        where = f" (triangle {triangle}, frame {frame})" if triangle is not None else ""
         super().__init__(f"non-positive mean depth {mean_depth}{where}")
 
 
@@ -64,10 +61,7 @@ class DegenerateDirectionError(ComputationError):
     def __init__(self, mean_joint=None, frame=None):
         self.mean_joint = mean_joint
         self.frame = frame
-        where = ""
-        if mean_joint is not None:
-            where += f" (mean joint {mean_joint}"
-            where += f", frame {frame})" if frame is not None else ")"
+        where = f" (mean joint {mean_joint}, frame {frame})" if mean_joint is not None else ""
         super().__init__(f"zero-length vector has no direction{where}")
 
 

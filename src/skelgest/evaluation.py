@@ -182,29 +182,25 @@ class EvaluationReport:
         out.write("\nmetrics\n")
         header = f"{'class':>{width}}" + "".join(f"{m:>12}" for m in ClassMetrics.FIELDS)
         out.write(header + "\n")
-        for lab in labels:
-            m = self.per_class[lab]
+        for lab, m in self._metric_rows():
             out.write(
                 f"{lab:>{width}}"
                 + "".join(f"{getattr(m, name):>12.6f}" for name in ClassMetrics.FIELDS)
                 + "\n"
             )
-        out.write(
-            f"{'macro':>{width}}"
-            + "".join(f"{getattr(self.macro, name):>12.6f}" for name in ClassMetrics.FIELDS)
-            + "\n"
-        )
         return out.getvalue()
 
     def to_csv(self):
         """Per-class rows plus a macro row, full float precision."""
         out = io.StringIO()
         out.write("class," + ",".join(ClassMetrics.FIELDS) + "\n")
-        for lab in self.matrix.labels:
-            m = self.per_class[lab]
+        for lab, m in self._metric_rows():
             out.write(lab + "," + ",".join(repr(getattr(m, f)) for f in ClassMetrics.FIELDS) + "\n")
-        out.write("macro," + ",".join(repr(getattr(self.macro, f)) for f in ClassMetrics.FIELDS) + "\n")
         return out.getvalue()
+
+    def _metric_rows(self):
+        """(name, metrics) per class in label order, then ("macro", macro)."""
+        return [(lab, self.per_class[lab]) for lab in self.matrix.labels] + [("macro", self.macro)]
 
 
 def evaluate(true_labels, predicted_labels, labels=None):

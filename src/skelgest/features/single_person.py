@@ -6,13 +6,11 @@ mean sensor depth of the two points. Dividing by depth makes the features
 dimensionless and independent of how far the subject stands from the sensor.
 """
 
-import io
-
 import numpy as np
 
-from ..base import ParamsMixin
+from ..base import SequenceTransformer
 from ..errors import DegenerateDepthError
-from ..skeleton import Joint
+from ..skeleton import Joint, SkeletonSequence, matrix_to_csv
 
 # Fixed feature order: shoulder-level, forearm-level, hand-level, left before
 # right at each level. Classifier input columns depend on this order.
@@ -57,20 +55,6 @@ def normalized_distance(centroid, spine):
     return 2.0 * float(np.linalg.norm(c - s)) / float(depth_sum)
 
 
-def frame_features(frame):
-    """The six normalized centroid-to-spine distances of one frame."""
-    joints = np.asarray(frame.joints if hasattr(frame, "joints") else frame, dtype=np.float64)
-    spine = joints[_SPINE_ROW]
-    out = np.empty(N_FEATURES)
-    for i in range(N_FEATURES):
-        centroid = joints[_TRIANGLE_ROWS[i]].mean(axis=0)
-        depth_sum = centroid[2] + spine[2]
-        if depth_sum <= 0.0:
-            raise DegenerateDepthError(depth_sum / 2.0, triangle=i + 1)
-        out[i] = 2.0 * np.linalg.norm(centroid - spine) / depth_sum
-    return out
-
-
 def sequence_features(seq):
     """(T, 6) feature matrix for a sequence, one row per frame in order."""
     joints = seq.joints  # (T, 20, 3)
@@ -85,42 +69,17 @@ def sequence_features(seq):
     return 2.0 * dists / depth_sums
 
 
+def frame_features(frame):
+    """The six normalized centroid-to-spine distances of one frame."""
+    return sequence_features(SkeletonSequence.from_frames([frame]))[0]
+
+
 def features_to_csv(matrix, frame_column=False):
     """CSV text for a (T, 6) feature matrix, header d1..d6."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    out = io.StringIO()
-    header = ("frame," if frame_column else "") + ",".join(CSV_COLUMNS)
-    out.write(header + "\n")
-    for t, row in enumerate(matrix):
-        prefix = f"{t}," if frame_column else ""
-        out.write(prefix + ",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
+    return matrix_to_csv(CSV_COLUMNS, matrix, frame_column)
 
 
-class SinglePersonFeatures(ParamsMixin):
-    """Transformer from skeleton sequences to per-sequence feature vectors.
+class SinglePersonFeatures(SequenceTransformer):
+    """Sequences to (n, T*6) flattened distance vectors; see SequenceTransformer."""
 
-    transform() accepts a list of SkeletonSequence and returns a
-    (n_sequences, T*6) array of row-major flattened per-frame features.
-    All sequences must share the same frame count. With flatten=False the
-    result is a (n, T, 6) stack instead.
-    """
-
-    def __init__(self, flatten=True):
-        self.flatten = flatten
-
-    def fit(self, X, y=None):
-        return self
-
-    def transform(self, X):
-        mats = [sequence_features(seq) for seq in X]
-        lengths = {m.shape[0] for m in mats}
-        if len(lengths) > 1:
-            raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
-        stacked = np.stack(mats)
-        if self.flatten:
-            return stacked.reshape(stacked.shape[0], -1)
-        return stacked
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
+    sequence_features = staticmethod(sequence_features)

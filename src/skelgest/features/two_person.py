@@ -7,14 +7,11 @@ in degrees. An interaction is a pair of independently featurized sequences,
 one per person; each person's gesture is classified on its own.
 """
 
-import io
-import math
-
 import numpy as np
 
-from ..base import ParamsMixin
+from ..base import SequenceTransformer
 from ..errors import DegenerateDirectionError
-from ..skeleton import Joint
+from ..skeleton import Joint, SkeletonSequence, matrix_to_csv
 
 # Anthropometric weights, fixed across frames. Each group sums to 1.
 ARM_WEIGHTS = (0.271, 0.449, 0.149, 0.131)   # shoulder, elbow, wrist, hand
@@ -63,20 +60,6 @@ def direction_angles(v):
     return np.degrees(np.arccos(cos))
 
 
-def frame_features(frame):
-    """Twelve angles of one frame, ordered (a, b, g) for J1, J2, J3, J4."""
-    joints = np.asarray(frame.joints if hasattr(frame, "joints") else frame, dtype=np.float64)
-    out = np.empty(N_FEATURES)
-    for i, (name, _, _) in enumerate(MEAN_JOINT_GROUPS):
-        pts = joints[_GROUP_ROWS[i]]
-        mj = (_GROUP_WEIGHTS[i][:, None] * pts).sum(axis=0) / 4.0
-        norm = np.linalg.norm(mj)
-        if norm == 0.0:
-            raise DegenerateDirectionError(mean_joint=name)
-        out[3 * i: 3 * i + 3] = np.degrees(np.arccos(np.clip(mj / norm, -1.0, 1.0)))
-    return out
-
-
 def sequence_features(seq):
     """(T, 12) angle matrix for a sequence, one row per frame in order."""
     joints = seq.joints  # (T, 20, 3)
@@ -91,43 +74,17 @@ def sequence_features(seq):
     return np.degrees(np.arccos(cos)).reshape(len(seq), N_FEATURES)
 
 
+def frame_features(frame):
+    """Twelve angles of one frame, ordered (a, b, g) for J1, J2, J3, J4."""
+    return sequence_features(SkeletonSequence.from_frames([frame]))[0]
+
+
 def features_to_csv(matrix, frame_column=False):
     """CSV text for a (T, 12) angle matrix, header aJ1..gJ4."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    out = io.StringIO()
-    header = ("frame," if frame_column else "") + ",".join(CSV_COLUMNS)
-    out.write(header + "\n")
-    for t, row in enumerate(matrix):
-        prefix = f"{t}," if frame_column else ""
-        out.write(prefix + ",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
+    return matrix_to_csv(CSV_COLUMNS, matrix, frame_column)
 
 
-def weight_group_sums():
-    return math.fsum(ARM_WEIGHTS), math.fsum(LEG_WEIGHTS)
+class TwoPersonFeatures(SequenceTransformer):
+    """One person's sequences to (n, T*12) angle vectors; see SequenceTransformer."""
 
-
-class TwoPersonFeatures(ParamsMixin):
-    """Transformer from one person's sequences to flattened angle vectors.
-
-    Same contract as SinglePersonFeatures but producing T*12 columns.
-    """
-
-    def __init__(self, flatten=True):
-        self.flatten = flatten
-
-    def fit(self, X, y=None):
-        return self
-
-    def transform(self, X):
-        mats = [sequence_features(seq) for seq in X]
-        lengths = {m.shape[0] for m in mats}
-        if len(lengths) > 1:
-            raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
-        stacked = np.stack(mats)
-        if self.flatten:
-            return stacked.reshape(stacked.shape[0], -1)
-        return stacked
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
+    sequence_features = staticmethod(sequence_features)

@@ -11,15 +11,12 @@ import numpy as np
 
 from ..classifiers.dataset import LabeledDataset
 from ..errors import DepthRangeViolationError, StratifyError
-from ..features import single_person, two_person
+from ..features import FEATURE_MODULES
 from ..rng import PortableRNG
 from ..skeleton import SkeletonSequence, write_skeleton_file
 from .templates import DEPTH_RANGE, get_template
 
-FEATURE_KINDS = {
-    "single": single_person.sequence_features,
-    "two_person": two_person.sequence_features,
-}
+FEATURE_KINDS = {kind: module.sequence_features for kind, module in FEATURE_MODULES.items()}
 
 
 def generate_sequence(template, n_frames, seed, noise_std=None):

@@ -106,11 +106,6 @@ class SkeletonSequence:
         return cls(stacked, frame_rate=frame_rate, source_label=source_label)
 
 
-def joint_position(frame, joint):
-    """(x, y, z) of `joint` within `frame`."""
-    return frame.position(joint)
-
-
 def parse_skeleton_stream(text, frame_rate=DEFAULT_FRAME_RATE, source_label=None):
     """Parse a flat float stream into a SkeletonSequence.
 
@@ -151,10 +146,7 @@ def serialize_skeleton_stream(seq):
     parse(serialize(seq)) reproduces every coordinate bit for bit. One line
     per frame.
     """
-    lines = []
-    for t in range(len(seq)):
-        flat = seq.joints[t].reshape(-1)
-        lines.append(" ".join(repr(float(v)) for v in flat))
+    lines = [format_floats(seq.joints[t].reshape(-1)) for t in range(len(seq))]
     return "\n".join(lines) + "\n"
 
 
@@ -168,16 +160,25 @@ def write_skeleton_file(path, seq):
         fh.write(serialize_skeleton_stream(seq))
 
 
-CSV_HEADER = ",".join(
-    f"j{j.value:02d}_{axis}" for j in Joint for axis in ("x", "y", "z")
-)
+def format_floats(values, sep=" "):
+    """The repr of each value joined by sep; repr round-trips float64 exactly."""
+    return sep.join(repr(float(v)) for v in values)
+
+
+def matrix_to_csv(columns, matrix, frame_column=False):
+    """CSV text: a header of column names, then one line per matrix row;
+    frame_column prepends each row's 0-based index under a `frame` header."""
+    out = io.StringIO()
+    out.write(("frame," if frame_column else "") + ",".join(columns) + "\n")
+    for t, row in enumerate(np.asarray(matrix, dtype=np.float64)):
+        out.write((f"{t}," if frame_column else "") + format_floats(row, ",") + "\n")
+    return out.getvalue()
+
+
+CSV_COLUMNS = tuple(f"j{j.value:02d}_{axis}" for j in Joint for axis in ("x", "y", "z"))
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def sequence_to_csv(seq):
     """CSV view of a sequence: one row per frame, 60 columns, fixed header."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for t in range(len(seq)):
-        flat = seq.joints[t].reshape(-1)
-        out.write(",".join(repr(float(v)) for v in flat) + "\n")
-    return out.getvalue()
+    return matrix_to_csv(CSV_COLUMNS, seq.joints.reshape(len(seq), -1))

@@ -1,7 +1,13 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import skelgest
 from skelgest import serialize_skeleton_stream
 from skelgest.cli import main
 from skelgest.harness import GestureTemplate, generate_sequence
@@ -13,6 +19,7 @@ from conftest import (
     WORKED_FRAME_JOINTS,
     make_frame,
 )
+from test_model_io import GOLDEN_EDT, GOLDEN_KNN
 from test_svm import THREE_BLOBS, blobs
 
 
@@ -23,6 +30,13 @@ def write_blob_csvs(tmp_path, rng, n=10):
     features.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in X) + "\n")
     labels.write_text("\n".join(f"row{i},{lab}" for i, lab in enumerate(y)) + "\n")
     return features, labels
+
+
+def run_cli(*argv, timeout=60):
+    """The skelgest CLI in a fresh interpreter; returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skelgest.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "skelgest.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def write_sequence(path, seq):
@@ -220,6 +234,55 @@ class TestTrainPredictEvaluate:
         features = tmp_path / "f.csv"
         features.write_text("0.0,0.0\n")
         assert main(["predict", "--model", str(bad), "--features", str(features)]) == 2
+
+
+class TestMalformedModelFiles:
+    """Model files that parse line by line but break a structural rule."""
+
+    @pytest.mark.parametrize(
+        "golden, old, new",
+        [
+            (GOLDEN_EDT, "tree 0 3", "tree x 3"),
+            (GOLDEN_KNN, "0 1 1", "0 1 2"),
+        ],
+        ids=["non-integer-tree-index", "knn-label-index-past-K"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, golden, old, new):
+        model = tmp_path / "bad.model"
+        model.write_text(golden.replace(old, new))
+        features = tmp_path / "f.csv"
+        features.write_text("0.5,0.5\n")
+        done = run_cli("predict", "--model", str(model), "--features", str(features))
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_tree_cycle_exits_2_instead_of_hanging(self, tmp_path):
+        model = tmp_path / "cycle.model"
+        # the root's children point back at the root
+        model.write_text(GOLDEN_EDT.replace("0 0.5 1 2 -1", "0 0.5 0 0 -1"))
+        features = tmp_path / "f.csv"
+        features.write_text("0.5,0.5\n")
+        done = run_cli("predict", "--model", str(model), "--features", str(features), timeout=30)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+
+
+class TestNonAsciiInput:
+    # UnicodeDecodeError is a ValueError, which would otherwise exit 3
+    @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "model", "features"])
+    def test_exits_2(self, bad, skeleton_file, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        features = tmp_path / "f.csv"
+        features.write_text("0.5,0.5\n")
+        target = {"model": model, "features": features}.get(bad, skeleton_file)
+        target.write_bytes(target.read_bytes() + "caf\u00e9\n".encode("utf-8"))
+        argv = {
+            "skeleton-round-trip": ["round-trip-check", "--input", str(skeleton_file)],
+            "skeleton-extract": ["extract-features", "--input", str(skeleton_file), "--mode", "single"],
+        }.get(bad, ["predict", "--model", str(model), "--features", str(features)])
+        assert main(argv) == 2
+        assert "ascii" in capsys.readouterr().err
 
 
 class TestFriedmanCommand:

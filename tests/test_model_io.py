@@ -216,3 +216,41 @@ class TestGoldenFiles:
         loaded = loads_model(golden)
         assert loaded.predict(GOLDEN_PROBE) == build().predict(GOLDEN_PROBE) == expected
         assert loaded.get_params() == build().get_params()
+
+
+class TestStructureChecks:
+    """loads_model rejects files whose models would hang, crash or mislabel."""
+
+    @pytest.mark.parametrize(
+        "golden, old, new, message",
+        [
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 0.5 0 0 -1", "children must follow"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 0.5 1 3 -1", "children must follow"),
+            (GOLDEN_EDT, "-1 0.0 -1 -1 0", "-1 0.0 2 -1 0", "leaf's children"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "2 0.5 1 2 -1", "n_features"),
+            (GOLDEN_EDT, "tree 1 1\n-1 0.0 -1 -1 1", "tree 1 1\n-1 0.0 -1 -1 2", "leaf label"),
+            (GOLDEN_EDT, "tree 1 1\n-1 0.0 -1 -1 1", "tree 1 1\n-1 0.0 -1 -1 -3", "leaf label"),
+            (GOLDEN_EDT, "tree 1 1\n-1 0.0 -1 -1 1", "tree 1 0", "no nodes"),
+            (GOLDEN_EDT, "tree 0 3", "tree x 3", "bad tree record field"),
+            (GOLDEN_EDT, "-1 0.0 -1 -1 0", "-1 0.0 -1 -1 99999999999999999999", "bad node"),
+            (GOLDEN_KNN, "0 1 1", "0 1 2", "label index"),
+            (GOLDEN_KNN, "0 1 1", "0 -1 1", "label index"),
+            (GOLDEN_KNN, "array y_idx 1 3", "array y_idx 1 2", "shape"),
+            (GOLDEN_SVM, "scalar n_features 2", "scalar n_features 3", "shape"),
+            (GOLDEN_SVM, "array bias 1 2\n0.125 -0.125", "array bias 1 3\n0.125 -0.125 0.0", "shape"),
+            (GOLDEN_SVM, "array X 2 2", "array X -2 2", "shape"),
+            (GOLDEN_SVM, "array X 2 2", "array X 99999999999999 2", "row 2 has 4 values"),
+            (GOLDEN_SVM, "labels 2 left right", "labels two left right", "label count"),
+        ],
+        ids=[
+            "self-loop", "child-past-end", "leaf-with-child", "feature-past-n_features",
+            "leaf-label-past-K", "negative-leaf-label", "empty-tree", "non-integer-tree-index",
+            "node-int-overflow", "knn-label-index-past-K", "knn-negative-label-index",
+            "knn-label-count", "svm-width-vs-n_features", "svm-bias-length",
+            "negative-array-rows", "huge-array-rows", "non-integer-label-count",
+        ],
+    )
+    def test_rejected(self, golden, old, new, message):
+        assert old in golden
+        with pytest.raises(ModelFormatError, match=message):
+            loads_model(golden.replace(old, new))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from skelgest import Frame, Joint, SkeletonSequence, parse_skeleton_stream, serialize_skeleton_stream
 from skelgest.errors import BadTokenError, EmptyStreamError, MalformedStreamError
-from skelgest.skeleton import joint_position, sequence_to_csv
+from skelgest.skeleton import sequence_to_csv
 
 from conftest import WORKED_FRAME_JOINTS, make_frame
 
@@ -120,17 +120,17 @@ class TestJointPosition:
     def test_shoulder_left_worked_value(self):
         frame = make_frame(WORKED_FRAME_JOINTS)
         np.testing.assert_allclose(
-            joint_position(frame, Joint.SHOULDER_LEFT), [-0.423, 0.440, 3.048]
+            frame.position(Joint.SHOULDER_LEFT), [-0.423, 0.440, 3.048]
         )
 
     def test_hip_center_of_minimal_stream(self):
         seq = parse_skeleton_stream(stream_of(0.1 * (i + 1) for i in range(60)))
-        np.testing.assert_allclose(joint_position(seq.frame(0), Joint.HIP_CENTER), [0.1, 0.2, 0.3])
+        np.testing.assert_allclose(seq.frame(0).position(Joint.HIP_CENTER), [0.1, 0.2, 0.3])
 
     def test_all_zeros_frame(self):
         frame = Frame(np.zeros((20, 3)))
         for joint in Joint:
-            assert joint_position(frame, joint).tolist() == [0.0, 0.0, 0.0]
+            assert frame.position(joint).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestTypes:
