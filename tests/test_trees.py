@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
+from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 
 from test_svm import THREE_BLOBS, blobs
 
@@ -129,3 +132,35 @@ class TestEnsemblePredict:
         base = BaggedTreeEnsemble(n_trees=20, seed=6).fit(X, y).predict(probe)
         renamed = BaggedTreeEnsemble(n_trees=20, seed=6).fit(X, [rename[v] for v in y]).predict(probe)
         assert [rename[v] for v in base] == renamed
+
+
+# SHA-256 of dumps_model for ensembles trained through the harness. A change
+# here means a seed no longer reproduces the model file it used to: a split,
+# threshold, tie-break or bootstrap draw moved.
+PINNED_ENSEMBLES = [
+    (
+        ExperimentConfig(
+            classes=("waving", "punching", "push", "clap", "zoom_in"),
+            samples_per_class=10, frames=12, seed=11, noise_std=0.08,
+            feature_kind="single", classifier="edt",
+            params={"n_trees": 12, "bootstrap_fraction": 0.7},
+        ),
+        "7708eb7016e16062dd36d164cd3ee0bb61a925ff5f0bdd61418f96d0d101b5e6",
+    ),
+    (
+        ExperimentConfig(
+            classes=("approaching", "departing", "exchanging", "hugging"),
+            samples_per_class=10, frames=12, seed=12, noise_std=0.08,
+            feature_kind="two_person", classifier="edt",
+            params={"n_trees": 12, "bootstrap_fraction": 0.7},
+        ),
+        "2a8afdc7e801798ba3b4218253cd8c7071c995b8c49459323cf61f8f502de4d0",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_ENSEMBLES, ids=["single", "two_person"])
+def test_trained_ensemble_model_file_is_pinned(config, digest):
+    train, _ = stratified_split(build_dataset(config), config.split_fraction, config.seed)
+    model = make_classifier(config).fit(train.vectors, train.labels)
+    assert hashlib.sha256(dumps_model(model).encode("ascii")).hexdigest() == digest
