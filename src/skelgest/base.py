@@ -50,6 +50,20 @@ class ClassifierMixin:
         return float(np.mean([p == t for p, t in zip(pred, y)]))
 
 
+class ScoringClassifierMixin(ClassifierMixin):
+    """predict() for a classifier whose _class_scores(X) rates every class,
+    as an (n_samples, n_classes) array in classes_ order."""
+
+    def predict(self, X):
+        """Label with the highest class score; ties at the lowest label."""
+        return [self.classes_[i] for i in np.argmax(self._class_scores(X), axis=1)]
+
+    def predict_with_scores(self, x):
+        """One sample's (label, {class: score}) pair."""
+        scores = self._class_scores(np.atleast_2d(x))[0]
+        return self.classes_[int(np.argmax(scores))], dict(zip(self.classes_, scores.tolist()))
+
+
 class SequenceTransformer(ParamsMixin):
     """Transformer from skeleton sequences to per-sequence feature vectors.
 

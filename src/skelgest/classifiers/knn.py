@@ -18,15 +18,17 @@ class KNearestNeighbors(ClassifierMixin, ParamsMixin):
     def __init__(self, k=1):
         self.k = k
 
-    def fit(self, X, y):
+    def _check_params(self, n_samples):
+        """Reject a k the model cannot use with n_samples stored rows."""
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"k must be a positive odd integer, got {self.k}")
+        if self.k > n_samples:
+            raise TrainingDegenerateError(f"k={self.k} exceeds training size {n_samples}")
+
+    def fit(self, X, y):
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
-        if self.k > X.shape[0]:
-            raise TrainingDegenerateError(
-                f"k={self.k} exceeds training size {X.shape[0]}"
-            )
+        self._check_params(X.shape[0])
         self.X_ = X
         self.y_ = y
         self.classes_ = sorted(set(y))
@@ -34,18 +36,11 @@ class KNearestNeighbors(ClassifierMixin, ParamsMixin):
         return self
 
     def _predict_one(self, sq_dists):
-        order = np.lexsort((np.arange(len(sq_dists)), sq_dists))
-        nearest = order[: self.k]
-        counts = {}
-        dist_sum = {}
-        for i in nearest:
-            lab = self.y_[i]
-            counts[lab] = counts.get(lab, 0) + 1
-            dist_sum[lab] = dist_sum.get(lab, 0.0) + float(np.sqrt(sq_dists[i]))
-        best = max(counts.values())
-        tied = [lab for lab, c in counts.items() if c == best]
-        tied.sort(key=lambda lab: (dist_sum[lab], lab))
-        return tied[0]
+        votes = {}  # label -> (-neighbor count, summed neighbor distance)
+        for i in np.argsort(sq_dists, kind="stable")[: self.k]:
+            count, dist = votes.get(self.y_[i], (0, 0.0))
+            votes[self.y_[i]] = (count - 1, dist + float(np.sqrt(sq_dists[i])))
+        return min(votes, key=lambda lab: (*votes[lab], lab))
 
     def predict(self, X):
         check_fitted(self, "X_")

@@ -19,7 +19,7 @@ ModelFormatError instead of a silently shorter model.
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import ComputationError, ModelFormatError
 from ..skeleton import format_floats
 from .knn import KNearestNeighbors
 from .svm import GaussianKernelSVM
@@ -156,14 +156,10 @@ def _checked_tree(t, nodes, n_features, n_classes):
     loop, read a missing feature or name an unknown class."""
     if not nodes:
         raise ModelFormatError(f"tree {t} has no nodes")
-    table = np.array(nodes)
-    tree = DecisionTree(n_classes)
     try:
-        tree.threshold = table[:, 1].astype(np.float64)
-        tree.feature, left, right, tree.label = (table[:, c].astype(np.int64) for c in (0, 2, 3, 4))
+        tree = DecisionTree(n_classes).set_nodes(nodes)
     except (ValueError, OverflowError):
         raise ModelFormatError(f"tree {t} holds a bad node record") from None
-    tree.children = np.stack([left, right], axis=1)
     leaf = tree.feature < 0
     # children strictly after their parent make every walk from the root end
     forward = (tree.children > np.arange(len(nodes))[:, None]) & (tree.children < len(nodes))
@@ -247,6 +243,10 @@ def loads_model(text):
     sizes = {"1": 1, "K": n_labels, "d": model.n_features_}
     for name, attr, codec in fields:
         setattr(model, attr, codec.load(lines, name, model, sizes))
+    try:
+        model._check_params(sizes.get("n"))  # an edt file stores no training rows
+    except (ValueError, ComputationError) as exc:
+        raise ModelFormatError(f"bad model parameter: {exc}") from None
 
     if next(lines).strip() != "end":
         raise ModelFormatError("missing end sentinel")

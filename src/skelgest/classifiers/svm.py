@@ -12,7 +12,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample before giving up
@@ -146,7 +146,7 @@ class _BinarySMO:
         return self
 
 
-class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
+class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
     """Multi-class one-vs-all SVM with the Gaussian kernel.
 
     Parameters: sigma (kernel width), C (soft-margin penalty), tol (KKT
@@ -159,18 +159,21 @@ class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
         self.C = C
         self.tol = tol
 
+    def _check_params(self, n_samples=None):
+        """Reject a sigma, C or tol that is not a positive finite number."""
+        for name in ("sigma", "C", "tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+
     def fit(self, X, y):
+        self._check_params()
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
         classes = sorted(set(y))
         if len(classes) < 2:
-            raise TrainingDegenerateError(
-                f"need at least 2 classes, got {classes}"
-            )
+            raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
         if X.shape[0] >= 2 and np.all(X == X[0]):
-            raise TrainingDegenerateError(
-                "all training vectors identical but labels differ"
-            )
+            raise TrainingDegenerateError("all training vectors identical but labels differ")
         order = _canonical_order(X, np.array([classes.index(c) for c in y]))
         Xs = X[order]
         ys = [y[i] for i in order]
@@ -195,14 +198,4 @@ class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
         K = gaussian_kernel(X, self.X_, self.sigma)  # (n, m)
         return K @ self.dual_coef_.T + self.bias_[None, :]
 
-    def predict(self, X):
-        """Label with the largest decision value; ties at the lowest label."""
-        scores = self.decision_function(X)
-        idx = np.argmax(scores, axis=1)
-        return [self.classes_[i] for i in idx]
-
-    def predict_with_scores(self, x):
-        """One sample's (label, {class: score}) pair."""
-        scores = self.decision_function(np.atleast_2d(x))[0]
-        label = self.classes_[int(np.argmax(scores))]
-        return label, dict(zip(self.classes_, scores.tolist()))
+    _class_scores = decision_function  # predict takes the largest decision value

@@ -10,7 +10,7 @@ exact same model anywhere.
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import InvalidBootstrapError, TrainingDegenerateError
 from ..rng import PortableRNG
 
@@ -27,83 +27,78 @@ class DecisionTree:
 
     def __init__(self, n_classes):
         self.n_classes = n_classes
-        self.feature = []
-        self.threshold = []
-        self.children = []
-        self.label = []
 
     def fit(self, X, y_idx):
-        self._grow(np.asarray(X, dtype=np.float64), np.asarray(y_idx, dtype=np.int64))
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.children = np.asarray(self.children, dtype=np.int64).reshape(-1, 2)
-        self.label = np.asarray(self.label, dtype=np.int64)
+        nodes = []  # [feature, threshold, left, right, label], parents first
+        self._grow(np.asarray(X, dtype=np.float64), np.asarray(y_idx, dtype=np.int64), nodes)
+        return self.set_nodes(nodes)
+
+    def set_nodes(self, table):
+        """Fill the node arrays from (feature, threshold, left, right, label) rows."""
+        table = np.asarray(table)
+        self.threshold = table[:, 1].astype(np.float64)
+        self.feature, left, right, self.label = (table[:, c].astype(np.int64) for c in (0, 2, 3, 4))
+        self.children = np.stack([left, right], axis=1)
         return self
 
-    def _add_node(self, feature, threshold, label):
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.children.append((-1, -1))
-        self.label.append(label)
-        return len(self.feature) - 1
-
-    def _grow(self, X, y_idx):
+    def _grow(self, X, y_idx, nodes):
         counts = np.bincount(y_idx, minlength=self.n_classes)
         n = len(y_idx)
         split = None if n < 2 or np.max(counts) == n else _best_split(X, y_idx, self.n_classes)
+        idx = len(nodes)
         if split is None:
-            return self._add_node(-1, 0.0, int(np.argmax(counts)))
+            nodes.append([-1, 0.0, -1, -1, int(np.argmax(counts))])
+            return idx
         f, thr = split
-        idx = self._add_node(f, thr, -1)
+        nodes.append([f, thr, -1, -1, -1])
         mask = X[:, f] <= thr
-        left = self._grow(X[mask], y_idx[mask])
-        right = self._grow(X[~mask], y_idx[~mask])
-        self.children[idx] = (left, right)
+        nodes[idx][2] = self._grow(X[mask], y_idx[mask], nodes)
+        nodes[idx][3] = self._grow(X[~mask], y_idx[~mask], nodes)
         return idx
 
-    def predict_one(self, x):
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.children[i, 0] if x[self.feature[i]] <= self.threshold[i] else self.children[i, 1]
-        return int(self.label[i])
-
     def predict(self, X):
-        return np.array([self.predict_one(row) for row in np.asarray(X, dtype=np.float64)])
+        """Leaf labels; all rows descend a level per step, at most n_nodes steps."""
+        X = np.asarray(X, dtype=np.float64)
+        node = np.zeros(len(X), dtype=np.int64)
+        rows = np.flatnonzero(self.feature[node] >= 0)  # rows still at a split
+        while rows.size:
+            at = node[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(goes_left, self.children[at, 0], self.children[at, 1])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return self.label[node]
 
 
 def _best_split(X, y_idx, n_classes):
-    """(feature, threshold) minimizing weighted Gini, or None if unsplittable."""
+    """(feature, threshold) minimizing weighted Gini, or None if unsplittable.
+
+    Left class counts are one cumsum per class present; the right side's
+    Σ (t_k - l_k)² is Σ t_k² - 2 Σ t_k l_k + Σ l_k², all exact integers."""
     n, d = X.shape
     order = np.argsort(X, axis=0, kind="stable")  # (n, d)
     sx = np.take_along_axis(X, order, axis=0)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y_idx] = 1.0
-    left = np.cumsum(onehot[order], axis=0)  # (n, d, K): counts left of each cut
-    total = left[-1, 0]  # (K,)
-
-    nl = np.arange(1, n, dtype=np.float64)[:, None]  # cut after sorted row i-1
+    ys = y_idx[order[:-1]]  # labels left of each cut: cut i follows sorted row i
+    total = np.bincount(y_idx, minlength=n_classes)  # (K,)
+    sq_left = np.zeros((n - 1, d), dtype=np.int64)  # Σ_k left_k²
+    for k in np.flatnonzero(total):
+        lk = np.cumsum(ys == k, axis=0)  # (n-1, d)
+        sq_left += lk * lk
+    cross = np.cumsum(total[ys], axis=0)  # Σ_k total_k · left_k
+    sq_total = int(total @ total)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl
-    lc = left[:-1]  # (n-1, d, K)
-    rc = total[None, None, :] - lc
-    gini_l = 1.0 - np.sum(lc * lc, axis=2) / (nl * nl)
-    gini_r = 1.0 - np.sum(rc * rc, axis=2) / (nr * nr)
-    weighted = (nl * gini_l + nr * gini_r) / n  # (n-1, d)
-
-    valid = sx[1:] > sx[:-1]
-    if not valid.any():
-        return None
-    weighted = np.where(valid, weighted, np.inf)
+    gini_l = 1.0 - sq_left / (nl * nl)
+    gini_r = 1.0 - (sq_total - 2 * cross + sq_left) / (nr * nr)
+    weighted = np.where(sx[1:] > sx[:-1], (nl * gini_l + nr * gini_r) / n, np.inf)  # (n-1, d)
     # scan feature-major so ties resolve to the lowest feature, then threshold
-    flat = np.argmin(weighted.T)
-    f, cut = divmod(int(flat), n - 1)
-    parent = 1.0 - float(np.sum(total * total)) / (n * n)
-    if weighted[cut, f] >= parent - 1e-15:
+    f, cut = divmod(int(np.argmin(weighted.T)), n - 1)
+    if weighted[cut, f] >= 1.0 - sq_total / (n * n) - 1e-15:
         return None
     thr = (sx[cut, f] + sx[cut + 1, f]) / 2.0
     return f, float(thr)
 
 
-class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
+class BaggedTreeEnsemble(ScoringClassifierMixin, ParamsMixin):
     """Majority vote over n_trees bootstrap-trained decision trees."""
 
     def __init__(self, n_trees=100, bootstrap_fraction=0.30, seed=0):
@@ -115,19 +110,23 @@ class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
         # overridable hook: tests swap in an identity sample
         return rng.integers(n_samples, size=size)
 
-    def fit(self, X, y):
+    def _check_params(self, n_samples=None):
+        """Reject bad parameters; given n_samples, a bootstrap of no rows too."""
         if not 0.0 < self.bootstrap_fraction <= 1.0:
             raise ValueError(f"bootstrap_fraction must be in (0, 1], got {self.bootstrap_fraction}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be positive, got {self.n_trees}")
+        if n_samples is not None and self.bootstrap_fraction * n_samples < 1.0:
+            raise InvalidBootstrapError(self.bootstrap_fraction, n_samples)
+
+    def fit(self, X, y):
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
+        self._check_params(X.shape[0])
         classes = sorted(set(y))
         if len(classes) < 2:
             raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
         n = X.shape[0]
-        if self.bootstrap_fraction * n < 1.0:
-            raise InvalidBootstrapError(self.bootstrap_fraction, n)
         size = int(np.ceil(self.bootstrap_fraction * n))
         y_idx = np.array([classes.index(c) for c in y], dtype=np.int64)
         root = PortableRNG(self.seed)
@@ -146,17 +145,8 @@ class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
         X = check_feature_matrix(X, n_features=self.n_features_)
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
         for tree in self.trees_:
-            pred = tree.predict(X)
-            votes[np.arange(X.shape[0]), pred] += 1
+            votes[np.arange(X.shape[0]), tree.predict(X)] += 1
         return votes
 
-    def predict(self, X):
-        """Class with the most votes; ties at the lowest label."""
-        votes = self.vote_counts(X)
-        return [self.classes_[i] for i in np.argmax(votes, axis=1)]
-
-    def predict_with_votes(self, x):
-        """One sample's (label, {class: votes}) pair."""
-        votes = self.vote_counts(np.atleast_2d(x))[0]
-        label = self.classes_[int(np.argmax(votes))]
-        return label, dict(zip(self.classes_, votes.tolist()))
+    _class_scores = vote_counts  # predict takes the class with the most votes
+    predict_with_votes = ScoringClassifierMixin.predict_with_scores

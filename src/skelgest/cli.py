@@ -14,16 +14,11 @@ import sys
 import numpy as np
 
 from . import evaluation
-from .classifiers import (
-    BaggedTreeEnsemble,
-    GaussianKernelSVM,
-    KNearestNeighbors,
-    load_model,
-    save_model,
-)
+from .classifiers import load_model, save_model
 from .errors import ComputationError, InputFormatError
 from .features import FEATURE_MODULES
 from .harness import ExperimentConfig, export_dataset
+from .harness.experiment import CLASSIFIERS
 from .harness.templates import BENCHMARK_CLASSES
 from .skeleton import (
     format_floats,
@@ -162,15 +157,12 @@ def _load_labeled(args):
 def cmd_train(args):
     X, y = _load_labeled(args)
     seed = args.seed if args.seed is not None else _default_seed(0)
-    if args.model == "svm":
-        model = GaussianKernelSVM(sigma=args.sigma, C=args.cost, tol=args.tol)
-    elif args.model == "edt":
-        model = BaggedTreeEnsemble(
-            n_trees=args.trees, bootstrap_fraction=args.bootstrap_fraction, seed=seed
-        )
-    else:
-        model = KNearestNeighbors(k=args.k)
-    model.fit(X, y)
+    params = {
+        "svm": dict(sigma=args.sigma, C=args.cost, tol=args.tol),
+        "edt": dict(n_trees=args.trees, bootstrap_fraction=args.bootstrap_fraction, seed=seed),
+        "knn": dict(k=args.k),
+    }[args.model]
+    model = CLASSIFIERS[args.model](**params).fit(X, y)
     accuracy = model.score(X, y)
     save_model(model, args.out)
     print(f"training accuracy: {accuracy:.4f}")
@@ -272,7 +264,7 @@ def build_parser():
     p = sub.add_parser("train", help="fit a classifier on features + labels")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--model", choices=("svm", "edt", "knn"), required=True)
+    p.add_argument("--model", choices=tuple(CLASSIFIERS), required=True)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sigma", type=float, default=1.0, help="svm kernel width")

@@ -9,15 +9,10 @@ chi-squared test at significance 0.05.
 """
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Upper 5% points of the chi-squared distribution, df 1..10.
-CHI2_CRITICAL_05 = {
-    1: 3.841, 2: 5.991, 3: 7.815, 4: 9.488, 5: 11.070,
-    6: 12.592, 7: 14.067, 8: 15.507, 9: 16.919, 10: 18.307,
-}
 
 
 @dataclass
@@ -224,14 +219,36 @@ def rank_algorithms(scores):
     if c < 2 or d < 1:
         raise ValueError(f"need at least 2 algorithms and 1 dataset, got {scores.shape}")
     ranks = np.empty_like(scores)
-    for col in range(d):
-        s = scores[:, col]
-        for i in range(c):
-            higher = np.sum(s > s[i])
-            equal = np.sum(s == s[i])
-            # average of ranks higher+1 .. higher+equal
-            ranks[i, col] = higher + (equal + 1) / 2.0
+    for col, s in enumerate(scores.T):
+        higher = np.sum(s[None, :] > s[:, None], axis=1)
+        equal = np.sum(s[None, :] == s[:, None], axis=1)
+        ranks[:, col] = higher + (equal + 1) / 2.0  # mean of ranks higher+1 .. higher+equal
     return ranks
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X chi-squared with whole df: the regularized upper
+    incomplete gamma Q(df/2, x/2) by Q(a + 1, z) = Q(a, z) + z^a e^-z / Gamma(a + 1)
+    from Q(1, z) = e^-z or Q(1/2, z) = erfc(sqrt z) (Abramowitz & Stegun 6.5)."""
+    z = x / 2.0
+    if z <= 0.0:
+        return 1.0
+    a, q = (1.0, math.exp(-z)) if df % 2 == 0 else (0.5, math.erfc(math.sqrt(z)))
+    while a < df / 2.0:
+        q += math.exp(a * math.log(z) - z - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
+
+
+def chi2_isf(p, df):
+    """The x with chi2_sf(x, df) = p, by bisection."""
+    lo, hi = 0.0, float(df)
+    while chi2_sf(hi, df) > p:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if chi2_sf(mid, df) > p else (lo, mid)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -242,6 +259,7 @@ class FriedmanResult:
     chi_squared: float
     critical_value: float
     reject_null: bool
+    p_value: float
 
 
 def friedman(ranks):
@@ -249,17 +267,15 @@ def friedman(ranks):
 
     chi2 = 12 D / (C (C+1)) * (sum_c R_c^2 - C (C+1)^2 / 4) with R_c the
     mean rank of algorithm c. The null (all algorithms equivalent) is
-    rejected when chi2 exceeds the critical value at C-1 degrees of freedom.
+    rejected when chi2 exceeds the upper 5% point at C-1 degrees of freedom,
+    rounded to the three decimals of the printed tables; p_value is P(X > chi2).
     """
     ranks = np.asarray(ranks, dtype=np.float64)
     c, d = ranks.shape
     avg = ranks.mean(axis=1)
     chi2 = 12.0 * d / (c * (c + 1)) * (float(np.sum(avg**2)) - c * (c + 1) ** 2 / 4.0)
-    df = c - 1
-    if df not in CHI2_CRITICAL_05:
-        raise ValueError(f"no critical value tabulated for df={df}")
-    critical = CHI2_CRITICAL_05[df]
-    return FriedmanResult(c, d, avg, chi2, critical, chi2 > critical)
+    critical = round(chi2_isf(0.05, c - 1), 3)
+    return FriedmanResult(c, d, avg, chi2, critical, chi2 > critical, chi2_sf(chi2, c - 1))
 
 
 def friedman_table(result, ranks, names=None):

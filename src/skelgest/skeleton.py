@@ -176,7 +176,6 @@ def matrix_to_csv(columns, matrix, frame_column=False):
 
 
 CSV_COLUMNS = tuple(f"j{j.value:02d}_{axis}" for j in Joint for axis in ("x", "y", "z"))
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def sequence_to_csv(seq):

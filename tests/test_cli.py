@@ -19,7 +19,7 @@ from conftest import (
     WORKED_FRAME_JOINTS,
     make_frame,
 )
-from test_model_io import GOLDEN_EDT, GOLDEN_KNN
+from test_model_io import GOLDEN_EDT, GOLDEN_KNN, GOLDEN_SVM
 from test_svm import THREE_BLOBS, blobs
 
 
@@ -236,16 +236,37 @@ class TestTrainPredictEvaluate:
         assert main(["predict", "--model", str(bad), "--features", str(features)]) == 2
 
 
+# GOLDEN_EDT cut to zero trees, so only its n_trees scalar can reject it
+EDT_WITHOUT_TREES = GOLDEN_EDT[: GOLDEN_EDT.index("tree 0")] + "end\n"
+
+
 class TestMalformedModelFiles:
-    """Model files that parse line by line but break a structural rule."""
+    """Model files that parse line by line but break a structural rule or
+    carry a constructor parameter the classifier would refuse."""
 
     @pytest.mark.parametrize(
         "golden, old, new",
         [
             (GOLDEN_EDT, "tree 0 3", "tree x 3"),
             (GOLDEN_KNN, "0 1 1", "0 1 2"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 0"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 2"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 5"),
+            (EDT_WITHOUT_TREES, "scalar n_trees 2", "scalar n_trees 0"),
+            (GOLDEN_EDT, "bootstrap_fraction 0.3", "bootstrap_fraction 0.0"),
+            (GOLDEN_EDT, "bootstrap_fraction 0.3", "bootstrap_fraction 1.5"),
+            (GOLDEN_EDT, "bootstrap_fraction 0.3", "bootstrap_fraction nan"),
+            (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma 0.0"),
+            (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma inf"),
+            (GOLDEN_SVM, "scalar C 2.0", "scalar C -2.0"),
+            (GOLDEN_SVM, "scalar tol 0.001", "scalar tol nan"),
         ],
-        ids=["non-integer-tree-index", "knn-label-index-past-K"],
+        ids=[
+            "non-integer-tree-index", "knn-label-index-past-K",
+            "knn-k-0", "knn-k-even", "knn-k-past-stored-rows", "edt-n_trees-0",
+            "edt-bootstrap-0", "edt-bootstrap-above-1", "edt-bootstrap-nan",
+            "svm-sigma-0", "svm-sigma-inf", "svm-C-negative", "svm-tol-nan",
+        ],
     )
     def test_exits_2_without_traceback(self, tmp_path, golden, old, new):
         model = tmp_path / "bad.model"
@@ -308,6 +329,13 @@ class TestFriedmanCommand:
         scores.write_text("0.9\n0.1\n")
         assert main(["friedman", "--scores", str(scores)]) == 0
         assert "3.841" in capsys.readouterr().out
+
+    def test_twelve_algorithms_use_df11_critical(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        rows = np.random.default_rng(86).uniform(size=(12, 4))
+        scores.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        assert main(["friedman", "--scores", str(scores)]) == 0
+        assert "critical 19.675 (df=11" in capsys.readouterr().out
 
     def test_malformed_grid_exits_2(self, tmp_path):
         scores = tmp_path / "scores.csv"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from skelgest.evaluation import (
-    CHI2_CRITICAL_05,
     BinaryCounts,
     ConfusionMatrix,
     binary_reduce,
+    chi2_isf,
+    chi2_sf,
     class_metrics,
     confusion,
     evaluate,
@@ -25,6 +26,26 @@ FOUR_ALGO_SCORES = [
     [0.6, 0.6, 0.7],
 ]
 FOUR_ALGO_RANKS = [[1, 1, 1], [4, 4, 4], [2, 2, 3], [3, 3, 2]]
+
+# upper points of the chi-squared distribution as printed in the published
+# tables: {tail probability: {degrees of freedom: point}}
+PUBLISHED_CHI2 = {
+    0.05: {
+        1: 3.841, 2: 5.991, 3: 7.815, 4: 9.488, 5: 11.070,
+        6: 12.592, 7: 14.067, 8: 15.507, 9: 16.919, 10: 18.307,
+        11: 19.675, 29: 42.557,
+    },
+    0.01: {1: 6.635, 2: 9.210, 3: 11.345, 5: 15.086, 10: 23.209, 20: 37.566, 30: 50.892},
+    0.001: {1: 10.828, 2: 13.816, 3: 16.266, 5: 20.515, 10: 29.588, 20: 45.315, 30: 59.703},
+}
+
+
+def series_chi2_sf(x, df):
+    """1 - P(df/2, x/2) from the power series of the regularized lower
+    incomplete gamma, P(a, z) = z^a e^-z sum_n z^n / Gamma(a + n + 1)."""
+    a, z = df / 2.0, x / 2.0
+    terms = (math.exp((a + n) * math.log(z) - z - math.lgamma(a + n + 1)) for n in range(400))
+    return 1.0 - math.fsum(terms)
 
 
 def random_confusion(rng, k=4, high=20):
@@ -215,9 +236,40 @@ class TestFriedman:
         assert friedman(ranks).chi_squared == pytest.approx(0.0, abs=1e-12)
 
     def test_critical_table(self):
-        assert CHI2_CRITICAL_05[1] == 3.841
-        assert CHI2_CRITICAL_05[3] == 7.815
-        assert len(CHI2_CRITICAL_05) == 10
+        # the computed points round to the published three decimals; at 5%
+        # that rounded point is what friedman reports and tests against
+        for p, points in PUBLISHED_CHI2.items():
+            for df, printed in points.items():
+                assert round(chi2_isf(p, df), 3) == printed, (p, df)
+        for df, printed in PUBLISHED_CHI2[0.05].items():
+            assert friedman(np.tile(np.arange(1.0, df + 2)[:, None], 2)).critical_value == printed
+
+    def test_survival_function_matches_power_series(self):
+        for df in range(1, 41):
+            for x in [0.01, 0.5, df / 2.0, df - 0.5, df + 2.0, 2.0 * df + 5.0]:
+                assert chi2_sf(x, df) == pytest.approx(series_chi2_sf(x, df), abs=1e-12)
+            assert chi2_sf(0.0, df) == 1.0
+            assert chi2_sf(chi2_isf(0.05, df), df) == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [12, 30])
+    def test_many_algorithms(self, c):
+        rng = np.random.default_rng(85 + c)
+        for d in (1, 4, 9):
+            ranks = rank_algorithms(rng.normal(size=(c, d)))
+            result = friedman(ranks)
+            assert result.critical_value == PUBLISHED_CHI2[0.05][c - 1]
+            assert result.p_value == pytest.approx(series_chi2_sf(result.chi_squared, c - 1), abs=1e-12)
+            assert result.reject_null == (result.chi_squared > result.critical_value)
+        # every dataset ranks the algorithms in the same order
+        ranks = np.tile(np.arange(1.0, c + 1)[:, None], 6)
+        result = friedman(ranks)
+        assert result.reject_null and result.p_value < 1e-6
+
+    def test_p_value_at_reference_statistic(self):
+        result = friedman(np.array(FOUR_ALGO_RANKS, dtype=float))
+        # chi2 = 8.2 at df 3, just past the 5% point 7.815
+        assert result.p_value == pytest.approx(series_chi2_sf(8.2, 3), abs=1e-12)
+        assert 0.04 < result.p_value < 0.05
 
     def test_table_rendering(self):
         ranks = np.array(FOUR_ALGO_RANKS, dtype=float)

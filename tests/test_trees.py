@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model
+from skelgest.classifiers.trees import _best_split
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 
@@ -14,6 +15,14 @@ class IdentitySampled(BaggedTreeEnsemble):
     # test hook: every "bootstrap" is the full training set in order
     def _draw_indices(self, rng, n_samples, size):
         return np.arange(n_samples)
+
+
+def walk(tree, x):
+    """One row's leaf label, following the nodes one at a time."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = tree.children[i, 0] if x[tree.feature[i]] <= tree.threshold[i] else tree.children[i, 1]
+    return int(tree.label[i])
 
 
 class TestDecisionTree:
@@ -36,6 +45,92 @@ class TestDecisionTree:
         y_idx = np.array([1, 0, 1, 0])
         tree = DecisionTree(2).fit(X, y_idx)
         assert tree.predict(X).tolist() == [0] * 4
+
+
+def reference_split(X, y_idx, n_classes):
+    """_best_split in plain Python: class counts tallied row by row, the same
+    float Gini formula, cuts scanned feature-major and then left to right,
+    the first strict minimum kept."""
+    n, d = len(X), len(X[0])
+    total = [0] * n_classes
+    for c in y_idx:
+        total[c] += 1
+    parent = 1.0 - sum(t * t for t in total) / (n * n)
+    best = None
+    for f in range(d):
+        rows = sorted(range(n), key=lambda i: X[i][f])
+        left = [0] * n_classes
+        for cut in range(n - 1):
+            left[y_idx[rows[cut]]] += 1
+            lo, hi = X[rows[cut]][f], X[rows[cut + 1]][f]
+            if not hi > lo:
+                continue
+            nl = float(cut + 1)
+            nr = n - nl
+            gini_l = 1.0 - sum(c * c for c in left) / (nl * nl)
+            gini_r = 1.0 - sum((t - c) ** 2 for t, c in zip(total, left)) / (nr * nr)
+            weighted = (nl * gini_l + nr * gini_r) / n
+            if best is None or weighted < best[0]:
+                best = (weighted, f, (lo + hi) / 2.0)
+    if best is None or best[0] >= parent - 1e-15:
+        return None
+    return best[1], best[2]
+
+
+def random_node(rng):
+    """A tie-heavy node: few distinct values, sometimes a constant column,
+    sometimes fewer classes present than n_classes."""
+    n = int(rng.choice([2, 3, int(rng.integers(4, 30))]))
+    d = int(rng.integers(1, 5))
+    n_classes = int(rng.integers(2, 6))
+    X = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)) * 0.25
+    if rng.random() < 0.3:
+        X[:, int(rng.integers(d))] = 1.5
+    y_idx = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n)
+    if rng.random() < 0.3:
+        y_idx = n_classes - 1 - y_idx  # keep the low classes absent
+    return X, y_idx, n_classes
+
+
+def balanced_node(rng):
+    """Blocks of tied rows that each hold the same class mix: every cut
+    leaves the class proportions of the parent, so no split lowers Gini."""
+    mix = rng.integers(0, 3, size=int(rng.integers(2, 4)))
+    blocks = int(rng.integers(2, 5))
+    X = np.repeat(rng.permutation(blocks) * 1.0, len(mix))[:, None]
+    y_idx = np.tile(mix, blocks)
+    return np.hstack([X, np.full_like(X, 2.0)]), y_idx, 3
+
+
+class TestBestSplitOracle:
+    def test_matches_plain_python_reference(self):
+        rng = np.random.default_rng(60)
+        seen = {"split": 0, "none": 0, "n=2": 0, "absent class": 0}
+        for _ in range(600):
+            X, y_idx, n_classes = random_node(rng)
+            got = _best_split(X, y_idx, n_classes)
+            assert got == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
+            seen["split" if got else "none"] += 1
+            seen["n=2"] += len(y_idx) == 2
+            seen["absent class"] += len(set(y_idx.tolist())) < n_classes
+        assert min(seen.values()) >= 20, seen
+
+    def test_no_gain_split_is_none(self):
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            X, y_idx, n_classes = balanced_node(rng)
+            if len(set(y_idx.tolist())) > 1:
+                assert reference_split(X.tolist(), y_idx.tolist(), n_classes) is None
+                assert _best_split(X, y_idx, n_classes) is None
+
+    def test_continuous_features_match_reference(self):
+        rng = np.random.default_rng(62)
+        X, y = blobs(rng, THREE_BLOBS, 12, std=3.0)
+        y_idx = np.array([sorted(set(y)).index(v) for v in y])
+        for _ in range(100):
+            rows = rng.integers(len(y_idx), size=int(rng.integers(2, 36)))
+            Xn, yn = np.round(X[rows], 1), y_idx[rows]
+            assert _best_split(Xn, yn, 3) == reference_split(Xn.tolist(), yn.tolist(), 3)
 
 
 class TestEnsembleFit:
@@ -116,6 +211,20 @@ class TestEnsemblePredict:
         preds = model.predict(probe)
         for row, pred in zip(tally, preds):
             assert model.classes_[int(np.argmax(row))] == pred
+
+    def test_predict_matches_per_row_walk(self):
+        rng = np.random.default_rng(63)
+        X, y = blobs(rng, THREE_BLOBS, 12, std=3.0)
+        model = BaggedTreeEnsemble(n_trees=20, seed=8).fit(X, y)
+        # a threshold itself, in both columns, must take its split's <= side
+        thresholds = np.concatenate([t.threshold for t in model.trees_])
+        probe = np.vstack([X, rng.normal(size=(30, 2)) * 5.0, np.column_stack([thresholds] * 2)])
+        tally = np.zeros((len(probe), 3), dtype=np.int64)
+        for tree in model.trees_:
+            walked = np.array([walk(tree, row) for row in probe])
+            assert np.array_equal(tree.predict(probe), walked)
+            tally[np.arange(len(probe)), walked] += 1
+        assert np.array_equal(model.vote_counts(probe), tally)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(58)
