@@ -1,9 +1,17 @@
 """One-vs-all soft-margin SVM with a Gaussian kernel, trained by SMO.
 
 Each class gets a binary machine separating it from the rest; prediction
-takes the class whose machine reports the largest decision value. The dual
-problem is solved with sequential minimal optimization over the precomputed
-kernel matrix, which all machines share.
+takes the class whose machine reports the largest decision value. The
+machines share the precomputed kernel matrix and are solved in lockstep by
+sequential minimal optimization with LIBSVM's second-order working-set
+selection (WSS3; Fan, Chen & Lin, JMLR 6, 2005).
+
+A machine stops once max over I_up of -y*grad minus min over I_low of
+-y*grad is at most 2 tol. That holds exactly when some bias passes Platt's
+per-sample KKT check at tol (y f(x) >= 1 - tol where alpha < C, <= 1 + tol
+where alpha > 0). The bias is the mean of -y*grad over the free support
+vectors (0 < alpha < C), or the midpoint of that gap when there are none;
+either lies in the gap, so every training row passes the check at 2 tol.
 
 Training rows are sorted into a canonical (lexicographic) order before
 optimization, so the fitted machine, its decision values, and its
@@ -15,8 +23,10 @@ import numpy as np
 from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_labels, check_fitted
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
-# optimization steps allowed per sample before giving up
+# optimization steps allowed per sample and machine before giving up
 _MAX_STEPS_PER_SAMPLE = 10_000
+# curvature used when a pair's K_ii + K_jj - 2 K_ij is not positive (LIBSVM's TAU)
+_TAU = 1e-12
 
 
 def gaussian_kernel(X, Y, sigma=1.0):
@@ -46,104 +56,71 @@ def _canonical_order(X, y):
     return np.lexsort(keys)
 
 
-class _BinarySMO:
-    """SMO for one binary machine over a shared kernel matrix."""
+def _up_low(Y, alpha, grad, C):
+    """-y * grad on LIBSVM's index sets: I_up (-inf off it) and I_low (+inf off it).
 
-    def __init__(self, K, y, C, tol):
-        self.K = K
-        self.y = y.astype(np.float64)  # +1 / -1
-        self.C = float(C)
-        self.tol = float(tol)
-        n = len(y)
-        self.alpha = np.zeros(n)
-        self.b = 0.0
-        self._budget = _MAX_STEPS_PER_SAMPLE * n
+    I_up holds the samples whose alpha can move so that y * alpha grows,
+    I_low those whose alpha can move so that it shrinks.
+    """
+    v = -Y * grad
+    up = np.where(np.where(Y > 0.0, alpha < C, alpha > 0.0), v, -np.inf)
+    low = np.where(np.where(Y > 0.0, alpha > 0.0, alpha < C), v, np.inf)
+    return v, up, low
 
-    def _errors(self):
-        return (self.alpha * self.y) @ self.K + self.b - self.y
 
-    def _take_step(self, i, j, Ei, Ej):
-        if i == j:
-            return False
-        ai_old, aj_old = self.alpha[i], self.alpha[j]
-        yi, yj = self.y[i], self.y[j]
-        if yi != yj:
-            L = max(0.0, aj_old - ai_old)
-            H = min(self.C, self.C + aj_old - ai_old)
-        else:
-            L = max(0.0, ai_old + aj_old - self.C)
-            H = min(self.C, ai_old + aj_old)
-        if L >= H:
-            return False
-        eta = self.K[i, i] + self.K[j, j] - 2.0 * self.K[i, j]
-        if eta <= 0.0:
-            return False
-        aj = aj_old + yj * (Ei - Ej) / eta
-        aj = min(H, max(L, aj))
-        # reject microscopic steps or SMO inches forever without converging
-        if abs(aj - aj_old) < 1e-6 * (aj + aj_old + 1e-6):
-            return False
-        ai = ai_old + yi * yj * (aj_old - aj)
-        # keep the bias consistent with the KKT conditions of the new pair
-        b1 = (
-            self.b - Ei
-            - yi * (ai - ai_old) * self.K[i, i]
-            - yj * (aj - aj_old) * self.K[i, j]
-        )
-        b2 = (
-            self.b - Ej
-            - yi * (ai - ai_old) * self.K[i, j]
-            - yj * (aj - aj_old) * self.K[j, j]
-        )
-        if 0.0 < ai < self.C:
-            self.b = b1
-        elif 0.0 < aj < self.C:
-            self.b = b2
-        else:
-            self.b = (b1 + b2) / 2.0
-        self.alpha[i], self.alpha[j] = ai, aj
-        return True
+def _smo(K, Y, C, tol):
+    """Alphas and biases of every one-vs-all machine, solved in lockstep.
 
-    def solve(self):
-        n = len(self.y)
-        steps = 0
-        examine_all = True
-        while True:
-            changed = 0
-            errors = self._errors()
-            if examine_all:
-                candidates = range(n)
-            else:
-                candidates = np.nonzero((self.alpha > 0.0) & (self.alpha < self.C))[0]
-            for i in candidates:
-                Ei = errors[i]
-                r = Ei * self.y[i]
-                if (r < -self.tol and self.alpha[i] < self.C) or (
-                    r > self.tol and self.alpha[i] > 0.0
-                ):
-                    # second choice: largest |Ei - Ej|, ties at lowest index
-                    j = int(np.argmax(np.abs(errors - Ei)))
-                    stepped = self._take_step(i, j, Ei, errors[j])
-                    if not stepped:
-                        for j in range(n):
-                            if self._take_step(i, j, Ei, errors[j]):
-                                stepped = True
-                                break
-                    if stepped:
-                        changed += 1
-                        errors = self._errors()
-                    steps += 1
-                    if steps > self._budget:
-                        raise ConvergenceFailureError(
-                            f"SMO exceeded {self._budget} optimization steps"
-                        )
-            if examine_all:
-                if changed == 0:
-                    break
-                examine_all = False
-            elif changed == 0:
-                examine_all = True
-        return self
+    Y holds one row of +1/-1 targets per machine. Each step takes, for each
+    machine not yet converged, the maximal violating i and the second-order
+    j (WSS3 of Fan, Chen & Lin 2005), makes LIBSVM's two-variable update and
+    updates the gradient of the dual objective in O(n).
+    """
+    m, n = Y.shape
+    alpha = np.zeros((m, n))
+    grad = np.full((m, n), -1.0)  # Q alpha - 1, with Q = y y^T * K
+    kdiag = np.diag(K)
+    budget = _MAX_STEPS_PER_SAMPLE * n
+    act = np.arange(m)
+    steps = 0
+    while True:
+        v, up, low = _up_low(Y[act], alpha[act], grad[act], C)
+        going = up.max(axis=1) - low.min(axis=1) > 2.0 * tol
+        if not going.any():
+            break
+        if steps == budget:
+            raise ConvergenceFailureError(f"SMO exceeded {budget} optimization steps")
+        steps += 1
+        act, v, up, low = act[going], v[going], up[going], low[going]
+        rows = np.arange(len(act))
+        i = up.argmax(axis=1)
+        vmax = up[rows, i][:, None]
+        Ki = K[i]
+        quad = kdiag[i, None] + kdiag - 2.0 * Ki
+        quad = np.where(quad > 0.0, quad, _TAU)
+        j = np.where(low < vmax, -((vmax - v) ** 2) / quad, np.inf).argmin(axis=1)
+
+        yi, yj = Y[act, i], Y[act, j]
+        ai, aj = alpha[act, i], alpha[act, j]
+        s = yi * yj
+        r = ai + s * aj  # conserved by the step
+        delta = (s * grad[act, i] - grad[act, j]) / quad[rows, j]
+        # a variable leaving the box lands exactly on its bound and its
+        # partner follows from r, as in LIBSVM's Solver::Solve
+        tj = aj + delta
+        nj = np.clip(tj, 0.0, C)
+        ni = np.where(nj != tj, r - s * nj, ai - s * delta)
+        ci = np.clip(ni, 0.0, C)
+        nj = np.where(ci != ni, s * r - s * ci, nj)
+        alpha[act, i], alpha[act, j] = ci, nj
+        grad[act] += Y[act] * (Ki * (yi * (ci - ai))[:, None] + K[j] * (yj * (nj - aj))[:, None])
+
+    v, up, low = _up_low(Y, alpha, grad, C)
+    free = (alpha > 0.0) & (alpha < C)
+    nfree = free.sum(axis=1)
+    mid = (up.max(axis=1) + low.min(axis=1)) / 2.0
+    bias = np.where(nfree > 0, np.where(free, v, 0.0).sum(axis=1) / np.maximum(nfree, 1), mid)
+    return alpha, bias
 
 
 class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
@@ -174,20 +151,13 @@ class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
             raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
         if X.shape[0] >= 2 and np.all(X == X[0]):
             raise TrainingDegenerateError("all training vectors identical but labels differ")
-        order = _canonical_order(X, np.array([classes.index(c) for c in y]))
-        Xs = X[order]
-        ys = [y[i] for i in order]
-
-        K = gaussian_kernel(Xs, Xs, self.sigma)
+        codes = np.array([classes.index(c) for c in y])
+        order = _canonical_order(X, codes)
         self.classes_ = classes
-        self.X_ = Xs
-        self.dual_coef_ = np.zeros((len(classes), len(ys)))
-        self.bias_ = np.zeros(len(classes))
-        for k, cls in enumerate(classes):
-            target = np.where(np.array(ys) == cls, 1.0, -1.0)
-            smo = _BinarySMO(K, target, self.C, self.tol).solve()
-            self.dual_coef_[k] = smo.alpha * target
-            self.bias_[k] = smo.b
+        self.X_ = X[order]
+        Y = np.where(codes[order] == np.arange(len(classes))[:, None], 1.0, -1.0)
+        alpha, self.bias_ = _smo(gaussian_kernel(self.X_, self.X_, self.sigma), Y, self.C, self.tol)
+        self.dual_coef_ = alpha * Y
         self.n_features_ = X.shape[1]
         return self
 

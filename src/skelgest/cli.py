@@ -211,8 +211,10 @@ def cmd_friedman(args):
         rows.append(row)
     if len(rows) < 2 or len({len(r) for r in rows}) != 1:
         raise InputFormatError(f"{args.scores}: need a C x D score grid with C >= 2")
-    scores = np.asarray(rows)
-    ranks = evaluation.rank_algorithms(scores)
+    try:
+        ranks = evaluation.rank_algorithms(rows)
+    except ValueError as exc:
+        raise InputFormatError(f"{args.scores}: {exc}") from None
     result = evaluation.friedman(ranks)
     sys.stdout.write(evaluation.friedman_table(result, ranks, names))
     return EXIT_OK

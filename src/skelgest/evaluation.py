@@ -210,7 +210,8 @@ def rank_algorithms(scores):
 
     scores: (C, D) array, one row per algorithm, one column per dataset.
     Within each column the best score gets rank 1 and the worst rank C;
-    tied scores share the average of the ranks they span.
+    tied scores share the average of the ranks they span. A nan or
+    infinite score has no rank and raises ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -218,6 +219,8 @@ def rank_algorithms(scores):
     c, d = scores.shape
     if c < 2 or d < 1:
         raise ValueError(f"need at least 2 algorithms and 1 dataset, got {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     ranks = np.empty_like(scores)
     for col, s in enumerate(scores.T):
         higher = np.sum(s[None, :] > s[:, None], axis=1)

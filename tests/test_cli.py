@@ -342,6 +342,15 @@ class TestFriedmanCommand:
         scores.write_text("0.9,0.8\nonlyone\n")
         assert main(["friedman", "--scores", str(scores)]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exits_2(self, tmp_path, capsys, bad):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"0.9,0.8,0.7\n0.5,{bad},0.6\n0.1,0.2,0.3\n")
+        assert main(["friedman", "--scores", str(scores)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err and "Traceback" not in captured.err
+
 
 class TestGenSynthAndRoundTrip:
     def test_gen_synth_writes_dataset(self, tmp_path, capsys):

@@ -195,6 +195,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_algorithms([[1.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rank_algorithms([[0.9, 0.8, 0.7], [0.5, bad, 0.6], [0.1, 0.2, 0.3]])
+
 
 class TestFriedman:
     def test_reference_statistic(self):

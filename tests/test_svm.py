@@ -3,6 +3,8 @@ import pytest
 
 from skelgest.classifiers import GaussianKernelSVM, gaussian_kernel
 from skelgest.errors import DimensionMismatchError, TrainingDegenerateError
+from skelgest.harness import ExperimentConfig, build_dataset, stratified_split
+from skelgest.rng import PortableRNG
 
 
 def blobs(rng, means, n_per_class, std=0.5):
@@ -14,6 +16,12 @@ def blobs(rng, means, n_per_class, std=0.5):
 
 
 THREE_BLOBS = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (0.0, 10.0)}
+
+
+def harness_training_split(**fields):
+    config = ExperimentConfig(**fields)
+    train, _ = stratified_split(build_dataset(config), config.split_fraction, config.seed)
+    return train.vectors, train.labels
 
 
 class TestKernel:
@@ -128,3 +136,45 @@ class TestInvariances:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 6.0]])
         with pytest.raises(ConvergenceFailureError):
             GaussianKernelSVM().fit(X, ["A", "A", "B", "B"])
+
+    def test_step_budget_of_five_per_sample_suffices(self, monkeypatch):
+        # a variable the pair update pushes out of the box must land exactly
+        # on its bound; a residue such as 1e-17 left on a bounded alpha keeps
+        # it a violator, and the solver steps in place until the budget ends
+        from skelgest.classifiers import svm as svm_mod
+
+        monkeypatch.setattr(svm_mod, "_MAX_STEPS_PER_SAMPLE", 5)
+        X, y = harness_training_split(samples_per_class=4, seed=PortableRNG(1).spawn(6).seed)
+        assert X.shape[0] == 24
+        coef = np.abs(GaussianKernelSVM().fit(X, y).dual_coef_)
+        assert not np.any((coef > 0.0) & (coef < 1e-12))
+
+
+class TestOptimality:
+    """Fitted duals against the optimality conditions of each machine's dual
+    problem (box, equality constraint, margins), whatever solver found them."""
+
+    def assert_kkt(self, X, y):
+        model = GaussianKernelSVM().fit(X, y)
+        C, tol, n = model.C, model.tol, len(y)
+        # training row behind each stored row, to pair duals with labels
+        rows = [int(np.flatnonzero((X == x).all(axis=1))[0]) for x in model.X_]
+        labels = np.array(y)[rows]
+        decisions = model.decision_function(X)[rows]
+        for k, cls in enumerate(model.classes_):
+            target = np.where(labels == cls, 1.0, -1.0)
+            alpha = model.dual_coef_[k] * target
+            assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+            assert abs(model.dual_coef_[k].sum()) <= 1e-9 * C * n
+            margin = target * decisions[:, k]
+            assert np.all(margin[alpha < C] >= 1.0 - 2.0 * tol)
+            assert np.all(margin[alpha > 0.0] <= 1.0 + 2.0 * tol)
+
+    def test_three_blobs(self):
+        X, y = blobs(np.random.default_rng(47), THREE_BLOBS, 20)
+        self.assert_kkt(X, y)
+
+    def test_paper_single_sized_problem(self):
+        X, y = harness_training_split(samples_per_class=8, noise_std=0.1, seed=PortableRNG(48).spawn(0).seed)
+        assert X.shape == (48, 540)
+        self.assert_kkt(X, y)
