@@ -29,8 +29,19 @@ class DecisionTree:
         self.n_classes = n_classes
 
     def fit(self, X, y_idx):
-        nodes = []  # [feature, threshold, left, right, label], parents first
-        self._grow(np.asarray(X, dtype=np.float64), np.asarray(y_idx, dtype=np.int64), nodes)
+        nodes = []  # [feature, threshold, left, right, label] in pre-order
+        # a stack, not recursion, so depth is unlimited; entries fill parent slot 2 or 3
+        stack = [(np.asarray(X, dtype=np.float64), np.asarray(y_idx, dtype=np.int64), [0] * 4, 2)]
+        while stack:
+            X, y_idx, parent, slot = stack.pop()
+            parent[slot] = len(nodes)
+            counts = np.bincount(y_idx, minlength=self.n_classes)
+            split = None if np.max(counts) == len(y_idx) else _best_split(X, y_idx, self.n_classes)
+            nodes.append([*split, -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
+            if split:
+                mask = X[:, split[0]] <= split[1]
+                # right below left on the stack: the left subtree is numbered first
+                stack += [(X[~mask], y_idx[~mask], nodes[-1], 3), (X[mask], y_idx[mask], nodes[-1], 2)]
         return self.set_nodes(nodes)
 
     def set_nodes(self, table):
@@ -40,21 +51,6 @@ class DecisionTree:
         self.feature, left, right, self.label = (table[:, c].astype(np.int64) for c in (0, 2, 3, 4))
         self.children = np.stack([left, right], axis=1)
         return self
-
-    def _grow(self, X, y_idx, nodes):
-        counts = np.bincount(y_idx, minlength=self.n_classes)
-        n = len(y_idx)
-        split = None if n < 2 or np.max(counts) == n else _best_split(X, y_idx, self.n_classes)
-        idx = len(nodes)
-        if split is None:
-            nodes.append([-1, 0.0, -1, -1, int(np.argmax(counts))])
-            return idx
-        f, thr = split
-        nodes.append([f, thr, -1, -1, -1])
-        mask = X[:, f] <= thr
-        nodes[idx][2] = self._grow(X[mask], y_idx[mask], nodes)
-        nodes[idx][3] = self._grow(X[~mask], y_idx[~mask], nodes)
-        return idx
 
     def predict(self, X):
         """Leaf labels; all rows descend a level per step, at most n_nodes steps."""
@@ -73,17 +69,21 @@ def _best_split(X, y_idx, n_classes):
     """(feature, threshold) minimizing weighted Gini, or None if unsplittable.
 
     Left class counts are one cumsum per class present; the right side's
-    Σ (t_k - l_k)² is Σ t_k² - 2 Σ t_k l_k + Σ l_k², all exact integers."""
+    Σ (t_k - l_k)² is Σ t_k² - 2 Σ t_k l_k + Σ l_k², all exact integers.
+    Tied rows may sort in any order: only cuts between two distinct values
+    count, and the class counts there do not depend on the order of ties."""
     n, d = X.shape
-    order = np.argsort(X, axis=0, kind="stable")  # (n, d)
+    order = np.argsort(X, axis=0)  # (n, d)
     sx = np.take_along_axis(X, order, axis=0)
     ys = y_idx[order[:-1]]  # labels left of each cut: cut i follows sorted row i
     total = np.bincount(y_idx, minlength=n_classes)  # (K,)
-    sq_left = np.zeros((n - 1, d), dtype=np.int64)  # Σ_k left_k²
+    count = np.int32 if 2 * n * n < 2**31 else np.int64  # 2·n² bounds Σ t² and 2 Σ t·l
+    sq_left = np.zeros((n - 1, d), dtype=count)  # Σ_k left_k²
     for k in np.flatnonzero(total):
-        lk = np.cumsum(ys == k, axis=0)  # (n-1, d)
-        sq_left += lk * lk
-    cross = np.cumsum(total[ys], axis=0)  # Σ_k total_k · left_k
+        lk = np.cumsum(ys == k, axis=0, dtype=count)  # (n-1, d)
+        lk *= lk
+        sq_left += lk
+    cross = np.cumsum(total[ys], axis=0, dtype=count)  # Σ_k total_k · left_k
     sq_total = int(total @ total)
     nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl

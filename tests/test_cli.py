@@ -172,7 +172,7 @@ class TestTrainPredictEvaluate:
         code = main(["predict", "--model", str(model), "--features", str(features)])
         assert code == 0
         predicted = capsys.readouterr().out.splitlines()
-        assert predicted == [ln.split(",")[-1] for ln in open(labels).read().splitlines()]
+        assert predicted == [ln.split(",")[-1] for ln in Path(labels).read_text().splitlines()]
 
     def test_evaluate_perfect_model(self, tmp_path, capsys):
         features, labels = write_blob_csvs(tmp_path, np.random.default_rng(94))

@@ -1,4 +1,4 @@
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,13 +219,13 @@ class TestExportDataset:
     def test_files_manifest_and_round_trip(self, tmp_path):
         cfg = ExperimentConfig(classes=("waving", "clap"), samples_per_class=2, frames=5, seed=3)
         manifest = export_dataset(cfg, tmp_path)
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         assert len(lines) == 4
         assert lines[0] == "waving_000.txt,waving"
         sequences, _ = make_sequences(cfg)
         for line, seq in zip(lines, sequences):
             filename = line.split(",")[0]
-            text = open(os.path.join(tmp_path, filename)).read()
+            text = (tmp_path / filename).read_text()
             parsed = parse_skeleton_stream(text)
             assert np.array_equal(parsed.joints, seq.joints)
 

@@ -46,6 +46,21 @@ class TestDecisionTree:
         tree = DecisionTree(2).fit(X, y_idx)
         assert tree.predict(X).tolist() == [0] * 4
 
+    def test_deeper_than_the_recursion_limit(self):
+        # alternating labels on a line: every split peels off one end row
+        X, y_idx = np.arange(1500.0)[:, None], np.arange(1500) % 2
+        tree = DecisionTree(2).fit(X, y_idx)
+        assert depth(tree) == 1499
+        assert np.array_equal(tree.predict(X), y_idx)
+
+
+def depth(tree):
+    """Edges on the longest root-to-leaf path; nodes are stored parents first."""
+    level = np.zeros(len(tree.feature), dtype=np.int64)
+    for i in np.flatnonzero(tree.feature >= 0):
+        level[tree.children[i]] = level[i] + 1
+    return int(level.max())
+
 
 def reference_split(X, y_idx, n_classes):
     """_best_split in plain Python: class counts tallied row by row, the same
@@ -131,6 +146,26 @@ class TestBestSplitOracle:
             rows = rng.integers(len(y_idx), size=int(rng.integers(2, 36)))
             Xn, yn = np.round(X[rows], 1), y_idx[rows]
             assert _best_split(Xn, yn, 3) == reference_split(Xn.tolist(), yn.tolist(), 3)
+
+    def test_row_order_cannot_change_a_split(self):
+        # the sort need not be stable: tied rows may come in any order
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            X, y_idx, n_classes = random_node(rng)
+            expected = _best_split(X, y_idx, n_classes)
+            for _ in range(3):
+                p = rng.permutation(len(y_idx))
+                assert _best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+
+    @pytest.mark.parametrize("n", [32767, 32768], ids=["int32-counts", "int64-counts"])
+    def test_largest_counts_match_reference(self, n):
+        # nearly one class, cut off at the far end: Σ t·l and Σ l² near n²
+        rng = np.random.default_rng(n)
+        X = rng.permutation(np.arange(n) // 2)[:, None] * 1.0
+        y_idx = (X[:, 0] == X.max()).astype(np.int64)
+        got = _best_split(X, y_idx, 2)
+        assert got == reference_split(X.tolist(), y_idx.tolist(), 2)
+        assert got == (0, float(X.max()) - 0.5)
 
 
 class TestEnsembleFit:
