@@ -13,7 +13,6 @@ from .classifiers import (
     GaussianKernelSVM,
     KNearestNeighbors,
     LabeledDataset,
-    flatten_sequence,
     load_model,
     save_model,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "SinglePersonFeatures",
     "TwoPersonFeatures",
     "LabeledDataset",
-    "flatten_sequence",
     "GaussianKernelSVM",
     "BaggedTreeEnsemble",
     "KNearestNeighbors",

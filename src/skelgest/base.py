@@ -58,11 +58,6 @@ class ScoringClassifierMixin(ClassifierMixin):
         """Label with the highest class score; ties at the lowest label."""
         return [self.classes_[i] for i in np.argmax(self._class_scores(X), axis=1)]
 
-    def predict_with_scores(self, x):
-        """One sample's (label, {class: score}) pair."""
-        scores = self._class_scores(np.atleast_2d(x))[0]
-        return self.classes_[int(np.argmax(scores))], dict(zip(self.classes_, scores.tolist()))
-
 
 class SequenceTransformer(ParamsMixin):
     """Transformer from skeleton sequences to per-sequence feature vectors.
@@ -70,12 +65,8 @@ class SequenceTransformer(ParamsMixin):
     Subclasses set `sequence_features`, the function giving one sequence's
     (T, F) feature matrix. transform() accepts a list of SkeletonSequence and
     returns a (n_sequences, T*F) array of row-major flattened per-frame
-    features. All sequences must share the same frame count. With
-    flatten=False the result is a (n, T, F) stack instead.
+    features. All sequences must share the same frame count.
     """
-
-    def __init__(self, flatten=True):
-        self.flatten = flatten
 
     def fit(self, X, y=None):
         return self
@@ -85,10 +76,7 @@ class SequenceTransformer(ParamsMixin):
         lengths = {m.shape[0] for m in mats}
         if len(lengths) > 1:
             raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
-        stacked = np.stack(mats)
-        if self.flatten:
-            return stacked.reshape(stacked.shape[0], -1)
-        return stacked
+        return np.stack(mats).reshape(len(mats), -1)
 
     def fit_transform(self, X, y=None):
         return self.fit(X, y).transform(X)

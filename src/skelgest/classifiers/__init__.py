@@ -1,4 +1,4 @@
-from .dataset import LabeledDataset, flatten_sequence
+from .dataset import LabeledDataset
 from .knn import KNearestNeighbors
 from .model_io import dumps_model, load_model, loads_model, save_model
 from .svm import GaussianKernelSVM, gaussian_kernel
@@ -6,7 +6,6 @@ from .trees import BaggedTreeEnsemble, DecisionTree
 
 __all__ = [
     "LabeledDataset",
-    "flatten_sequence",
     "GaussianKernelSVM",
     "gaussian_kernel",
     "BaggedTreeEnsemble",

@@ -7,18 +7,6 @@ import numpy as np
 from ..base import check_feature_matrix, check_labels
 
 
-def flatten_sequence(matrix):
-    """Row-major flattening of a (T, cols) per-frame feature matrix.
-
-    A 90-frame single-person matrix becomes a length-540 vector; the
-    two-person matrix becomes length 1080.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {matrix.shape}")
-    return matrix.reshape(-1)
-
-
 @dataclass
 class LabeledDataset:
     """Fixed-length feature vectors with class labels.

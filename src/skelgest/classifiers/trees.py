@@ -149,4 +149,3 @@ class BaggedTreeEnsemble(ScoringClassifierMixin, ParamsMixin):
         return votes
 
     _class_scores = vote_counts  # predict takes the class with the most votes
-    predict_with_votes = ScoringClassifierMixin.predict_with_scores

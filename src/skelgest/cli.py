@@ -89,10 +89,16 @@ def _load_matrix(path):
             rows.append([float(v) for v in fields])
         except ValueError:
             raise InputFormatError(f"{path} line {ln_no}: non-numeric value") from None
+    if not rows:
+        raise InputFormatError(f"{path} holds no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputFormatError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.asarray(rows, dtype=np.float64)
+    X = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise InputFormatError(f"{path} line {start + 1 + int(np.argmin(finite))}: non-finite value")
+    return X
 
 
 def _load_labels(path):
@@ -157,11 +163,13 @@ def _load_labeled(args):
 def cmd_train(args):
     X, y = _load_labeled(args)
     seed = args.seed if args.seed is not None else _default_seed(0)
-    params = {
+    flags = {
         "svm": dict(sigma=args.sigma, C=args.cost, tol=args.tol),
         "edt": dict(n_trees=args.trees, bootstrap_fraction=args.bootstrap_fraction, seed=seed),
         "knn": dict(k=args.k),
     }[args.model]
+    # a flag left out keeps the constructor's default
+    params = {name: value for name, value in flags.items() if value is not None}
     model = CLASSIFIERS[args.model](**params).fit(X, y)
     accuracy = model.score(X, y)
     save_model(model, args.out)
@@ -223,13 +231,16 @@ def cmd_friedman(args):
 def cmd_gen_synth(args):
     seed = args.seed if args.seed is not None else _default_seed(7)
     classes = tuple(c.strip() for c in args.classes.split(",")) if args.classes else BENCHMARK_CLASSES
-    config = ExperimentConfig(
-        classes=classes,
-        samples_per_class=args.samples_per_class,
-        frames=args.frames,
-        seed=seed,
-        noise_std=args.noise_std,
-    )
+    try:
+        config = ExperimentConfig(
+            classes=classes,
+            samples_per_class=args.samples_per_class,
+            frames=args.frames,
+            seed=seed,
+            noise_std=args.noise_std,
+        )
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
     manifest = export_dataset(config, args.out_dir)
     print(
         f"wrote {len(classes) * args.samples_per_class} sequences to {args.out_dir} "
@@ -269,12 +280,12 @@ def build_parser():
     p.add_argument("--model", choices=tuple(CLASSIFIERS), required=True)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=1.0, help="svm kernel width")
-    p.add_argument("--cost", type=float, default=10.0, help="svm soft-margin penalty")
-    p.add_argument("--tol", type=float, default=1e-3, help="svm KKT tolerance")
-    p.add_argument("--trees", type=int, default=100, help="edt ensemble size")
-    p.add_argument("--bootstrap-fraction", type=float, default=0.30)
-    p.add_argument("--k", type=int, default=1, help="knn neighbor count (odd)")
+    p.add_argument("--sigma", type=float, help="svm kernel width")
+    p.add_argument("--cost", type=float, help="svm soft-margin penalty")
+    p.add_argument("--tol", type=float, help="svm KKT tolerance")
+    p.add_argument("--trees", type=int, help="edt ensemble size")
+    p.add_argument("--bootstrap-fraction", type=float)
+    p.add_argument("--k", type=int, help="knn neighbor count (odd)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict labels for feature rows")

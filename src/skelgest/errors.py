@@ -105,7 +105,3 @@ class DepthRangeViolationError(ComputationError):
 class StratifyError(ComputationError):
     def __init__(self, label, count):
         super().__init__(f"class {label!r} has {count} sample(s); need at least 2 to split")
-
-
-class ConfigError(InputFormatError):
-    """Experiment config file cannot be parsed."""

@@ -1,11 +1,7 @@
 from .experiment import (
     ExperimentConfig,
-    dumps_config,
-    load_config,
-    loads_config,
     make_classifier,
     run_experiment,
-    save_config,
 )
 from .synthesis import (
     build_dataset,
@@ -29,10 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "run_experiment",
     "make_classifier",
-    "load_config",
-    "save_config",
-    "loads_config",
-    "dumps_config",
     "build_dataset",
     "export_dataset",
     "generate_sequence",

@@ -11,19 +11,15 @@ import time
 from dataclasses import dataclass, field
 
 from ..classifiers import BaggedTreeEnsemble, GaussianKernelSVM, KNearestNeighbors
-from ..errors import ConfigError
 from ..evaluation import evaluate
-from .synthesis import FEATURE_KINDS, build_dataset, stratified_split
-from .templates import BENCHMARK_CLASSES
+from .synthesis import FEATURE_KINDS, build_dataset, check_noise_std, stratified_split
+from .templates import BENCHMARK_CLASSES, INTERACTION_TEMPLATES, SINGLE_PERSON_TEMPLATES
 
 CLASSIFIERS = {
     "svm": GaussianKernelSVM,
     "edt": BaggedTreeEnsemble,
     "knn": KNearestNeighbors,
 }
-
-_CONFIG_MAGIC = "skelgest-config"
-_CONFIG_VERSION = "v1"
 
 
 @dataclass
@@ -43,8 +39,16 @@ class ExperimentConfig:
         self.classes = tuple(self.classes)
         if not self.classes:
             raise ValueError("config needs at least one class")
+        known = SINGLE_PERSON_TEMPLATES.keys() | INTERACTION_TEMPLATES.keys() | set(self.templates or ())
+        unknown = [name for name in self.classes if name not in known]
+        if unknown:
+            raise ValueError(f"no template for class(es) {', '.join(map(repr, unknown))}")
+        if self.samples_per_class < 1:
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
+        if self.noise_std is not None:
+            check_noise_std(self.noise_std)
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.feature_kind not in FEATURE_KINDS:
@@ -86,78 +90,3 @@ def run_experiment(config):
     report.timings = timings
     return report
 
-
-# --- config files: versioned plain-text key/value documents ---
-
-_SCALAR_KEYS = {
-    "samples_per_class": int,
-    "frames": int,
-    "seed": int,
-    "noise_std": float,
-    "feature_kind": str,
-    "classifier": str,
-    "split_fraction": float,
-}
-
-
-def dumps_config(config):
-    lines = [f"{_CONFIG_MAGIC} {_CONFIG_VERSION}"]
-    lines.append("classes = " + ",".join(config.classes))
-    for key in _SCALAR_KEYS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
-    for name, value in sorted(config.params.items()):
-        lines.append(f"param.{name} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_value(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def loads_config(text):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0].split() != [_CONFIG_MAGIC, _CONFIG_VERSION]:
-        raise ConfigError(f"config must start with '{_CONFIG_MAGIC} {_CONFIG_VERSION}'")
-    kwargs = {}
-    params = {}
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise ConfigError(f"bad config line: {ln!r}")
-        key, _, value = ln.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "classes":
-            kwargs["classes"] = tuple(c.strip() for c in value.split(",") if c.strip())
-        elif key in _SCALAR_KEYS:
-            try:
-                kwargs[key] = _SCALAR_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {value!r}") from None
-        elif key.startswith("param."):
-            params[key[len("param."):]] = _parse_value(value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if params:
-        kwargs["params"] = params
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def load_config(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_config(fh.read())
-
-
-def save_config(config, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_config(config))

@@ -5,6 +5,7 @@ noise streams derive from the dataset seed and the sample's global index,
 and split shuffles derive from the split seed and the class index.
 """
 
+import math
 import os
 
 import numpy as np
@@ -19,6 +20,14 @@ from .templates import DEPTH_RANGE, get_template
 FEATURE_KINDS = {kind: module.sequence_features for kind, module in FEATURE_MODULES.items()}
 
 
+def check_noise_std(std):
+    """std as a float; a negative or non-finite jitter raises ValueError."""
+    std = float(std)
+    if not 0.0 <= std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {std}")
+    return std
+
+
 def generate_sequence(template, n_frames, seed, noise_std=None):
     """Sample a template at n_frames uniform times and add Gaussian jitter.
 
@@ -28,7 +37,7 @@ def generate_sequence(template, n_frames, seed, noise_std=None):
     """
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
-    std = template.noise_std if noise_std is None else float(noise_std)
+    std = check_noise_std(template.noise_std if noise_std is None else noise_std)
     ts = np.linspace(0.0, 1.0, n_frames) if n_frames > 1 else np.array([0.0])
     clean = template.trajectory(ts)
     lo, hi = DEPTH_RANGE
@@ -40,7 +49,7 @@ def generate_sequence(template, n_frames, seed, noise_std=None):
     if std > 0.0:
         noise = PortableRNG(seed).normal_array(clean.size).reshape(clean.shape)
         joints = clean + std * noise
-    return SkeletonSequence(joints, source_label=template.name)
+    return SkeletonSequence(joints)
 
 
 def make_sequences(config):

@@ -17,7 +17,6 @@ from .errors import BadTokenError, EmptyStreamError, MalformedStreamError
 
 N_JOINTS = 20
 FLOATS_PER_FRAME = 3 * N_JOINTS
-DEFAULT_FRAME_RATE = 30.0
 
 
 class Joint(enum.IntEnum):
@@ -76,8 +75,6 @@ class SkeletonSequence:
     """Ordered frames of one person, as a (T, 20, 3) array."""
 
     joints: np.ndarray
-    frame_rate: float = DEFAULT_FRAME_RATE
-    source_label: str | None = None
 
     def __post_init__(self):
         arr = np.array(self.joints, dtype=np.float64)
@@ -96,17 +93,12 @@ class SkeletonSequence:
     def frame(self, t):
         return Frame(self.joints[t])
 
-    @property
-    def frames(self):
-        return [Frame(self.joints[t]) for t in range(len(self))]
-
     @classmethod
-    def from_frames(cls, frames, frame_rate=DEFAULT_FRAME_RATE, source_label=None):
-        stacked = np.stack([np.asarray(f.joints if isinstance(f, Frame) else f) for f in frames])
-        return cls(stacked, frame_rate=frame_rate, source_label=source_label)
+    def from_frames(cls, frames):
+        return cls(np.stack([np.asarray(f.joints if isinstance(f, Frame) else f) for f in frames]))
 
 
-def parse_skeleton_stream(text, frame_rate=DEFAULT_FRAME_RATE, source_label=None):
+def parse_skeleton_stream(text):
     """Parse a flat float stream into a SkeletonSequence.
 
     Token k (0-based) lands at frame k // 60, joint (k % 60) // 3,
@@ -136,7 +128,7 @@ def parse_skeleton_stream(text, frame_rate=DEFAULT_FRAME_RATE, source_label=None
         i = int(np.argmin(finite))
         raise BadTokenError(i + 1, tokens[i])
     joints = values.reshape(-1, N_JOINTS, 3)
-    return SkeletonSequence(joints, frame_rate=frame_rate, source_label=source_label)
+    return SkeletonSequence(joints)
 
 
 def serialize_skeleton_stream(seq):
@@ -150,9 +142,9 @@ def serialize_skeleton_stream(seq):
     return "\n".join(lines) + "\n"
 
 
-def read_skeleton_file(path, frame_rate=DEFAULT_FRAME_RATE, source_label=None):
+def read_skeleton_file(path):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_skeleton_stream(fh, frame_rate=frame_rate, source_label=source_label)
+        return parse_skeleton_stream(fh)
 
 
 def write_skeleton_file(path, seq):

@@ -9,8 +9,10 @@ import pytest
 
 import skelgest
 from skelgest import serialize_skeleton_stream
+from skelgest.classifiers import dumps_model
 from skelgest.cli import main
 from skelgest.harness import GestureTemplate, generate_sequence
+from skelgest.harness.experiment import CLASSIFIERS
 from skelgest.skeleton import SkeletonSequence
 
 from conftest import (
@@ -153,6 +155,18 @@ class TestTrainPredictEvaluate:
               "--model", "edt", "--out", str(m2), "--seed", "1234", "--trees", "5"])
         assert m1.read_bytes() == m2.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["svm", "edt", "knn"])
+    def test_train_without_flags_uses_constructor_defaults(self, tmp_path, monkeypatch, kind):
+        monkeypatch.delenv("SKELGEST_SEED", raising=False)
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(94))
+        model = tmp_path / "m.model"
+        assert main(["train", "--features", str(features), "--labels", str(labels),
+                     "--model", kind, "--out", str(model)]) == 0
+        X = np.loadtxt(features, delimiter=",")
+        y = [ln.split(",")[-1] for ln in labels.read_text().splitlines()]
+        params = {"seed": 0} if kind == "edt" else {}  # train's seed when none is given
+        assert model.read_text() == dumps_model(CLASSIFIERS[kind](**params).fit(X, y))
+
     def test_train_single_class_exits_3(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         labels = tmp_path / "l.csv"
@@ -288,6 +302,35 @@ class TestMalformedModelFiles:
         assert "Traceback" not in done.stderr
 
 
+class TestBadFeatureValues:
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, command, token):
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        features = tmp_path / "f.csv"
+        features.write_text(f"0.5,0.5\n0.1,{token}\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("r0,left\nr1,right\n")
+        argv = {
+            "predict": ["--model", str(model)],
+            "evaluate": ["--model", str(model), "--labels", str(labels)],
+            "train": ["--model", "knn", "--labels", str(labels), "--out", str(tmp_path / "new.model")],
+        }[command]
+        assert main([command, "--features", str(features), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2: non-finite value" in captured.err and "Traceback" not in captured.err
+
+    def test_header_only_csv_holds_no_rows(self, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        features = tmp_path / "f.csv"
+        features.write_text("d1,d2\n")
+        assert main(["predict", "--model", str(model), "--features", str(features)]) == 2
+        assert "holds no rows" in capsys.readouterr().err
+
+
 class TestNonAsciiInput:
     # UnicodeDecodeError is a ValueError, which would otherwise exit 3
     @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "model", "features"])
@@ -365,6 +408,30 @@ class TestGenSynthAndRoundTrip:
             filename, label = line.split(",")
             assert (out_dir / filename).exists()
             assert label in ("waving", "clap")
+
+    def test_unknown_class_exits_2_without_traceback(self, tmp_path):
+        out_dir = tmp_path / "data"
+        done = run_cli("gen-synth", "--out-dir", str(out_dir), "--classes", "waving,nosuch")
+        assert done.returncode == 2, done.stderr
+        assert "'nosuch'" in done.stderr and "Traceback" not in done.stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples-per-class", "0"),
+        ("--samples-per-class", "-3"),
+        ("--frames", "0"),
+        ("--noise-std", "nan"),
+        ("--noise-std", "-1"),
+        ("--noise-std", "inf"),
+    ])
+    def test_bad_size_or_noise_exits_2_before_writing(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "data"
+        code = main(["gen-synth", "--out-dir", str(out_dir), "--classes", "waving,clap",
+                     "--samples-per-class", "2", "--frames", "6", f"{flag}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and flag[2:].replace("-", "_") in err
+        assert not out_dir.exists()
 
     def test_round_trip_check_ok(self, skeleton_file, capsys):
         code = main(["round-trip-check", "--input", str(skeleton_file)])

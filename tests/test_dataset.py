@@ -1,21 +1,7 @@
 import numpy as np
 import pytest
 
-from skelgest.classifiers import LabeledDataset, flatten_sequence
-
-
-class TestFlattenSequence:
-    def test_row_major_order(self):
-        mat = np.arange(12.0).reshape(3, 4)
-        assert flatten_sequence(mat).tolist() == list(range(12))
-
-    def test_single_row_is_the_row_itself(self):
-        row = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])
-        assert flatten_sequence(row).tolist() == row[0].tolist()
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            flatten_sequence(np.zeros((2, 2, 2)))
+from skelgest.classifiers import LabeledDataset
 
 
 class TestLabeledDataset:

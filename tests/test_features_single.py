@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from skelgest import Frame, Joint, SkeletonSequence
-from skelgest.classifiers import flatten_sequence
 from skelgest.errors import DegenerateDepthError
 from skelgest.features.single_person import (
     CSV_COLUMNS,
@@ -146,7 +145,6 @@ class TestSequenceFeatures:
         seq = SkeletonSequence(random_frames(rng, 90))
         mat = sequence_features(seq)
         assert mat.shape == (90, 6)
-        assert flatten_sequence(mat).shape == (540,)
 
     def test_single_frame(self):
         rng = np.random.default_rng(11)
@@ -208,8 +206,6 @@ class TestCsvAndTransformer:
         seqs = [SkeletonSequence(random_frames(rng, 4)) for _ in range(3)]
         out = SinglePersonFeatures().fit_transform(seqs)
         assert out.shape == (3, 24)
-        stacked = SinglePersonFeatures(flatten=False).transform(seqs)
-        assert stacked.shape == (3, 4, 6)
 
     def test_transformer_rejects_ragged(self):
         rng = np.random.default_rng(15)
@@ -218,8 +214,5 @@ class TestCsvAndTransformer:
             SinglePersonFeatures().transform(seqs)
 
     def test_get_params(self):
-        t = SinglePersonFeatures(flatten=False)
-        assert t.get_params() == {"flatten": False}
-        t.set_params(flatten=True)
-        assert t.flatten is True
+        assert SinglePersonFeatures().get_params() == {}
         assert len(CSV_COLUMNS) == 6

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from skelgest import Frame, SkeletonSequence
-from skelgest.classifiers import flatten_sequence
 from skelgest.errors import DegenerateDirectionError
 from skelgest.features.two_person import (
     ARM_WEIGHTS,
@@ -200,7 +199,6 @@ class TestSequenceFeatures:
         seq = SkeletonSequence(random_frames(rng, 90))
         mat = sequence_features(seq)
         assert mat.shape == (90, 12)
-        assert flatten_sequence(mat).shape == (1080,)
 
     def test_single_frame(self):
         rng = np.random.default_rng(28)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skelgest import parse_skeleton_stream, serialize_skeleton_stream
-from skelgest.errors import ConfigError, DepthRangeViolationError, StratifyError
+from skelgest.errors import DepthRangeViolationError, StratifyError
 from skelgest.classifiers import LabeledDataset
 from skelgest.harness import (
     BENCHMARK_CLASSES,
@@ -14,10 +14,8 @@ from skelgest.harness import (
     INTERACTION_TEMPLATES,
     SINGLE_PERSON_TEMPLATES,
     build_dataset,
-    dumps_config,
     export_dataset,
     generate_sequence,
-    loads_config,
     make_sequences,
     run_experiment,
     stratified_split,
@@ -87,6 +85,13 @@ class TestGenerateSequence:
         )
         with pytest.raises(DepthRangeViolationError):
             generate_sequence(bad, 20, seed=0)
+
+    @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_std_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            generate_sequence(static_template(), 5, seed=0, noise_std=noise_std)
+        with pytest.raises(ValueError, match="noise_std"):
+            generate_sequence(static_template(noise_std), 5, seed=0)
 
     def test_single_frame_uses_t_zero(self):
         t = get_template("move_down")  # starts away from the base pose
@@ -230,37 +235,6 @@ class TestExportDataset:
             assert np.array_equal(parsed.joints, seq.joints)
 
 
-class TestConfigFiles:
-    def test_round_trip(self):
-        cfg = ExperimentConfig(classes=("waving", "push"), samples_per_class=4, frames=30,
-                               seed=5, noise_std=0.02, classifier="edt",
-                               params={"n_trees": 10, "bootstrap_fraction": 0.5})
-        text = dumps_config(cfg)
-        assert text.startswith("skelgest-config v1\n")
-        loaded = loads_config(text)
-        assert loaded.classes == cfg.classes
-        assert loaded.params == cfg.params
-        assert loaded.noise_std == cfg.noise_std
-
-    def test_comments_and_blank_lines_ignored(self):
-        text = "skelgest-config v1\n# comment\n\nclasses = a,b\nclassifier = knn\n"
-        cfg = loads_config(text)
-        assert cfg.classes == ("a", "b")
-
-    @pytest.mark.parametrize("bad", [
-        "",
-        "not-a-config v1\nclasses = a\n",
-        "skelgest-config v2\nclasses = a\n",
-        "skelgest-config v1\nmystery = 3\n",
-        "skelgest-config v1\nframes = many\n",
-        "skelgest-config v1\nno equals sign here\n",
-        "skelgest-config v1\nclassifier = perceptron\n",
-    ])
-    def test_bad_configs(self, bad):
-        with pytest.raises(ConfigError):
-            loads_config(bad)
-
-
 class TestConfigValidation:
     def test_needs_classes(self):
         with pytest.raises(ValueError):
@@ -268,7 +242,27 @@ class TestConfigValidation:
 
     def test_split_fraction_bounds(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(classes=("a",), split_fraction=1.0)
+            ExperimentConfig(classes=("waving",), split_fraction=1.0)
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match="'nosuch'"):
+            ExperimentConfig(classes=("waving", "nosuch"))
+
+    def test_template_override_names_a_class(self):
+        cfg = ExperimentConfig(classes=("static",), templates={"static": static_template()})
+        assert cfg.classes == ("static",)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_class", 0),
+        ("samples_per_class", -3),
+        ("frames", 0),
+        ("noise_std", -1.0),
+        ("noise_std", float("nan")),
+        ("noise_std", float("inf")),
+    ])
+    def test_bad_size_or_noise_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(classes=("waving",), **{field: value})
 
     def test_default_is_benchmark(self):
         cfg = ExperimentConfig()

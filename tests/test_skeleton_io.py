@@ -155,10 +155,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             seq.joints[0, 0, 0] = 5.0
 
-    def test_default_frame_rate(self):
-        seq = parse_skeleton_stream(stream_of(range(60)))
-        assert seq.frame_rate == 30.0
-
 
 class TestCsvExport:
     def test_header_and_shape(self):

@@ -79,9 +79,10 @@ class TestPredict:
     def test_far_point_still_classified(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0], [11.0, 11.0]])
         model = GaussianKernelSVM().fit(X, ["A", "A", "B", "B"])
-        label, scores = model.predict_with_scores(np.array([500.0, -500.0]))
-        assert label in ("A", "B")
-        assert set(scores) == {"A", "B"}
+        far = np.array([[500.0, -500.0]])
+        scores = model.decision_function(far)
+        assert scores.shape == (1, 2) and np.isfinite(scores).all()
+        assert model.predict(far) == [model.classes_[int(np.argmax(scores[0]))]]
 
     def test_scores_align_with_labels(self):
         rng = np.random.default_rng(44)

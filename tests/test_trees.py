@@ -227,9 +227,9 @@ class TestEnsemblePredict:
         X, y = blobs(rng, THREE_BLOBS, 12)
         # identical training sets make all 40 trees identical, hence unanimous
         model = IdentitySampled(n_trees=40, seed=4).fit(X, y)
-        label, votes = model.predict_with_votes(np.array([0.0, 10.0]))  # deep inside class c
-        assert label == "c"
-        assert votes["c"] == 40
+        point = np.array([[0.0, 10.0]])  # deep inside class c
+        assert model.predict(point) == ["c"]
+        assert model.vote_counts(point)[0, model.classes_.index("c")] == 40
 
     def test_majority_matches_per_tree_recount(self):
         rng = np.random.default_rng(57)
