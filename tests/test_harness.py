@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,41 @@ class TestBuildDataset:
         cfg = ExperimentConfig(classes=("waving",), samples_per_class=1, frames=2)
         with pytest.raises(ValueError):
             build_dataset(cfg, "volumetric")
+
+
+# SHA-256 of build_dataset(config).vectors and of the stacked make_sequences
+# joints: the generated data, byte for byte, at each workload shape
+PINNED_DATA = [
+    (
+        ExperimentConfig(samples_per_class=8, seed=21, noise_std=0.1),
+        "b3b7368bd961d428d33cf6aa2bb575157a13e0306a6a8dc0ef5ce42ebd20b0c6",
+        "fee38d3c0a4e83d03504a52c3e4514c9f78594734c968699eca40c20985e7efb",
+    ),
+    (
+        ExperimentConfig(
+            classes=tuple(INTERACTION_TEMPLATES), templates=dict(INTERACTION_TEMPLATES),
+            feature_kind="two_person", samples_per_class=15, seed=22, noise_std=0.3,
+        ),
+        "22021145ecd12f79c9ed5434c73451a5f9986ea7420b4bfccc5c89d30498f5cf",
+        "262957a16307e82a9204d896ce73aca815e7c9afb773a553c55d3ae8000392a3",
+    ),
+    (
+        ExperimentConfig(classes=("waving", "clap", "stop"), samples_per_class=3, frames=1, seed=23),
+        "d8ff732e993207ce59c9639c76211a06979f3da5ce0454780cc604e4edb3c2bf",
+        "d1fd41110edb7e5dcaa5643a6c69cd5f9e506eb8d6d9ffd623d32626615c0023",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, vectors_digest, joints_digest", PINNED_DATA,
+                         ids=["single", "two_person", "one_frame_template_noise"])
+def test_generated_data_is_pinned(config, vectors_digest, joints_digest):
+    data = build_dataset(config)
+    assert hashlib.sha256(data.vectors.tobytes()).hexdigest() == vectors_digest
+    sequences, labels = make_sequences(config)
+    joints = np.stack([seq.joints for seq in sequences])
+    assert hashlib.sha256(joints.tobytes()).hexdigest() == joints_digest
+    assert labels == data.labels == [c for c in config.classes for _ in range(config.samples_per_class)]
 
 
 class TestSplit:
