@@ -59,10 +59,10 @@ def _emit(text, out_path):
 
 
 def _read_lines(path):
-    """Stripped non-blank lines of a text input file."""
+    """(line number, stripped text) of each non-blank line of a text input file."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+            return [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
 
@@ -75,13 +75,13 @@ def _load_matrix(path):
     if not lines:
         raise InputFormatError(f"{path} is empty")
     start = 0
-    first = lines[0].split(",")
+    first = lines[0][1].split(",")
     try:
         float(first[0])
     except ValueError:
         start = 1
         drop_first = first[0].strip().lower() == "frame"
-    for ln_no, ln in enumerate(lines[start:], start=start + 1):
+    for ln_no, ln in lines[start:]:
         fields = ln.split(",")
         if drop_first:
             fields = fields[1:]
@@ -97,13 +97,13 @@ def _load_matrix(path):
     X = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
-        raise InputFormatError(f"{path} line {start + 1 + int(np.argmin(finite))}: non-finite value")
+        raise InputFormatError(f"{path} line {lines[start + int(np.argmin(finite))][0]}: non-finite value")
     return X
 
 
 def _load_labels(path):
     """Labels manifest: one `name,label` (or bare `label`) line per sample."""
-    labels = [ln.split(",")[-1].strip() for ln in _read_lines(path)]
+    labels = [ln.split(",")[-1].strip() for _, ln in _read_lines(path)]
     if not labels:
         raise InputFormatError(f"{path} holds no labels")
     return labels
@@ -112,11 +112,13 @@ def _load_labels(path):
 def _load_manifest(path):
     """(filename, label) pairs for batch feature extraction."""
     pairs = []
-    for ln_no, ln in enumerate(_read_lines(path), start=1):
+    for ln_no, ln in _read_lines(path):
         fields = [f.strip() for f in ln.split(",")]
         if len(fields) != 2:
             raise InputFormatError(f"{path} line {ln_no}: expected 'filename,label'")
         pairs.append((fields[0], fields[1]))
+    if not pairs:
+        raise InputFormatError(f"{path} holds no entries")
     return pairs
 
 
@@ -202,7 +204,7 @@ def cmd_evaluate(args):
 def cmd_friedman(args):
     names = []
     rows = []
-    for ln_no, ln in enumerate(_read_lines(args.scores), start=1):
+    for i, (ln_no, ln) in enumerate(_read_lines(args.scores)):
         fields = [f.strip() for f in ln.split(",")]
         try:
             float(fields[0])
@@ -212,7 +214,7 @@ def cmd_friedman(args):
         try:
             row = [float(v) for v in fields]
         except ValueError:
-            if ln_no == 1:
+            if i == 0:
                 continue  # header row
             raise InputFormatError(f"{args.scores} line {ln_no}: non-numeric score") from None
         names.append(name if name is not None else f"algorithm-{len(rows) + 1}")
@@ -251,7 +253,7 @@ def cmd_gen_synth(args):
 
 
 def cmd_round_trip_check(args):
-    seq = parse_skeleton_stream("\n".join(_read_lines(args.input)))
+    seq = parse_skeleton_stream("\n".join(ln for _, ln in _read_lines(args.input)))
     again = parse_skeleton_stream(serialize_skeleton_stream(seq))
     if not np.array_equal(seq.joints, again.joints):
         raise InputFormatError(f"{args.input}: round trip altered coordinates")

@@ -56,16 +56,19 @@ def normalized_distance(centroid, spine):
 
 
 def sequence_features(seq):
-    """(T, 6) feature matrix for a sequence, one row per frame in order."""
-    joints = seq.joints  # (T, 20, 3)
-    centroids = joints[:, _TRIANGLE_ROWS].mean(axis=2)  # (T, 6, 3)
-    spine = joints[:, _SPINE_ROW][:, None, :]  # (T, 1, 3)
-    depth_sums = centroids[:, :, 2] + spine[:, :, 2]  # (T, 6)
+    """(T, 6) feature matrix for a sequence, one row per frame in order.
+
+    seq may also be a (..., T, 20, 3) joint array, giving (..., T, 6).
+    """
+    joints = getattr(seq, "joints", seq)
+    centroids = joints[..., _TRIANGLE_ROWS, :].mean(axis=-2)  # (..., T, 6, 3)
+    spine = joints[..., _SPINE_ROW, None, :]  # (..., T, 1, 3)
+    depth_sums = centroids[..., 2] + spine[..., 2]  # (..., T, 6)
     bad = np.argwhere(depth_sums <= 0.0)
     if bad.size:
-        t, i = bad[0]
-        raise DegenerateDepthError(depth_sums[t, i] / 2.0, triangle=int(i) + 1, frame=int(t))
-    dists = np.linalg.norm(centroids - spine, axis=2)
+        *_, t, i = bad[0]
+        raise DegenerateDepthError(depth_sums[tuple(bad[0])] / 2.0, triangle=int(i) + 1, frame=int(t))
+    dists = np.linalg.norm(centroids - spine, axis=-1)
     return 2.0 * dists / depth_sums
 
 

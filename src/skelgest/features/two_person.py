@@ -61,17 +61,20 @@ def direction_angles(v):
 
 
 def sequence_features(seq):
-    """(T, 12) angle matrix for a sequence, one row per frame in order."""
-    joints = seq.joints  # (T, 20, 3)
-    pts = joints[:, _GROUP_ROWS]  # (T, 4, 4, 3)
-    mj = (_GROUP_WEIGHTS[None, :, :, None] * pts).sum(axis=2) / 4.0  # (T, 4, 3)
-    norms = np.linalg.norm(mj, axis=2)  # (T, 4)
+    """(T, 12) angle matrix for a sequence, one row per frame in order.
+
+    seq may also be a (..., T, 20, 3) joint array, giving (..., T, 12).
+    """
+    joints = getattr(seq, "joints", seq)
+    pts = joints[..., _GROUP_ROWS, :]  # (..., T, 4, 4, 3)
+    mj = (_GROUP_WEIGHTS[:, :, None] * pts).sum(axis=-2) / 4.0  # (..., T, 4, 3)
+    norms = np.linalg.norm(mj, axis=-1)  # (..., T, 4)
     bad = np.argwhere(norms == 0.0)
     if bad.size:
-        t, i = bad[0]
+        *_, t, i = bad[0]
         raise DegenerateDirectionError(mean_joint=MEAN_JOINT_GROUPS[int(i)][0], frame=int(t))
-    cos = np.clip(mj / norms[:, :, None], -1.0, 1.0)
-    return np.degrees(np.arccos(cos)).reshape(len(seq), N_FEATURES)
+    cos = np.clip(mj / norms[..., None], -1.0, 1.0)
+    return np.degrees(np.arccos(cos)).reshape(cos.shape[:-2] + (N_FEATURES,))
 
 
 def frame_features(frame):

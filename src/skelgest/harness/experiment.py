@@ -39,6 +39,9 @@ class ExperimentConfig:
         self.classes = tuple(self.classes)
         if not self.classes:
             raise ValueError("config needs at least one class")
+        repeated = sorted({name for name in self.classes if self.classes.count(name) > 1})
+        if repeated:
+            raise ValueError(f"class(es) named more than once: {', '.join(map(repr, repeated))}")
         known = SINGLE_PERSON_TEMPLATES.keys() | INTERACTION_TEMPLATES.keys() | set(self.templates or ())
         unknown = [name for name in self.classes if name not in known]
         if unknown:

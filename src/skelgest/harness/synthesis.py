@@ -1,8 +1,9 @@
 """Synthetic sequence generation, dataset assembly, and splitting.
 
 Everything here is a pure function of (configuration, seed): per-sample
-noise streams derive from the dataset seed and the sample's global index,
-and split shuffles derive from the split seed and the class index.
+noise streams derive from the dataset seed and the sample's global index
+(and are drawn and featurized a class at a time, as one array), and split
+shuffles derive from the split seed and the class index.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from ..classifiers.dataset import LabeledDataset
 from ..errors import DepthRangeViolationError, StratifyError
 from ..features import FEATURE_MODULES
-from ..rng import PortableRNG
+from ..rng import PortableRNG, normal_rows
 from ..skeleton import SkeletonSequence, write_skeleton_file
 from .templates import DEPTH_RANGE, get_template
 
@@ -28,8 +29,9 @@ def check_noise_std(std):
     return std
 
 
-def generate_sequence(template, n_frames, seed, noise_std=None):
-    """Sample a template at n_frames uniform times and add Gaussian jitter.
+def generate_block(template, n_frames, seeds, noise_std=None):
+    """(len(seeds), n_frames, 20, 3) samples of a template at n_frames
+    uniform times, sample i jittered by PortableRNG(seeds[i]) normals.
 
     The noiseless trajectory must stay inside the sensor depth range;
     leaving it raises DepthRangeViolationError. noise_std overrides the
@@ -45,49 +47,52 @@ def generate_sequence(template, n_frames, seed, noise_std=None):
     if depths.min() < lo or depths.max() > hi:
         z = depths.min() if depths.min() < lo else depths.max()
         raise DepthRangeViolationError(template.name, float(z), lo, hi)
-    joints = clean
+    shape = (len(seeds),) + clean.shape
     if std > 0.0:
-        noise = PortableRNG(seed).normal_array(clean.size).reshape(clean.shape)
-        joints = clean + std * noise
-    return SkeletonSequence(joints)
+        return clean + std * normal_rows(seeds, clean.size).reshape(shape)
+    return np.broadcast_to(clean, shape)
 
 
-def make_sequences(config):
-    """All sequences for a config, class-major, with their labels.
+def generate_sequence(template, n_frames, seed, noise_std=None):
+    """One sample of a template: generate_block with the single seed."""
+    return SkeletonSequence(generate_block(template, n_frames, [seed], noise_std)[0])
+
+
+def _class_blocks(config):
+    """(class name, generate_block samples) per class, class-major.
 
     Sample i of class c uses the noise stream spawned from the config seed
     at global index c * samples_per_class + i.
     """
     base = PortableRNG(config.seed)
+    n = config.samples_per_class
+    for c, name in enumerate(config.classes):
+        template = (config.templates or {}).get(name) or get_template(name)
+        seeds = [base.spawn(c * n + i).seed for i in range(n)]
+        yield name, generate_block(template, config.frames, seeds, config.noise_std)
+
+
+def make_sequences(config):
+    """All sequences for a config, class-major, with their labels."""
     sequences, labels = [], []
-    templates = {name: _resolve_template(config, name) for name in config.classes}
-    g = 0
-    for name in config.classes:
-        for _ in range(config.samples_per_class):
-            seq = generate_sequence(
-                templates[name], config.frames, base.spawn(g).seed, config.noise_std
-            )
-            sequences.append(seq)
-            labels.append(name)
-            g += 1
+    for name, block in _class_blocks(config):
+        sequences.extend(SkeletonSequence(joints) for joints in block)
+        labels.extend([name] * len(block))
     return sequences, labels
 
 
-def _resolve_template(config, name):
-    if config.templates and name in config.templates:
-        return config.templates[name]
-    return get_template(name)
-
-
 def build_dataset(config, feature_kind=None):
-    """Generate, featurize, and flatten every sample into a LabeledDataset."""
+    """Generate and featurize the samples a class at a time, flattened
+    into a LabeledDataset."""
     kind = feature_kind or config.feature_kind
     if kind not in FEATURE_KINDS:
         raise ValueError(f"feature_kind must be one of {sorted(FEATURE_KINDS)}, got {kind!r}")
     featurize = FEATURE_KINDS[kind]
-    sequences, labels = make_sequences(config)
-    vectors = np.stack([featurize(seq).reshape(-1) for seq in sequences])
-    return LabeledDataset(vectors, labels, tuple(config.classes))
+    vectors, labels = [], []
+    for name, block in _class_blocks(config):
+        vectors.append(featurize(block).reshape(len(block), -1))
+        labels.extend([name] * len(block))
+    return LabeledDataset(np.concatenate(vectors), labels, tuple(config.classes))
 
 
 def stratified_split(data, fraction, seed):

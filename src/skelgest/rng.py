@@ -55,6 +55,32 @@ def _mix_array(z):
     return z
 
 
+def _box_muller(bits):
+    """Standard normals from uint64 outputs paired along the last axis."""
+    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    u1 = u[..., 0::2]
+    u2 = u[..., 1::2]
+    u1[u1 == 0.0] = 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    out = np.empty(u.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
+def normal_rows(seeds, n):
+    """(len(seeds), n) normals; row i equals PortableRNG(seeds[i]).normal_array(n).
+
+    The generator is counter-based, so every stream's outputs are drawn as
+    one uint64 array.
+    """
+    ks = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64)
+    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _box_muller(_mix_array(seeds[:, None] + ks * np.uint64(_GAMMA)))[:, :n]
+
+
 class PortableRNG:
     """Deterministic stream of pseudo-random numbers for a 64-bit seed."""
 
@@ -99,17 +125,7 @@ class PortableRNG:
 
     def normal_array(self, n):
         """Standard normals via Box-Muller on consecutive uniform pairs."""
-        pairs = (n + 1) // 2
-        u = self.random_array(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        u1[u1 == 0.0] = 2.0 ** -53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self.u64_array(2 * ((n + 1) // 2)))[:n]
 
     def shuffle(self, items):
         """In-place Fisher-Yates shuffle of a list or 1-D array."""

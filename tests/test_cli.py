@@ -124,6 +124,15 @@ class TestExtractFeatures:
         assert labels_out.read_text().splitlines() == ["a_0.txt,alpha", "b_0.txt,beta"]
 
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_manifest_exits_2(self, tmp_path, capsys, text):
+        manifest = tmp_path / "e.csv"
+        manifest.write_text(text)
+        assert main(["extract-features", "--manifest", str(manifest), "--mode", "single"]) == 2
+        err = capsys.readouterr().err
+        assert "e.csv holds no entries" in err and "differing" not in err
+
+
 class TestTrainPredictEvaluate:
     def test_train_svm_reports_accuracy(self, tmp_path, capsys):
         features, labels = write_blob_csvs(tmp_path, np.random.default_rng(90))
@@ -331,6 +340,36 @@ class TestBadFeatureValues:
         assert "holds no rows" in capsys.readouterr().err
 
 
+class TestLineNumbers:
+    """Every "line N" names the line as numbered in the file, blank lines counted."""
+
+    @pytest.mark.parametrize("text, where", [
+        ("0.5,0.5\n\n\n0.1,nan\n", "line 4: non-finite value"),
+        ("\nd1,d2\n\n0.5,0.5\n0.1,x\n", "line 5: non-numeric value"),
+    ])
+    def test_feature_matrix(self, tmp_path, capsys, text, where):
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        features = tmp_path / "f.csv"
+        features.write_text(text)
+        assert main(["predict", "--model", str(model), "--features", str(features)]) == 2
+        assert f"f.csv {where}" in capsys.readouterr().err
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("\na_0.txt,alpha\n\nb_0.txt\n")
+        assert main(["extract-features", "--manifest", str(manifest), "--mode", "single"]) == 2
+        assert "labels.csv line 4: expected 'filename,label'" in capsys.readouterr().err
+
+    def test_friedman_scores(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n\nalgorithm,d1,d2\nSVM,0.9,0.8\n\nkNN,0.5,x\n")
+        assert main(["friedman", "--scores", str(scores)]) == 2
+        assert "scores.csv line 6: non-numeric score" in capsys.readouterr().err
+        scores.write_text("\n\nalgorithm,d1,d2\nSVM,0.9,0.8\n\nkNN,0.5,0.4\n")
+        assert main(["friedman", "--scores", str(scores)]) == 0
+
+
 class TestNonAsciiInput:
     # UnicodeDecodeError is a ValueError, which would otherwise exit 3
     @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "model", "features"])
@@ -414,6 +453,14 @@ class TestGenSynthAndRoundTrip:
         done = run_cli("gen-synth", "--out-dir", str(out_dir), "--classes", "waving,nosuch")
         assert done.returncode == 2, done.stderr
         assert "'nosuch'" in done.stderr and "Traceback" not in done.stderr
+        assert not out_dir.exists()
+
+    def test_repeated_class_exits_2_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "data"
+        code = main(["gen-synth", "--out-dir", str(out_dir), "--classes", "waving,waving",
+                     "--samples-per-class", "2", "--frames", "6"])
+        assert code == 2
+        assert "named more than once: 'waving'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -172,6 +172,21 @@ class TestSequenceFeatures:
             sequence_features(SkeletonSequence(joints))
         assert exc.value.frame == 2
 
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_batch_equals_stacked_sequences(self, lead):
+        rng = np.random.default_rng(14)
+        n = int(np.prod(lead))
+        block = random_frames(rng, n * 9).reshape(lead + (9, 20, 3))
+        want = np.stack([sequence_features(SkeletonSequence(j)) for j in block.reshape(n, 9, 20, 3)])
+        assert np.array_equal(sequence_features(block), want.reshape(lead + (9, 6)))
+
+    def test_batch_error_carries_frame_index(self):
+        block = np.tile([0.0, 0.0, 2.0], (3, 4, 20, 1)).reshape(3, 4, 20, 3)
+        block[1, 3, Joint.SHOULDER_RIGHT.row, 2] = -12.0
+        with pytest.raises(DegenerateDepthError) as exc:
+            sequence_features(block)
+        assert (exc.value.frame, exc.value.triangle) == (3, 2)
+
 
 class TestSpecs:
     def test_six_triangles_fixed_order(self):

@@ -217,6 +217,22 @@ class TestSequenceFeatures:
         for t in range(5):
             np.testing.assert_allclose(mat[t], frame_features(seq.frame(t)), atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    def test_batch_equals_stacked_sequences(self, lead):
+        rng = np.random.default_rng(32)
+        n = int(np.prod(lead))
+        block = random_frames(rng, n * 9).reshape(lead + (9, 20, 3))
+        want = np.stack([sequence_features(SkeletonSequence(j)) for j in block.reshape(n, 9, 20, 3)])
+        assert np.array_equal(sequence_features(block), want.reshape(lead + (9, 12)))
+
+    def test_batch_error_carries_frame_and_group(self):
+        block = np.tile([0.1, 0.1, 2.0], (3, 4, 20, 1)).reshape(3, 4, 20, 3)
+        for j in MEAN_JOINT_GROUPS[2][1]:
+            block[2, 1, j.row] = 0.0
+        with pytest.raises(DegenerateDirectionError) as exc:
+            sequence_features(block)
+        assert (exc.value.frame, exc.value.mean_joint) == (1, "J3")
+
 
 class TestCsvAndTransformer:
     def test_csv_header(self):

@@ -21,6 +21,7 @@ from skelgest.harness import (
     run_experiment,
     stratified_split,
 )
+from skelgest.harness.synthesis import generate_block
 from skelgest.harness.templates import BASE_POSE, DEPTH_RANGE, get_template
 
 
@@ -103,6 +104,15 @@ class TestGenerateSequence:
         seq = generate_sequence(get_template("punching"), 15, seed=3)
         again = parse_skeleton_stream(serialize_skeleton_stream(seq))
         assert np.array_equal(seq.joints, again.joints)
+
+    @pytest.mark.parametrize("noise_std", [None, 0.0, 0.2])
+    def test_each_row_of_a_block_is_its_seeds_sequence(self, noise_std):
+        t = get_template("clap")
+        seeds = [5, 2**64 - 1, 12345678901234567]
+        block = generate_block(t, 13, seeds, noise_std)
+        assert block.shape == (3, 13, 20, 3)
+        for seed, joints in zip(seeds, block):
+            assert np.array_equal(generate_sequence(t, 13, seed, noise_std).joints, joints)
 
 
 class TestBuildDataset:
@@ -279,6 +289,10 @@ class TestConfigValidation:
     def test_split_fraction_bounds(self):
         with pytest.raises(ValueError):
             ExperimentConfig(classes=("waving",), split_fraction=1.0)
+
+    def test_repeated_class_rejected(self):
+        with pytest.raises(ValueError, match="more than once: 'waving'$"):
+            ExperimentConfig(classes=("waving", "waving", "clap"))
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="'nosuch'"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skelgest.rng import PortableRNG, _mix
+from skelgest.rng import PortableRNG, _mix, normal_rows
 
 
 class TestGeneratorContract:
@@ -68,3 +68,13 @@ class TestSpawn:
         a, b = PortableRNG(1), PortableRNG(1)
         a.u64_array(100)
         assert a.spawn(3).seed == b.spawn(3).seed
+
+
+class TestNormalRows:
+    @pytest.mark.parametrize("n", [1, 7, 5400])
+    def test_each_row_is_its_seeds_stream(self, n):
+        seeds = [PortableRNG(17).spawn(i).seed for i in range(49)] + [2**64 - 1]
+        rows = normal_rows(seeds, n)
+        assert rows.shape == (50, n)
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, PortableRNG(seed).normal_array(n))
