@@ -70,11 +70,8 @@ def _box_muller(bits):
 
 
 def normal_rows(seeds, n):
-    """(len(seeds), n) normals; row i equals PortableRNG(seeds[i]).normal_array(n).
-
-    The generator is counter-based, so every stream's outputs are drawn as
-    one uint64 array.
-    """
+    """(len(seeds), n) normals drawn as one uint64 array of counter outputs;
+    row i equals PortableRNG(seeds[i]).normal_array(n)."""
     ks = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64)
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     with np.errstate(over="ignore"):
