@@ -1,4 +1,5 @@
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import skelgest
 from skelgest import serialize_skeleton_stream
 from skelgest.classifiers import dumps_model
 from skelgest.cli import main
-from skelgest.harness import GestureTemplate, generate_sequence
+from skelgest.harness import GestureTemplate, generate_sequence, get_template
 from skelgest.harness.experiment import CLASSIFIERS
 from skelgest.skeleton import SkeletonSequence
 
@@ -131,6 +132,42 @@ class TestExtractFeatures:
         assert main(["extract-features", "--manifest", str(manifest), "--mode", "single"]) == 2
         err = capsys.readouterr().err
         assert "e.csv holds no entries" in err and "differing" not in err
+
+    # SHA-256 of the stdout bytes of each flattened-row mode, over three
+    # 9-frame recordings (the --flatten input is the first of them)
+    PINNED_ROWS = [
+        ("single", "--manifest", "f1a6e38c02f3af9d7e0d3f55f97cea67df840e914dc3759b32deadcc9286a15f"),
+        ("single", "--flatten", "384780dcb3e69777b418aafd2cd2bd18aac3138b5963841a887e6af16a438453"),
+        ("two-person", "--manifest", "6c041a633b008d9b2f17e73d50cf117d9adb180b30f3b1596ad6bdf545bb263a"),
+        ("two-person", "--flatten", "335c42034220040c509be80263afa249cc4787dc6a1cc425928c5db449833113"),
+    ]
+
+    @pytest.mark.parametrize("mode, source, digest", PINNED_ROWS,
+                             ids=[f"{mode}{source}" for mode, source, _ in PINNED_ROWS])
+    def test_flattened_rows_are_pinned(self, tmp_path, capsys, mode, source, digest):
+        names = ("waving", "clap", "hugging")
+        for i, name in enumerate(names):
+            seq = generate_sequence(get_template(name), 9, seed=30 + i, noise_std=0.02)
+            write_sequence(tmp_path / f"{name}.txt", seq)
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("".join(f"{name}.txt,{name}\n" for name in names))
+        argv = {"--manifest": ["--manifest", str(manifest)],
+                "--flatten": ["--input", str(tmp_path / "waving.txt"), "--flatten"]}[source]
+        assert main(["extract-features", *argv, "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_manifest_of_differing_lengths_exits_2(self, tmp_path):
+        for name, frames in (("a.txt", 5), ("b.txt", 7)):
+            write_sequence(tmp_path / name, generate_sequence(GestureTemplate("static"), frames, seed=1))
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("a.txt,alpha\nb.txt,beta\n")
+        result = run_cli("extract-features", "--manifest", str(manifest), "--mode", "single")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and "differing lengths" in err[0]
+        assert "Traceback" not in result.stderr
 
 
 class TestTrainPredictEvaluate:
@@ -372,17 +409,21 @@ class TestLineNumbers:
 
 class TestNonAsciiInput:
     # UnicodeDecodeError is a ValueError, which would otherwise exit 3
-    @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "model", "features"])
+    @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "skeleton-manifest",
+                                     "model", "features"])
     def test_exits_2(self, bad, skeleton_file, tmp_path, capsys):
         model = tmp_path / "m.model"
         model.write_text(GOLDEN_KNN)
         features = tmp_path / "f.csv"
         features.write_text("0.5,0.5\n")
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text(f"{skeleton_file.name},static\n")
         target = {"model": model, "features": features}.get(bad, skeleton_file)
         target.write_bytes(target.read_bytes() + "caf\u00e9\n".encode("utf-8"))
         argv = {
             "skeleton-round-trip": ["round-trip-check", "--input", str(skeleton_file)],
             "skeleton-extract": ["extract-features", "--input", str(skeleton_file), "--mode", "single"],
+            "skeleton-manifest": ["extract-features", "--manifest", str(manifest), "--mode", "single"],
         }.get(bad, ["predict", "--model", str(model), "--features", str(features)])
         assert main(argv) == 2
         assert "ascii" in capsys.readouterr().err
