@@ -9,7 +9,7 @@ import inspect
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TrainingDegenerateError
 
 
 class ParamsMixin:
@@ -63,23 +63,28 @@ class SequenceTransformer(ParamsMixin):
     """Transformer from skeleton sequences to per-sequence feature vectors.
 
     Subclasses set `sequence_features`, the function giving one sequence's
-    (T, F) feature matrix. transform() accepts a list of SkeletonSequence and
-    returns a (n_sequences, T*F) array of row-major flattened per-frame
-    features. All sequences must share the same frame count.
+    (T, F) feature matrix; transform() applies feature_matrix with it.
     """
 
     def fit(self, X, y=None):
         return self
 
     def transform(self, X):
-        mats = [self.sequence_features(seq) for seq in X]
-        lengths = {m.shape[0] for m in mats}
-        if len(lengths) > 1:
-            raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
-        return np.stack(mats).reshape(len(mats), -1)
+        return feature_matrix(self.sequence_features, X)
 
     def fit_transform(self, X, y=None):
         return self.fit(X, y).transform(X)
+
+
+def feature_matrix(sequence_features, sequences):
+    """(n_sequences, T*F) array: each sequence's (T, F) sequence_features,
+    flattened row-major. Sequences are featurized one at a time; a
+    ValueError names differing frame counts."""
+    mats = [sequence_features(seq) for seq in sequences]
+    lengths = {m.shape[0] for m in mats}
+    if len(lengths) > 1:
+        raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
+    return np.stack(mats).reshape(len(mats), -1)
 
 
 def check_feature_matrix(X, n_features=None, name="X"):
@@ -102,6 +107,16 @@ def check_labels(y, n_samples):
     if len(y) != n_samples:
         raise ValueError(f"{len(y)} labels for {n_samples} samples")
     return y
+
+
+def encode_labels(y):
+    """Sorted class list and each label's index in it, as int64; a
+    TrainingDegenerateError when fewer than 2 classes are present."""
+    classes = sorted(set(y))
+    if len(classes) < 2:
+        raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([index[c] for c in y], dtype=np.int64)
 
 
 def check_fitted(estimator, attribute):

@@ -20,7 +20,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_fitted, check_labels, encode_labels
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample and machine before giving up
@@ -146,12 +146,9 @@ class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
         self._check_params()
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
-        classes = sorted(set(y))
-        if len(classes) < 2:
-            raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
+        classes, codes = encode_labels(y)
         if X.shape[0] >= 2 and np.all(X == X[0]):
             raise TrainingDegenerateError("all training vectors identical but labels differ")
-        codes = np.array([classes.index(c) for c in y])
         order = _canonical_order(X, codes)
         self.classes_ = classes
         self.X_ = X[order]

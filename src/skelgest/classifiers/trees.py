@@ -10,8 +10,8 @@ exact same model anywhere.
 
 import numpy as np
 
-from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_labels, check_fitted
-from ..errors import InvalidBootstrapError, TrainingDegenerateError
+from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_fitted, check_labels, encode_labels
+from ..errors import InvalidBootstrapError
 from ..rng import PortableRNG
 
 
@@ -123,12 +123,9 @@ class BaggedTreeEnsemble(ScoringClassifierMixin, ParamsMixin):
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
         self._check_params(X.shape[0])
-        classes = sorted(set(y))
-        if len(classes) < 2:
-            raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
+        classes, y_idx = encode_labels(y)
         n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
-        y_idx = np.array([classes.index(c) for c in y], dtype=np.int64)
         root = PortableRNG(self.seed)
         self.classes_ = classes
         self.trees_ = []

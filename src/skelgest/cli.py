@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluation
+from .base import feature_matrix
 from .classifiers import load_model, save_model
 from .errors import ComputationError, InputFormatError
 from .features import FEATURE_MODULES
@@ -128,28 +129,23 @@ _FEATURE_MODULES = {kind.replace("_", "-"): module for kind, module in FEATURE_M
 
 def cmd_extract_features(args):
     module = _FEATURE_MODULES[args.mode]
-    if args.manifest:
-        base = os.path.dirname(os.path.abspath(args.manifest))
-        pairs = _load_manifest(args.manifest)
-        rows = []
-        for filename, _ in pairs:
-            seq = read_skeleton_file(os.path.join(base, filename))
-            rows.append(module.sequence_features(seq).reshape(-1))
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise InputFormatError(f"sequences in {args.manifest} have differing lengths")
-        matrix_text = "\n".join(format_floats(row, ",") for row in rows) + "\n"
-        _emit(matrix_text, args.out)
-        if args.labels_out:
-            _emit("\n".join(f"{f},{lab}" for f, lab in pairs) + "\n", args.labels_out)
+    if args.input and not args.flatten:
+        feats = module.sequence_features(read_skeleton_file(args.input))
+        _emit(module.features_to_csv(feats, frame_column=args.frame_column), args.out)
         return EXIT_OK
-    seq = read_skeleton_file(args.input)
-    feats = module.sequence_features(seq)
-    if args.flatten:
-        text = format_floats(feats.reshape(-1), ",") + "\n"
-    else:
-        text = module.features_to_csv(feats, frame_column=args.frame_column)
-    _emit(text, args.out)
+    # one flattened row per recording; --flatten is the one-recording case
+    pairs = _load_manifest(args.manifest) if args.manifest else [(args.input, None)]
+    base = os.path.dirname(os.path.abspath(args.manifest)) if args.manifest else ""
+    recordings = (read_skeleton_file(os.path.join(base, filename)) for filename, _ in pairs)
+    try:
+        X = feature_matrix(module.sequence_features, recordings)
+    except UnicodeDecodeError:
+        raise  # a non-ASCII recording, not a length mismatch
+    except ValueError:
+        raise InputFormatError(f"sequences in {args.manifest} have differing lengths") from None
+    _emit("\n".join(format_floats(row, ",") for row in X) + "\n", args.out)
+    if args.manifest and args.labels_out:
+        _emit("\n".join(f"{f},{lab}" for f, lab in pairs) + "\n", args.labels_out)
     return EXIT_OK
 
 
@@ -253,7 +249,7 @@ def cmd_gen_synth(args):
 
 
 def cmd_round_trip_check(args):
-    seq = parse_skeleton_stream("\n".join(ln for _, ln in _read_lines(args.input)))
+    seq = read_skeleton_file(args.input)
     again = parse_skeleton_stream(serialize_skeleton_stream(seq))
     if not np.array_equal(seq.joints, again.joints):
         raise InputFormatError(f"{args.input}: round trip altered coordinates")

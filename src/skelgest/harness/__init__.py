@@ -15,7 +15,6 @@ from .templates import (
     BENCHMARK_CLASSES,
     DEPTH_RANGE,
     GestureTemplate,
-    INTERACTION_PAIRS,
     INTERACTION_TEMPLATES,
     SINGLE_PERSON_TEMPLATES,
     get_template,
@@ -34,7 +33,6 @@ __all__ = [
     "BASE_POSE",
     "BENCHMARK_CLASSES",
     "DEPTH_RANGE",
-    "INTERACTION_PAIRS",
     "INTERACTION_TEMPLATES",
     "SINGLE_PERSON_TEMPLATES",
     "get_template",

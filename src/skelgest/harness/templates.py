@@ -5,8 +5,8 @@ standing pose, good enough to exercise the pipelines end to end. They stand
 in for unavailable human recordings and make no claim to match real motion.
 
 Twenty single-person gestures and eight per-person interaction actions are
-shipped, plus ten preset (left, right) interaction pairs. All trajectories
-keep every joint inside the sensor's working depth range of 1.2 to 3.5 m.
+shipped. All trajectories keep every joint inside the sensor's working
+depth range of 1.2 to 3.5 m.
 """
 
 from dataclasses import dataclass, field
@@ -203,20 +203,6 @@ _interaction("pushing", [
 _interaction("kicking", [
     (_RIGHT_LEG, [(0.0, _REST), (0.4, (0.02, 0.35, -0.40)), (0.55, (0.02, 0.45, -0.50)), (1.0, _REST)]),
 ])
-
-# preset (left person, right person) interaction pairs
-INTERACTION_PAIRS = (
-    ("approaching", "departing"),
-    ("exchanging", "shaking_hands"),
-    ("approaching", "hugging"),
-    ("punching", "departing"),
-    ("shaking_hands", "pushing"),
-    ("pushing", "kicking"),
-    ("approaching", "shaking_hands"),
-    ("kicking", "departing"),
-    ("punching", "kicking"),
-    ("exchanging", "departing"),
-)
 
 
 def get_template(name):

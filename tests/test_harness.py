@@ -11,7 +11,6 @@ from skelgest.harness import (
     BENCHMARK_CLASSES,
     ExperimentConfig,
     GestureTemplate,
-    INTERACTION_PAIRS,
     INTERACTION_TEMPLATES,
     SINGLE_PERSON_TEMPLATES,
     build_dataset,
@@ -33,13 +32,7 @@ class TestTemplates:
     def test_catalog_sizes(self):
         assert len(SINGLE_PERSON_TEMPLATES) == 20
         assert len(INTERACTION_TEMPLATES) == 8
-        assert len(INTERACTION_PAIRS) == 10
         assert set(BENCHMARK_CLASSES) <= set(SINGLE_PERSON_TEMPLATES)
-
-    def test_pairs_reference_known_actions(self):
-        for left, right in INTERACTION_PAIRS:
-            assert left in INTERACTION_TEMPLATES
-            assert right in INTERACTION_TEMPLATES
 
     def test_all_templates_respect_depth_range(self):
         ts = np.linspace(0.0, 1.0, 200)
