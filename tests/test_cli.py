@@ -278,6 +278,25 @@ class TestTrainPredictEvaluate:
         assert macro["class"] == "macro"
         assert float(macro["accuracy"]) == pytest.approx(np.mean(accs), abs=1e-12)
 
+    def test_report_csv_is_pinned(self, tmp_path, capsys):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(97))
+        model = tmp_path / "m.model"
+        main(["train", "--features", str(features), "--labels", str(labels),
+              "--model", "knn", "--out", str(model)])
+        # relabel four rows so the metrics are fractions, not all 1.0
+        truth = Path(labels).read_text().splitlines()
+        for i, wrong in ((0, "b"), (1, "b"), (2, "c"), (25, "a")):
+            truth[i] = f"row{i},{wrong}"
+        relabeled = tmp_path / "truth.csv"
+        relabeled.write_text("\n".join(truth) + "\n")
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--model", str(model), "--features", str(features),
+                     "--labels", str(relabeled), "--report", str(report)]) == 0
+        data = report.read_bytes()
+        assert b"0.8666666666666667" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "dc7691b54e02c4c855ae64d79b2ca2971dabde401b87cd576993769beb3151bf")
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         features, labels = write_blob_csvs(tmp_path, np.random.default_rng(96))
         model = tmp_path / "m.model"
