@@ -102,10 +102,15 @@ def check_feature_matrix(X, n_features=None, name="X"):
 
 
 def check_labels(y, n_samples):
-    """Labels as a list of strings, one per sample."""
+    """Labels as a list of strings, one per sample. Each must be a single
+    token, without whitespace or commas, so it survives the text formats
+    used for manifests and model files."""
     y = [str(v) for v in y]
     if len(y) != n_samples:
         raise ValueError(f"{len(y)} labels for {n_samples} samples")
+    for lab in dict.fromkeys(y):
+        if not lab or "," in lab or any(ch.isspace() for ch in lab):
+            raise ValueError(f"label {lab!r} must be a single comma-free token")
     return y
 
 

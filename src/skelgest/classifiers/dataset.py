@@ -13,8 +13,7 @@ class LabeledDataset:
 
     vectors: (n, L) float array; labels: one string per row; label_set: the
     declared classes (training requires at least 2, each with >= 1 sample).
-    Labels must be single tokens: no whitespace or commas, so they survive
-    the text formats used for manifests and model files.
+    Labels must be single tokens (see check_labels).
     """
 
     vectors: np.ndarray
@@ -24,9 +23,6 @@ class LabeledDataset:
     def __post_init__(self):
         self.vectors = check_feature_matrix(self.vectors, name="vectors")
         self.labels = check_labels(self.labels, self.vectors.shape[0])
-        for lab in self.labels:
-            if not lab or any(ch.isspace() for ch in lab) or "," in lab:
-                raise ValueError(f"label {lab!r} must be a single comma-free token")
         if not self.label_set:
             self.label_set = tuple(sorted(set(self.labels)))
         else:

@@ -23,6 +23,7 @@ from .harness.experiment import CLASSIFIERS
 from .harness.templates import BENCHMARK_CLASSES
 from .skeleton import (
     format_floats,
+    matrix_to_csv,
     parse_skeleton_stream,
     read_skeleton_file,
     serialize_skeleton_stream,
@@ -131,7 +132,7 @@ def cmd_extract_features(args):
     module = _FEATURE_MODULES[args.mode]
     if args.input and not args.flatten:
         feats = module.sequence_features(read_skeleton_file(args.input))
-        _emit(module.features_to_csv(feats, frame_column=args.frame_column), args.out)
+        _emit(matrix_to_csv(module.CSV_COLUMNS, feats, args.frame_column), args.out)
         return EXIT_OK
     # one flattened row per recording; --flatten is the one-recording case
     pairs = _load_manifest(args.manifest) if args.manifest else [(args.input, None)]
@@ -168,7 +169,10 @@ def cmd_train(args):
     }[args.model]
     # a flag left out keeps the constructor's default
     params = {name: value for name, value in flags.items() if value is not None}
-    model = CLASSIFIERS[args.model](**params).fit(X, y)
+    try:
+        model = CLASSIFIERS[args.model](**params).fit(X, y)
+    except ValueError as exc:  # a bad hyperparameter flag or label, not a failed fit
+        raise InputFormatError(str(exc)) from None
     accuracy = model.score(X, y)
     save_model(model, args.out)
     print(f"training accuracy: {accuracy:.4f}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .skeleton import format_floats
+
 
 @dataclass
 class ConfusionMatrix:
@@ -190,7 +192,8 @@ class EvaluationReport:
         out = io.StringIO()
         out.write("class," + ",".join(ClassMetrics.FIELDS) + "\n")
         for lab, m in self._metric_rows():
-            out.write(lab + "," + ",".join(repr(getattr(m, f)) for f in ClassMetrics.FIELDS) + "\n")
+            values = [getattr(m, name) for name in ClassMetrics.FIELDS]
+            out.write(lab + "," + format_floats(values, ",") + "\n")
         return out.getvalue()
 
     def _metric_rows(self):

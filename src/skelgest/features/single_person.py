@@ -10,7 +10,7 @@ import numpy as np
 
 from ..base import SequenceTransformer
 from ..errors import DegenerateDepthError
-from ..skeleton import Joint, SkeletonSequence, matrix_to_csv
+from ..skeleton import Frame, Joint
 
 # Fixed feature order: shoulder-level, forearm-level, hand-level, left before
 # right at each level. Classifier input columns depend on this order.
@@ -27,32 +27,35 @@ N_FEATURES = len(TRIANGLES)
 
 CSV_COLUMNS = tuple(f"d{i + 1}" for i in range(N_FEATURES))
 
-# (6, 3) row indices of the triangle vertices inside a frame array
-_TRIANGLE_ROWS = np.array([[j.row for j in tri] for tri in TRIANGLES])
+# (3, 6) rows of each triangle's first, second and third vertex
+_VERTEX_ROWS = np.array([[j.row for j in tri] for tri in TRIANGLES]).T
 _SPINE_ROW = Joint.SPINE.row
 
 
 def triangle_centroid(a, b, c):
-    """Component-wise mean of three vertices."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    """Component-wise mean of three vertices, each a (..., 3) point array."""
+    a, b, c = (np.asarray(p, dtype=np.float64) for p in (a, b, c))
     return (a + b + c) / 3.0
 
 
 def normalized_distance(centroid, spine):
     """Euclidean distance between the points divided by their mean depth.
 
-    Computed as 2 * ||c - s|| / (c_z + s_z). Raises DegenerateDepthError
-    when the mean depth is not positive; a real sensor reports depths well
-    above zero, so that indicates corrupt capture.
+    Computed as 2 * ||c - s|| / (c_z + s_z) over (..., 3) points that
+    broadcast together. Raises DegenerateDepthError when a mean depth is
+    not positive; a real sensor reports depths well above zero, so that
+    indicates corrupt capture. With two or more leading axes the error names
+    the frame (second-to-last axis) and the triangle (last axis, 1-based).
     """
     c = np.asarray(centroid, dtype=np.float64)
     s = np.asarray(spine, dtype=np.float64)
-    depth_sum = c[2] + s[2]
-    if depth_sum <= 0.0:
-        raise DegenerateDepthError(depth_sum / 2.0)
-    return 2.0 * float(np.linalg.norm(c - s)) / float(depth_sum)
+    depth_sums = c[..., 2] + s[..., 2]
+    bad = depth_sums <= 0.0
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = dict(frame=int(at[-2]), triangle=int(at[-1]) + 1) if bad.ndim >= 2 else {}
+        raise DegenerateDepthError(depth_sums[at] / 2.0, **where)
+    return 2.0 * np.linalg.norm(c - s, axis=-1) / depth_sums
 
 
 def sequence_features(seq):
@@ -61,25 +64,14 @@ def sequence_features(seq):
     seq may also be a (..., T, 20, 3) joint array, giving (..., T, 6).
     """
     joints = getattr(seq, "joints", seq)
-    centroids = joints[..., _TRIANGLE_ROWS, :].mean(axis=-2)  # (..., T, 6, 3)
-    spine = joints[..., _SPINE_ROW, None, :]  # (..., T, 1, 3)
-    depth_sums = centroids[..., 2] + spine[..., 2]  # (..., T, 6)
-    bad = np.argwhere(depth_sums <= 0.0)
-    if bad.size:
-        *_, t, i = bad[0]
-        raise DegenerateDepthError(depth_sums[tuple(bad[0])] / 2.0, triangle=int(i) + 1, frame=int(t))
-    dists = np.linalg.norm(centroids - spine, axis=-1)
-    return 2.0 * dists / depth_sums
+    centroids = triangle_centroid(*(joints[..., rows, :] for rows in _VERTEX_ROWS))
+    return normalized_distance(centroids, joints[..., _SPINE_ROW, None, :])
 
 
 def frame_features(frame):
-    """The six normalized centroid-to-spine distances of one frame."""
-    return sequence_features(SkeletonSequence.from_frames([frame]))[0]
-
-
-def features_to_csv(matrix, frame_column=False):
-    """CSV text for a (T, 6) feature matrix, header d1..d6."""
-    return matrix_to_csv(CSV_COLUMNS, matrix, frame_column)
+    """The six normalized centroid-to-spine distances of one frame (a Frame
+    or a (20, 3) array); an error names it frame 0."""
+    return sequence_features(Frame(getattr(frame, "joints", frame)).joints[None])[0]
 
 
 class SinglePersonFeatures(SequenceTransformer):

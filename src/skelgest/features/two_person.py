@@ -11,7 +11,7 @@ import numpy as np
 
 from ..base import SequenceTransformer
 from ..errors import DegenerateDirectionError
-from ..skeleton import Joint, SkeletonSequence, matrix_to_csv
+from ..skeleton import Frame, Joint
 
 # Anthropometric weights, fixed across frames. Each group sums to 1.
 ARM_WEIGHTS = (0.271, 0.449, 0.149, 0.131)   # shoulder, elbow, wrist, hand
@@ -30,28 +30,37 @@ CSV_COLUMNS = tuple(
     f"{axis}{name}" for name, _, _ in MEAN_JOINT_GROUPS for axis in ("a", "b", "g")
 )
 
-_GROUP_ROWS = np.array([[j.row for j in joints] for _, joints, _ in MEAN_JOINT_GROUPS])
-_GROUP_WEIGHTS = np.array([w for _, _, w in MEAN_JOINT_GROUPS])  # (4, 4)
+# (4, 4) rows of each group's first..fourth joint, and (4, 4, 1) weight
+# columns: entry k is the k-th joint's weight in each of the four groups
+_MEMBER_ROWS = np.array([[j.row for j in joints] for _, joints, _ in MEAN_JOINT_GROUPS]).T
+_MEMBER_WEIGHTS = np.array([w for _, _, w in MEAN_JOINT_GROUPS]).T[:, :, None]
 
 
 def mean_joint(p1, p2, p3, p4, w1, w2, w3, w4):
     """Weighted average of four joints: (w1*p1 + ... + w4*p4) / 4.
 
+    The points are (..., 3) arrays that broadcast together; each weight is
+    a scalar or a (G, 1) column giving one weight per group of G points.
     The division by 4 matches the reference worked values; the
     downstream angles are scale-invariant, so it never changes a feature.
     """
-    pts = np.asarray([p1, p2, p3, p4], dtype=np.float64)
-    w = np.asarray([w1, w2, w3, w4], dtype=np.float64)
-    return (w[:, None] * pts).sum(axis=0) / 4.0
+    p1, p2, p3, p4 = (np.asarray(p, dtype=np.float64) for p in (p1, p2, p3, p4))
+    return (w1 * p1 + w2 * p2 + w3 * p3 + w4 * p4) / 4.0
 
 
 def direction_cosines(v):
-    """(v_x, v_y, v_z) / ||v||; cosines of the angles against +x, +y, +z."""
+    """(v_x, v_y, v_z) / ||v|| over (..., 3) vectors; cosines of the angles
+    against +x, +y, +z. Raises DegenerateDirectionError on a zero vector;
+    with two or more leading axes the error names the frame (second-to-last
+    axis) and the mean joint J1..J4 (last axis)."""
     v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DegenerateDirectionError()
-    return v / norm
+    norms = np.linalg.norm(v, axis=-1)
+    bad = norms == 0.0
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        where = dict(frame=int(at[-2]), mean_joint=f"J{int(at[-1]) + 1}") if bad.ndim >= 2 else {}
+        raise DegenerateDirectionError(**where)
+    return v / norms[..., None]
 
 
 def direction_angles(v):
@@ -66,25 +75,15 @@ def sequence_features(seq):
     seq may also be a (..., T, 20, 3) joint array, giving (..., T, 12).
     """
     joints = getattr(seq, "joints", seq)
-    pts = joints[..., _GROUP_ROWS, :]  # (..., T, 4, 4, 3)
-    mj = (_GROUP_WEIGHTS[:, :, None] * pts).sum(axis=-2) / 4.0  # (..., T, 4, 3)
-    norms = np.linalg.norm(mj, axis=-1)  # (..., T, 4)
-    bad = np.argwhere(norms == 0.0)
-    if bad.size:
-        *_, t, i = bad[0]
-        raise DegenerateDirectionError(mean_joint=MEAN_JOINT_GROUPS[int(i)][0], frame=int(t))
-    cos = np.clip(mj / norms[..., None], -1.0, 1.0)
-    return np.degrees(np.arccos(cos)).reshape(cos.shape[:-2] + (N_FEATURES,))
+    mj = mean_joint(*(joints[..., rows, :] for rows in _MEMBER_ROWS), *_MEMBER_WEIGHTS)
+    angles = direction_angles(mj)  # (..., T, 4, 3)
+    return angles.reshape(angles.shape[:-2] + (N_FEATURES,))
 
 
 def frame_features(frame):
-    """Twelve angles of one frame, ordered (a, b, g) for J1, J2, J3, J4."""
-    return sequence_features(SkeletonSequence.from_frames([frame]))[0]
-
-
-def features_to_csv(matrix, frame_column=False):
-    """CSV text for a (T, 12) angle matrix, header aJ1..gJ4."""
-    return matrix_to_csv(CSV_COLUMNS, matrix, frame_column)
+    """Twelve angles of one frame (a Frame or a (20, 3) array), ordered
+    (a, b, g) for J1, J2, J3, J4; an error names it frame 0."""
+    return sequence_features(Frame(getattr(frame, "joints", frame)).joints[None])[0]
 
 
 class TwoPersonFeatures(SequenceTransformer):

@@ -107,9 +107,6 @@ class PortableRNG:
         with np.errstate(over="ignore"):
             return _mix_array(np.uint64(self._seed) + ks * np.uint64(_GAMMA))
 
-    def random_array(self, n):
-        return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
     def integers(self, n, size=None):
         """Uniform integer(s) in [0, n)."""
         if size is None:

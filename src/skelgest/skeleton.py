@@ -93,10 +93,6 @@ class SkeletonSequence:
     def frame(self, t):
         return Frame(self.joints[t])
 
-    @classmethod
-    def from_frames(cls, frames):
-        return cls(np.stack([np.asarray(f.joints if isinstance(f, Frame) else f) for f in frames]))
-
 
 def parse_skeleton_stream(text):
     """Parse a flat float stream into a SkeletonSequence.

@@ -71,6 +71,22 @@ class TestExtractFeatures:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "d1,d2,d3,d4,d5,d6"
 
+    HEADERS = {"single": "d1,d2,d3,d4,d5,d6",
+               "two-person": "aJ1,bJ1,gJ1,aJ2,bJ2,gJ2,aJ3,bJ3,gJ3,aJ4,bJ4,gJ4"}
+
+    @pytest.mark.parametrize("frame_column", [False, True], ids=["plain", "frame-column"])
+    @pytest.mark.parametrize("mode", sorted(HEADERS))
+    def test_csv_header_and_frame_column(self, skeleton_file, capsys, mode, frame_column):
+        argv = ["extract-features", "--input", str(skeleton_file), "--mode", mode]
+        assert main(argv + ["--frame-column"] * frame_column) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "frame," * frame_column + self.HEADERS[mode]
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert len(rows) == 90
+        assert {len(r) for r in rows} == {len(self.HEADERS[mode].split(",")) + frame_column}
+        if frame_column:
+            assert [r[0] for r in rows] == [str(t) for t in range(90)]
+
     def test_two_person_mode_reproduces_worked_frame(self, tmp_path, capsys):
         frames = [make_frame(default=(0.2, 0.3, 2.0)).joints] * 90
         frames[47] = make_frame(WORKED_FRAME_JOINTS).joints  # 1-based frame 48
@@ -222,6 +238,35 @@ class TestTrainPredictEvaluate:
                      "--model", "svm", "--out", str(tmp_path / "m.model")])
         assert code == 3
         assert "classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["row3,a b", "x,"])
+    def test_label_that_is_not_one_token_exits_2_without_model(self, tmp_path, line):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(98))
+        rows = labels.read_text().splitlines()
+        rows[3] = line
+        labels.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "m.model"
+        result = run_cli("train", "--features", str(features), "--labels", str(labels),
+                         "--model", "knn", "--out", str(model))
+        assert result.returncode == 2
+        assert "single comma-free token" in result.stderr and "Traceback" not in result.stderr
+        assert not model.exists()
+
+    # bad hyperparameters are bad input (2); k above the 30 rows is a failed fit (3)
+    @pytest.mark.parametrize("kind, flag, value, code", [
+        ("knn", "--k", "2", 2),
+        ("svm", "--sigma", "0", 2),
+        ("edt", "--trees", "0", 2),
+        ("edt", "--bootstrap-fraction", "2", 2),
+        ("knn", "--k", "31", 3),
+    ])
+    def test_bad_hyperparameter_flag_exit_code(self, tmp_path, capsys, kind, flag, value, code):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(99))
+        model = tmp_path / "m.model"
+        assert main(["train", "--features", str(features), "--labels", str(labels),
+                     "--model", kind, "--out", str(model), flag, value]) == code
+        assert capsys.readouterr().err.startswith("skelgest: ")
+        assert not model.exists()
 
     def test_predict_labels(self, tmp_path, capsys):
         features, labels = write_blob_csvs(tmp_path, np.random.default_rng(93))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skelgest.classifiers import LabeledDataset
+from skelgest.harness.experiment import CLASSIFIERS
 
 
 class TestLabeledDataset:
@@ -37,3 +38,11 @@ class TestLabeledDataset:
         assert sub.labels == ["a", "b"]
         assert sub.label_set == ("a", "b")
         assert sub.vectors.tolist() == [[0.0, 1.0], [6.0, 7.0]]
+
+
+@pytest.mark.parametrize("bad", ["has space", ""])
+@pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+def test_fit_rejects_a_label_that_is_not_one_token(kind, bad):
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match="single comma-free token"):
+        CLASSIFIERS[kind]().fit(X, ["a", "b", bad, "a"])

@@ -9,7 +9,6 @@ from skelgest.features.single_person import (
     CSV_COLUMNS,
     TRIANGLES,
     SinglePersonFeatures,
-    features_to_csv,
     frame_features,
     normalized_distance,
     sequence_features,
@@ -97,6 +96,35 @@ class TestNormalizedDistance:
     def test_degenerate_depth(self, depth):
         with pytest.raises(DegenerateDepthError):
             normalized_distance(np.array([1.0, 0.0, depth]), np.array([0.0, 0.0, depth]))
+
+
+class TestBatchedHelpers:
+    """The helpers run over leading axes exactly as they do point by point."""
+
+    def test_equal_to_per_point_calls(self):
+        rng = np.random.default_rng(16)
+        a, b, c = rng.normal(scale=0.3, size=(3, 11, 6, 3)) + [0.0, 0.0, 2.0]
+        spine = rng.normal(scale=0.3, size=(11, 1, 3)) + [0.0, 0.0, 2.0]
+        centroids = triangle_centroid(a, b, c)
+        dists = normalized_distance(centroids, spine)
+        assert centroids.shape == (11, 6, 3) and dists.shape == (11, 6)
+        for t, i in np.ndindex(11, 6):
+            point = triangle_centroid(a[t, i], b[t, i], c[t, i])
+            assert np.array_equal(centroids[t, i], point)
+            assert dists[t, i] == normalized_distance(point, spine[t, 0])
+
+    def test_error_names_frame_and_triangle(self):
+        centroids = np.tile([0.1, 0.0, 2.0], (5, 6, 1))
+        centroids[3, 4, 2] = -3.0
+        with pytest.raises(DegenerateDepthError) as exc:
+            normalized_distance(centroids, np.array([[0.0, 0.0, 2.0]]))
+        assert (exc.value.frame, exc.value.triangle, exc.value.mean_depth) == (3, 5, -0.5)
+        assert "(triangle 5, frame 3)" in str(exc.value)
+
+    def test_single_point_error_has_no_location(self):
+        with pytest.raises(DegenerateDepthError) as exc:
+            normalized_distance([0.0, 0.0, -1.0], [0.0, 0.0, 0.5])
+        assert (exc.value.frame, exc.value.triangle) == (None, None)
 
 
 class TestFrameFeatures:
@@ -205,17 +233,6 @@ class TestSpecs:
 
 
 class TestCsvAndTransformer:
-    def test_csv_header(self):
-        mat = np.zeros((2, 6))
-        lines = features_to_csv(mat).splitlines()
-        assert lines[0] == "d1,d2,d3,d4,d5,d6"
-        assert len(lines) == 3
-
-    def test_csv_frame_column(self):
-        lines = features_to_csv(np.zeros((2, 6)), frame_column=True).splitlines()
-        assert lines[0] == "frame,d1,d2,d3,d4,d5,d6"
-        assert lines[2].split(",")[0] == "1"
-
     def test_transformer_flattens(self):
         rng = np.random.default_rng(14)
         seqs = [SkeletonSequence(random_frames(rng, 4)) for _ in range(3)]

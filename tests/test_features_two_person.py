@@ -7,13 +7,11 @@ from skelgest import Frame, SkeletonSequence
 from skelgest.errors import DegenerateDirectionError
 from skelgest.features.two_person import (
     ARM_WEIGHTS,
-    CSV_COLUMNS,
     LEG_WEIGHTS,
     MEAN_JOINT_GROUPS,
     TwoPersonFeatures,
     direction_angles,
     direction_cosines,
-    features_to_csv,
     frame_features,
     mean_joint,
     sequence_features,
@@ -166,6 +164,37 @@ class TestDirectionAngles:
             assert abs(b[2] - a[2]) < 1e-9
 
 
+class TestBatchedHelpers:
+    """The helpers run over leading axes exactly as they do point by point."""
+
+    def test_equal_to_per_point_calls(self):
+        rng = np.random.default_rng(33)
+        pts = rng.normal(scale=0.5, size=(4, 11, 4, 3))  # member, frame, group, axis
+        weights = np.array([ARM_WEIGHTS, ARM_WEIGHTS, LEG_WEIGHTS, LEG_WEIGHTS])
+        mj = mean_joint(*pts, *weights.T[:, :, None])
+        cosines = direction_cosines(mj)
+        angles = direction_angles(mj)
+        assert mj.shape == cosines.shape == angles.shape == (11, 4, 3)
+        for t, g in np.ndindex(11, 4):
+            point = mean_joint(*pts[:, t, g], *weights[g])
+            assert np.array_equal(mj[t, g], point)
+            assert np.array_equal(cosines[t, g], direction_cosines(point))
+            assert np.array_equal(angles[t, g], direction_angles(point))
+
+    def test_error_names_frame_and_mean_joint(self):
+        v = np.ones((5, 4, 3))
+        v[2, 3] = 0.0
+        with pytest.raises(DegenerateDirectionError) as exc:
+            direction_cosines(v)
+        assert (exc.value.frame, exc.value.mean_joint) == (2, "J4")
+        assert "(mean joint J4, frame 2)" in str(exc.value)
+
+    def test_single_vector_error_has_no_location(self):
+        with pytest.raises(DegenerateDirectionError) as exc:
+            direction_angles(np.zeros(3))
+        assert (exc.value.frame, exc.value.mean_joint) == (None, None)
+
+
 class TestFrameFeatures:
     def test_worked_frame_cosines(self, worked_two_person_frame):
         angles = frame_features(worked_two_person_frame)
@@ -235,11 +264,6 @@ class TestSequenceFeatures:
 
 
 class TestCsvAndTransformer:
-    def test_csv_header(self):
-        lines = features_to_csv(np.zeros((1, 12))).splitlines()
-        assert lines[0] == "aJ1,bJ1,gJ1,aJ2,bJ2,gJ2,aJ3,bJ3,gJ3,aJ4,bJ4,gJ4"
-        assert CSV_COLUMNS[-1] == "gJ4"
-
     def test_transformer(self):
         rng = np.random.default_rng(31)
         seqs = [SkeletonSequence(random_frames(rng, 3)) for _ in range(2)]
