@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from skelgest.classifiers import GaussianKernelSVM, gaussian_kernel
+from skelgest.classifiers.model_io import dumps_model
 from skelgest.errors import DimensionMismatchError, TrainingDegenerateError
-from skelgest.harness import ExperimentConfig, build_dataset, stratified_split
+from skelgest.harness import INTERACTION_TEMPLATES, ExperimentConfig, build_dataset, stratified_split
 from skelgest.rng import PortableRNG
 
 
@@ -179,3 +182,34 @@ class TestOptimality:
         X, y = harness_training_split(samples_per_class=8, noise_std=0.1, seed=PortableRNG(48).spawn(0).seed)
         assert X.shape == (48, 540)
         self.assert_kkt(X, y)
+
+
+# SHA-256 of dumps_model and of the decision values on the training rows, for
+# machines fitted at the benchmark's two workload shapes. The model file
+# checks the fit kernel and SMO; the decision values check the predict kernel.
+PINNED_MACHINES = [
+    (
+        dict(samples_per_class=8, noise_std=0.1, seed=11),
+        (48, 540),
+        "64e141d72daa60a30717311389deeab50b020a49f0becb9dbc9e45e1b7a1f7f6",
+        "b506bbb0d1b5733db07d731c3ff913f2d1b9a477444d7b480cb4601c144361b3",
+    ),
+    (
+        dict(classes=tuple(INTERACTION_TEMPLATES), feature_kind="two_person",
+             samples_per_class=15, noise_std=0.3, seed=11),
+        (96, 1080),
+        "dfb352ed7b7ff8ea1867220484a0bc78d8996024784c65a5724c12647970a3c0",
+        "91a059b7ce8aed94c6135ab5f05164a6f12e09908df823c85789be4f912e96eb",
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, shape, model_digest, decision_digest", PINNED_MACHINES,
+                         ids=["paper-single", "interaction-wide"])
+def test_trained_svm_model_file_is_pinned(fields, shape, model_digest, decision_digest):
+    X, y = harness_training_split(**fields)
+    assert X.shape == shape
+    model = GaussianKernelSVM().fit(X, y)
+    assert hashlib.sha256(dumps_model(model).encode("ascii")).hexdigest() == model_digest
+    decisions = np.ascontiguousarray(model.decision_function(X), dtype="<f8")
+    assert hashlib.sha256(decisions.tobytes()).hexdigest() == decision_digest
