@@ -83,7 +83,7 @@ def feature_matrix(sequence_features, sequences):
     mats = [sequence_features(seq) for seq in sequences]
     lengths = {m.shape[0] for m in mats}
     if len(lengths) > 1:
-        raise ValueError(f"sequences have differing frame counts: {sorted(lengths)}")
+        raise ValueError(f"sequences have differing lengths: {sorted(lengths)} frames")
     return np.stack(mats).reshape(len(mats), -1)
 
 

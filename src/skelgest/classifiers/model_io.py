@@ -90,6 +90,8 @@ def _read_array(lines, name, cast, dims, sizes):
             rows.append(np.array(values, dtype=cast))
         except (ValueError, OverflowError):
             raise ModelFormatError(f"array {name!r} row {r} holds a bad value") from None
+        if not np.isfinite(rows[-1]).all():
+            raise ModelFormatError(f"array {name!r} row {r} holds a non-finite value")
     return np.stack(rows)
 
 
@@ -153,7 +155,8 @@ class _Trees:
 
 def _checked_tree(t, nodes, n_features, n_classes):
     """DecisionTree from node records, rejecting one whose prediction could
-    loop, read a missing feature or name an unknown class."""
+    loop, read a missing feature, compare with a non-finite threshold or name
+    an unknown class."""
     if not nodes:
         raise ModelFormatError(f"tree {t} has no nodes")
     try:
@@ -168,6 +171,7 @@ def _checked_tree(t, nodes, n_features, n_classes):
         (forward[~leaf].all(), "an internal node's children must follow it"),
         ((tree.children[leaf] == -1).all(), "a leaf's children must be -1 -1"),
         ((tree.feature < n_features).all(), f"a split feature is not below n_features {n_features}"),
+        (np.isfinite(tree.threshold).all(), "a threshold is not finite"),
         (known_label[leaf].all(), f"a leaf label is outside 0..{n_classes - 1}"),
     )
     for ok, what in checks:
@@ -235,6 +239,8 @@ def loads_model(text):
     n_labels = _parse(labels[1], int, "label count") if len(labels) > 1 else None
     if n_labels != len(classes) or not classes:
         raise ModelFormatError(f"labels record lists {len(classes)} labels, declared {n_labels}")
+    if len(set(classes)) != n_labels:
+        raise ModelFormatError(f"labels record repeats a label: {' '.join(classes)}")
 
     values = {name: _read_scalar(lines, name.rstrip("_"), cast) for name, cast in scalars}
     model = cls(**{name: v for name, v in values.items() if not name.endswith("_")})

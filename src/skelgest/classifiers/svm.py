@@ -35,18 +35,14 @@ def gaussian_kernel(X, Y, sigma=1.0):
     Distances use the explicit difference form so bitwise-equal rows give
     a squared distance of exactly 0 and K(x, x) of exactly 1; the dot
     product expansion would leave cancellation residue on the diagonal.
-    Row chunking keeps the (chunk, m, d) intermediate bounded.
+    One row of X at a time keeps the (m, d) difference cache-sized.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    n, d = X.shape
-    m = Y.shape[0]
-    sq = np.empty((n, m))
-    chunk = max(1, (1 << 22) // max(1, m * d))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = X[start:stop, None, :] - Y[None, :, :]
-        sq[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = np.empty((X.shape[0], Y.shape[0]))
+    for i, x in enumerate(X):
+        diff = Y - x
+        sq[i] = np.einsum("jk,jk->j", diff, diff)
     return np.exp(-sq / (2.0 * sigma * sigma))
 
 

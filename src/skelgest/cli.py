@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: extract-features, train, predict, evaluate, friedman,
-gen-synth, round-trip-check. Exit codes are a stable contract: 0 success,
-1 usage error, 2 input/format error, 3 computation error. Result data goes
+gen-synth, round-trip-check. Exit codes are a stable contract, decided in
+main alone: 0 success, 1 usage error, 2 bad input (InputFormatError, OSError
+or any ValueError), 3 computation error (ComputationError). Result data goes
 to stdout only when no output file is given; diagnostics go to stderr.
 The SKELGEST_SEED environment variable supplies the default seed.
 """
@@ -62,11 +63,8 @@ def _emit(text, out_path):
 
 def _read_lines(path):
     """(line number, stripped text) of each non-blank line of a text input file."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
+    with open(path, "r", encoding="ascii") as fh:
+        return [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
 
 
 def _load_matrix(path):
@@ -138,12 +136,7 @@ def cmd_extract_features(args):
     pairs = _load_manifest(args.manifest) if args.manifest else [(args.input, None)]
     base = os.path.dirname(os.path.abspath(args.manifest)) if args.manifest else ""
     recordings = (read_skeleton_file(os.path.join(base, filename)) for filename, _ in pairs)
-    try:
-        X = feature_matrix(module.sequence_features, recordings)
-    except UnicodeDecodeError:
-        raise  # a non-ASCII recording, not a length mismatch
-    except ValueError:
-        raise InputFormatError(f"sequences in {args.manifest} have differing lengths") from None
+    X = feature_matrix(module.sequence_features, recordings)
     _emit("\n".join(format_floats(row, ",") for row in X) + "\n", args.out)
     if args.manifest and args.labels_out:
         _emit("\n".join(f"{f},{lab}" for f, lab in pairs) + "\n", args.labels_out)
@@ -169,10 +162,7 @@ def cmd_train(args):
     }[args.model]
     # a flag left out keeps the constructor's default
     params = {name: value for name, value in flags.items() if value is not None}
-    try:
-        model = CLASSIFIERS[args.model](**params).fit(X, y)
-    except ValueError as exc:  # a bad hyperparameter flag or label, not a failed fit
-        raise InputFormatError(str(exc)) from None
+    model = CLASSIFIERS[args.model](**params).fit(X, y)
     accuracy = model.score(X, y)
     save_model(model, args.out)
     print(f"training accuracy: {accuracy:.4f}")
@@ -221,10 +211,7 @@ def cmd_friedman(args):
         rows.append(row)
     if len(rows) < 2 or len({len(r) for r in rows}) != 1:
         raise InputFormatError(f"{args.scores}: need a C x D score grid with C >= 2")
-    try:
-        ranks = evaluation.rank_algorithms(rows)
-    except ValueError as exc:
-        raise InputFormatError(f"{args.scores}: {exc}") from None
+    ranks = evaluation.rank_algorithms(rows)
     result = evaluation.friedman(ranks)
     sys.stdout.write(evaluation.friedman_table(result, ranks, names))
     return EXIT_OK
@@ -233,16 +220,13 @@ def cmd_friedman(args):
 def cmd_gen_synth(args):
     seed = args.seed if args.seed is not None else _default_seed(7)
     classes = tuple(c.strip() for c in args.classes.split(",")) if args.classes else BENCHMARK_CLASSES
-    try:
-        config = ExperimentConfig(
-            classes=classes,
-            samples_per_class=args.samples_per_class,
-            frames=args.frames,
-            seed=seed,
-            noise_std=args.noise_std,
-        )
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    config = ExperimentConfig(
+        classes=classes,
+        samples_per_class=args.samples_per_class,
+        frames=args.frames,
+        seed=seed,
+        noise_std=args.noise_std,
+    )
     manifest = export_dataset(config, args.out_dir)
     print(
         f"wrote {len(classes) * args.samples_per_class} sequences to {args.out_dir} "
@@ -328,11 +312,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # UnicodeDecodeError is a ValueError, but a non-ASCII file is bad input
-    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"skelgest: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ComputationError, ValueError) as exc:
+    except ComputationError as exc:
         print(f"skelgest: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -71,10 +71,6 @@ class GestureTemplate:
                 poses[:, row, axis] += np.interp(ts, kts, offs[:, axis])
         return poses
 
-    def pose_at(self, t):
-        """(20, 3) joint positions of the noiseless trajectory at time t."""
-        return self.trajectory([t])[0]
-
 
 _LEFT_HAND = (Joint.WRIST_LEFT, Joint.HAND_LEFT)
 _RIGHT_HAND = (Joint.WRIST_RIGHT, Joint.HAND_RIGHT)

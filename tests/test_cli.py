@@ -472,7 +472,7 @@ class TestLineNumbers:
 
 
 class TestNonAsciiInput:
-    # UnicodeDecodeError is a ValueError, which would otherwise exit 3
+    # UnicodeDecodeError is a ValueError, so main reports it as bad input
     @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "skeleton-manifest",
                                      "model", "features"])
     def test_exits_2(self, bad, skeleton_file, tmp_path, capsys):
@@ -491,6 +491,38 @@ class TestNonAsciiInput:
         }.get(bad, ["predict", "--model", str(model), "--features", str(features)])
         assert main(argv) == 2
         assert "ascii" in capsys.readouterr().err
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--features"),
+        ("train", "--labels"),
+        ("predict", "--features"),
+        ("predict", "--model"),
+        ("evaluate", "--labels"),
+        ("friedman", "--scores"),
+        ("extract-features", "--manifest"),
+    ])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, flag):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(91))
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        out = tmp_path / "out.model"
+        argv = {
+            "train": ["--features", str(features), "--labels", str(labels), "--model", "knn", "--out", str(out)],
+            "predict": ["--model", str(model), "--features", str(features)],
+            "evaluate": ["--model", str(model), "--features", str(features), "--labels", str(labels)],
+            "friedman": ["--scores", None],
+            "extract-features": ["--manifest", None, "--mode", "single"],
+        }[command]
+        ghost = tmp_path / "ghost.csv"
+        argv[argv.index(flag) + 1] = str(ghost)
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and str(ghost) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestFriedmanCommand:

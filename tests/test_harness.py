@@ -91,7 +91,7 @@ class TestGenerateSequence:
     def test_single_frame_uses_t_zero(self):
         t = get_template("move_down")  # starts away from the base pose
         seq = generate_sequence(t, 1, seed=0, noise_std=0.0)
-        assert np.array_equal(seq.joints[0], t.pose_at(0.0))
+        assert np.array_equal(seq.joints[0], t.trajectory([0.0])[0])
 
     def test_round_trip_through_skeleton_io(self):
         seq = generate_sequence(get_template("punching"), 15, seed=3)

@@ -241,6 +241,13 @@ class TestStructureChecks:
             (GOLDEN_SVM, "array X 2 2", "array X -2 2", "shape"),
             (GOLDEN_SVM, "array X 2 2", "array X 99999999999999 2", "row 2 has 4 values"),
             (GOLDEN_SVM, "labels 2 left right", "labels two left right", "label count"),
+            (GOLDEN_SVM, "1.0 -0.25", "nan -0.25", "array 'X' row 1 holds a non-finite value"),
+            (GOLDEN_SVM, "0.125 -0.125", "0.125 inf", "array 'bias' row 0 holds a non-finite value"),
+            (GOLDEN_KNN, "0.3 3.0", "0.3 -inf", "array 'X' row 2 holds a non-finite value"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 nan 1 2 -1", "tree 0: a threshold is not finite"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 inf 1 2 -1", "tree 0: a threshold is not finite"),
+            (GOLDEN_SVM, "labels 2 left right", "labels 2 left left", "repeats a label"),
+            (GOLDEN_KNN, "labels 2 left right", "labels 2 right right", "repeats a label"),
         ],
         ids=[
             "self-loop", "child-past-end", "leaf-with-child", "feature-past-n_features",
@@ -248,6 +255,8 @@ class TestStructureChecks:
             "node-int-overflow", "knn-label-index-past-K", "knn-negative-label-index",
             "knn-label-count", "svm-width-vs-n_features", "svm-bias-length",
             "negative-array-rows", "huge-array-rows", "non-integer-label-count",
+            "svm-nan-in-X", "svm-inf-bias", "knn-negative-inf-in-X", "edt-nan-threshold",
+            "edt-inf-threshold", "svm-repeated-label", "knn-repeated-label",
         ],
     )
     def test_rejected(self, golden, old, new, message):
