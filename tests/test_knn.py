@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from skelgest.classifiers import KNearestNeighbors
+from skelgest.classifiers.model_io import dumps_model
 from skelgest.errors import DimensionMismatchError, TrainingDegenerateError
+from skelgest.harness import ExperimentConfig, build_dataset, stratified_split
 
-from test_svm import THREE_BLOBS, blobs
+from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
 
 
 def oracle_knn(X_train, y_train, x, k):
@@ -92,3 +95,36 @@ class TestOracleAgreement:
         base = KNearestNeighbors(k=3).fit(X, y).predict(probe)
         renamed = KNearestNeighbors(k=3).fit(X, [rename[v] for v in y]).predict(probe)
         assert [rename[v] for v in base] == renamed
+
+
+# SHA-256 of dumps_model and of the predicted labels, for k-NN models fitted
+# on the training splits of the SVM's pinned benchmark shapes. The queries
+# are every training and held-out row; one digest covers the labels for
+# k = 1, 3 and 5.
+PINNED_KNN = [
+    (
+        PINNED_MACHINES[0][0],
+        "9ec227905d126db171ce06d662d062d50c83bf98131329096715ac987573f92c",
+        "3ed026fe4f4d4aa41e8a1a6035c913b8871ea7a5bd93df38c9c8a63f017d540d",
+    ),
+    (
+        PINNED_MACHINES[1][0],
+        "2bb2849f62fdc38f2099aab8bb36c455cc14c87920b4ed637ab718ec70b48f07",
+        "95d98b464469b759a14a7461fac91fb051496c8e998d554a004dfbba7c2d66f6",
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, model_digest, labels_digest", PINNED_KNN,
+                         ids=["paper-single", "interaction-wide"])
+def test_trained_knn_model_file_and_labels_are_pinned(fields, model_digest, labels_digest):
+    config = ExperimentConfig(**fields)
+    train, test = stratified_split(build_dataset(config), config.split_fraction, config.seed)
+    X, y = train.vectors, train.labels
+    queries = np.vstack([X, test.vectors])
+    labels = []
+    for k in (1, 3, 5):
+        labels += KNearestNeighbors(k=k).fit(X, y).predict(queries)
+    model_text = dumps_model(KNearestNeighbors(k=3).fit(X, y))
+    assert hashlib.sha256(model_text.encode("ascii")).hexdigest() == model_digest
+    assert hashlib.sha256("\n".join(labels).encode("ascii")).hexdigest() == labels_digest
