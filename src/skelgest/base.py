@@ -41,22 +41,26 @@ class ParamsMixin:
 
 
 class ClassifierMixin:
-    """score() for classifiers whose predict() returns a list of labels."""
+    """The classifiers' contract: fit() starts with _fit_inputs, and predict()
+    takes the best of _class_scores(X), one (n_samples, n_classes) array."""
+
+    def _fit_inputs(self, X, y):
+        """Checked X, sorted classes and int64 label codes; params checked for X's rows."""
+        X = check_feature_matrix(X)
+        y = check_labels(y, X.shape[0])
+        self._check_params(X.shape[0])
+        classes, codes = encode_labels(y)
+        return X, classes, codes
+
+    def predict(self, X):
+        """Label with the highest class score; ties at the lowest label."""
+        return [self.classes_[i] for i in np.argmax(self._class_scores(X), axis=1)]
 
     def score(self, X, y):
         """Fraction of samples whose predicted label equals y."""
         pred = self.predict(X)
         y = check_labels(y, len(pred))
         return float(np.mean([p == t for p, t in zip(pred, y)]))
-
-
-class ScoringClassifierMixin(ClassifierMixin):
-    """predict() for a classifier whose _class_scores(X) rates every class,
-    as an (n_samples, n_classes) array in classes_ order."""
-
-    def predict(self, X):
-        """Label with the highest class score; ties at the lowest label."""
-        return [self.classes_[i] for i in np.argmax(self._class_scores(X), axis=1)]
 
 
 class SequenceTransformer(ParamsMixin):
@@ -88,12 +92,12 @@ def feature_matrix(sequence_features, sequences):
 
 
 def check_feature_matrix(X, n_features=None, name="X"):
-    """Coerce to a finite 2-D float64 array, optionally checking width."""
+    """Coerce to a finite 2-D float64 array with columns, optionally checking width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(1, -1)
-    if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError(f"{name} must be 2-D with at least one column, got shape {X.shape}")
     if X.size and not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or Inf")
     if n_features is not None and X.shape[1] != n_features:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_labels, check_fitted
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
 from ..errors import TrainingDegenerateError
 
 
@@ -26,29 +26,24 @@ class KNearestNeighbors(ClassifierMixin, ParamsMixin):
             raise TrainingDegenerateError(f"k={self.k} exceeds training size {n_samples}")
 
     def fit(self, X, y):
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        self._check_params(X.shape[0])
-        self.X_ = X
-        self.y_ = y
-        self.classes_ = sorted(set(y))
-        self.n_features_ = X.shape[1]
+        self.X_, self.classes_, self.y_ = self._fit_inputs(X, y)
+        self.n_features_ = self.X_.shape[1]
         return self
 
-    def _predict_one(self, sq_dists):
-        votes = {}  # label -> (-neighbor count, summed neighbor distance)
-        for i in np.argsort(sq_dists, kind="stable")[: self.k]:
-            count, dist = votes.get(self.y_[i], (0, 0.0))
-            votes[self.y_[i]] = (count - 1, dist + float(np.sqrt(sq_dists[i])))
-        return min(votes, key=lambda lab: (*votes[lab], lab))
-
-    def predict(self, X):
+    def _class_scores(self, X):
+        """Per class, minus its summed neighbor distance if it holds the most
+        of the k nearest neighbors, else -inf: the argmax is the vote above."""
         check_fitted(self, "X_")
-        X = check_feature_matrix(X, n_features=self.n_features_)
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            + np.sum(self.X_ * self.X_, axis=1)[None, :]
-            - 2.0 * (X @ self.X_.T)
-        )
+        # shifting both by a stored row keeps the expansion from cancelling far from 0
+        X = check_feature_matrix(X, n_features=self.n_features_) - self.X_[0]
+        train = self.X_ - self.X_[0]
+        sq = np.einsum("ij,ij->i", X, X)[:, None] + np.einsum("ij,ij->i", train, train) - 2.0 * (X @ train.T)
         np.maximum(sq, 0.0, out=sq)
-        return [self._predict_one(row) for row in sq]
+        near = np.argsort(sq, axis=1, kind="stable")[:, : self.k]
+        rows = np.arange(len(X))[:, None]
+        counts = np.zeros((len(X), len(self.classes_)), dtype=np.int64)
+        dists = np.zeros(counts.shape)
+        # add.at sums each row's neighbors in order, nearest first
+        np.add.at(counts, (rows, self.y_[near]), 1)
+        np.add.at(dists, (rows, self.y_[near]), np.sqrt(sq[rows, near]))
+        return np.where(counts == counts.max(axis=1, keepdims=True), -dists, -np.inf)

@@ -20,7 +20,7 @@ ModelFormatError instead of a silently shorter model.
 import numpy as np
 
 from ..errors import ComputationError, ModelFormatError
-from ..skeleton import format_floats
+from ..skeleton import format_floats, read_ascii
 from .knn import KNearestNeighbors
 from .svm import GaussianKernelSVM
 from .trees import BaggedTreeEnsemble, DecisionTree
@@ -102,7 +102,7 @@ class _Floats:
     def __init__(self, dims):
         self.dims = dims
 
-    def dump(self, name, value, model):
+    def dump(self, name, value):
         return _fmt_array(name, value)
 
     def load(self, lines, name, model, sizes):
@@ -111,24 +111,23 @@ class _Floats:
 
 
 class _LabelIndices:
-    """One label per stored row, written as its index into the labels record."""
+    """One label code per stored row: its index into the labels record."""
 
-    def dump(self, name, labels, model):
-        idx = [model.classes_.index(lab) for lab in labels]
-        return _fmt_array(name, idx, lambda row: " ".join(map(str, row)))
+    def dump(self, name, codes):
+        return _fmt_array(name, codes, lambda row: " ".join(map(str, row)))
 
     def load(self, lines, name, model, sizes):
-        idx = _read_array(lines, name, int, "1n", sizes).reshape(-1)
-        if ((idx < 0) | (idx >= sizes["K"])).any():
+        codes = _read_array(lines, name, np.int64, "1n", sizes).reshape(-1)
+        if ((codes < 0) | (codes >= sizes["K"])).any():
             raise ModelFormatError(f"array {name!r} holds a label index outside 0..{sizes['K'] - 1}")
-        return [model.classes_[i] for i in idx]
+        return codes
 
 
 class _Trees:
     """n_trees records `tree <index> <n_nodes>`, each followed by its nodes,
     one `feature threshold left right label` line per node."""
 
-    def dump(self, name, trees, model):
+    def dump(self, name, trees):
         lines = []
         for t, tree in enumerate(trees):
             lines.append(f"{name} {t} {len(tree.feature)}")
@@ -218,7 +217,7 @@ def dumps_model(model):
     for name, _ in scalars:
         lines.append(f"scalar {name.rstrip('_')} {getattr(model, name)}")
     for name, attr, codec in fields:
-        lines += codec.dump(name, getattr(model, attr), model)
+        lines += codec.dump(name, getattr(model, attr))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -266,8 +265,7 @@ def save_model(model, path):
 
 def load_model(path):
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        text = read_ascii(path)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from None
     return loads_model(text)

@@ -20,7 +20,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_fitted, check_labels, encode_labels
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample and machine before giving up
@@ -119,7 +119,7 @@ def _smo(K, Y, C, tol):
     return alpha, bias
 
 
-class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
+class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
     """Multi-class one-vs-all SVM with the Gaussian kernel.
 
     Parameters: sigma (kernel width), C (soft-margin penalty), tol (KKT
@@ -139,10 +139,7 @@ class GaussianKernelSVM(ScoringClassifierMixin, ParamsMixin):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
     def fit(self, X, y):
-        self._check_params()
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        classes, codes = encode_labels(y)
+        X, classes, codes = self._fit_inputs(X, y)
         if X.shape[0] >= 2 and np.all(X == X[0]):
             raise TrainingDegenerateError("all training vectors identical but labels differ")
         order = _canonical_order(X, codes)

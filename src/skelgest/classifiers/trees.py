@@ -10,7 +10,7 @@ exact same model anywhere.
 
 import numpy as np
 
-from ..base import ParamsMixin, ScoringClassifierMixin, check_feature_matrix, check_fitted, check_labels, encode_labels
+from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
 from ..errors import InvalidBootstrapError
 from ..rng import PortableRNG
 
@@ -98,7 +98,7 @@ def _best_split(X, y_idx, n_classes):
     return f, float(thr)
 
 
-class BaggedTreeEnsemble(ScoringClassifierMixin, ParamsMixin):
+class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
     """Majority vote over n_trees bootstrap-trained decision trees."""
 
     def __init__(self, n_trees=100, bootstrap_fraction=0.30, seed=0):
@@ -120,10 +120,7 @@ class BaggedTreeEnsemble(ScoringClassifierMixin, ParamsMixin):
             raise InvalidBootstrapError(self.bootstrap_fraction, n_samples)
 
     def fit(self, X, y):
-        X = check_feature_matrix(X)
-        y = check_labels(y, X.shape[0])
-        self._check_params(X.shape[0])
-        classes, y_idx = encode_labels(y)
+        X, classes, y_idx = self._fit_inputs(X, y)
         n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
         root = PortableRNG(self.seed)

@@ -26,6 +26,7 @@ from .skeleton import (
     format_floats,
     matrix_to_csv,
     parse_skeleton_stream,
+    read_ascii,
     read_skeleton_file,
     serialize_skeleton_stream,
 )
@@ -63,8 +64,8 @@ def _emit(text, out_path):
 
 def _read_lines(path):
     """(line number, stripped text) of each non-blank line of a text input file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return [(ln_no, ln.strip()) for ln_no, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = read_ascii(path).split("\n")  # splitlines() would also split at \v, \f, \x1c-\x1e
+    return [(ln_no, ln.strip()) for ln_no, ln in enumerate(lines, start=1) if ln.strip()]
 
 
 def _load_matrix(path):

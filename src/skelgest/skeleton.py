@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTokenError, EmptyStreamError, MalformedStreamError
+from .errors import BadTokenError, EmptyStreamError, InputFormatError, MalformedStreamError
 
 N_JOINTS = 20
 FLOATS_PER_FRAME = 3 * N_JOINTS
@@ -138,9 +138,17 @@ def serialize_skeleton_stream(seq):
     return "\n".join(lines) + "\n"
 
 
-def read_skeleton_file(path):
+def read_ascii(path):
+    """An ASCII file's text; non-ASCII is an InputFormatError naming the path."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_skeleton_stream(fh)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: {exc}") from None
+
+
+def read_skeleton_file(path):
+    return parse_skeleton_stream(read_ascii(path))
 
 
 def write_skeleton_file(path, seq):

@@ -440,6 +440,18 @@ class TestBadFeatureValues:
         assert main(["predict", "--model", str(model), "--features", str(features)]) == 2
         assert "holds no rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["svm", "edt", "knn"])
+    def test_frame_column_only_csv_has_no_features(self, tmp_path, capsys, model):
+        features = tmp_path / "f.csv"
+        features.write_text("frame\n0\n1\n2\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("left\nright\nleft\n")
+        out = tmp_path / "new.model"
+        argv = ["train", "--features", str(features), "--labels", str(labels), "--model", model]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "at least one column" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLineNumbers:
     """Every "line N" names the line as numbered in the file, blank lines counted."""
@@ -447,6 +459,8 @@ class TestLineNumbers:
     @pytest.mark.parametrize("text, where", [
         ("0.5,0.5\n\n\n0.1,nan\n", "line 4: non-finite value"),
         ("\nd1,d2\n\n0.5,0.5\n0.1,x\n", "line 5: non-numeric value"),
+        # \f and \v end no line
+        ("0.5,0.5\f\n0.5,0.5\v\n0.1,nan\n", "line 3: non-finite value"),
     ])
     def test_feature_matrix(self, tmp_path, capsys, text, where):
         model = tmp_path / "m.model"
@@ -472,7 +486,7 @@ class TestLineNumbers:
 
 
 class TestNonAsciiInput:
-    # UnicodeDecodeError is a ValueError, so main reports it as bad input
+    # every text reader names the file and keeps the codec's message
     @pytest.mark.parametrize("bad", ["skeleton-round-trip", "skeleton-extract", "skeleton-manifest",
                                      "model", "features"])
     def test_exits_2(self, bad, skeleton_file, tmp_path, capsys):
@@ -490,7 +504,8 @@ class TestNonAsciiInput:
             "skeleton-manifest": ["extract-features", "--manifest", str(manifest), "--mode", "single"],
         }.get(bad, ["predict", "--model", str(model), "--features", str(features)])
         assert main(argv) == 2
-        assert "ascii" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"skelgest: {target}: ") and "ascii" in err
 
 
 class TestMissingInputFile:

@@ -56,6 +56,10 @@ class TestBasics:
         with pytest.raises(TrainingDegenerateError):
             KNearestNeighbors(k=5).fit(np.zeros((3, 1)), ["a", "b", "c"])
 
+    def test_single_class_rejected(self):
+        with pytest.raises(TrainingDegenerateError):
+            KNearestNeighbors(k=1).fit(np.zeros((3, 2)), ["a", "a", "a"])
+
     def test_dimension_mismatch(self):
         model = KNearestNeighbors(k=1).fit(np.zeros((2, 3)), ["a", "b"])
         with pytest.raises(DimensionMismatchError):
@@ -84,6 +88,22 @@ class TestOracleAgreement:
             model = KNearestNeighbors(k=k).fit(X, y)
             queries = rng.uniform(-5.0, 15.0, size=(500, 2))
             got = model.predict(queries)
+            want = [oracle_knn(X.tolist(), y, q.tolist(), k) for q in queries]
+            assert got == want
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 5])
+    def test_tie_heavy_half_integer_grid(self, n_classes, offset):
+        # on a coarse grid many neighbors are equidistant and many labels tie
+        # on count and on summed distance, so every tie-break is used; at an
+        # offset of 1e8 the dot-product expansion cancels unless data are shifted
+        rng = np.random.default_rng(70 + n_classes)
+        X = rng.integers(0, 6, size=(24, 2)) / 2.0 + offset
+        y = [f"c{v}" for v in np.arange(24) % n_classes]
+        axis = np.arange(-1, 8) / 2.0
+        queries = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2) + offset
+        for k in (1, 3, 5, 7):
+            got = KNearestNeighbors(k=k).fit(X, y).predict(queries)
             want = [oracle_knn(X.tolist(), y, q.tolist(), k) for q in queries]
             assert got == want
 

@@ -138,7 +138,7 @@ def _knn_by_hand():
     model.classes_ = ["left", "right"]
     model.n_features_ = 2
     model.X_ = np.array([[-1.0, 0.1], [1.0, -0.25], [0.3, 3.0]])
-    model.y_ = ["left", "right", "right"]
+    model.y_ = np.array([0, 1, 1])
     return model
 
 
