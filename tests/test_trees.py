@@ -8,7 +8,7 @@ from skelgest.classifiers.trees import _best_split
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 
-from test_svm import THREE_BLOBS, blobs
+from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
 
 
 class IdentitySampled(BaggedTreeEnsemble):
@@ -300,11 +300,22 @@ PINNED_ENSEMBLES = [
         ),
         "2a8afdc7e801798ba3b4218253cd8c7071c995b8c49459323cf61f8f502de4d0",
     ),
+    # the default 100-tree ensemble at the benchmark's two workload shapes
+    (
+        ExperimentConfig(**PINNED_MACHINES[0][0], classifier="edt"),
+        "eea80a06bede69a88ca56556aff1a0457ad8aebc1949a94a7fd81988c9c34449",
+    ),
+    (
+        ExperimentConfig(**PINNED_MACHINES[1][0], classifier="edt"),
+        "2f4e5ce9516c89e987528f0bcb07ca825e6a553b6b8b8933de2ff8e3e1fea1e9",
+    ),
 ]
 
 
-@pytest.mark.parametrize("config, digest", PINNED_ENSEMBLES, ids=["single", "two_person"])
+@pytest.mark.parametrize("config, digest", PINNED_ENSEMBLES,
+                         ids=["single", "two_person", "paper-single", "interaction-wide"])
 def test_trained_ensemble_model_file_is_pinned(config, digest):
     train, _ = stratified_split(build_dataset(config), config.split_fraction, config.seed)
     model = make_classifier(config).fit(train.vectors, train.labels)
     assert hashlib.sha256(dumps_model(model).encode("ascii")).hexdigest() == digest
+
