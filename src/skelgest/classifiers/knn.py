@@ -10,8 +10,9 @@ class KNearestNeighbors(ClassifierMixin, ParamsMixin):
     """Majority label among the k nearest stored samples.
 
     k must be a positive odd integer (default 1) no larger than the training
-    set. Neighbor order is by squared Euclidean distance with ties at the
-    lower training index; label ties break by the smallest summed neighbor
+    set. Neighbor order is by Euclidean distance, the square root of the
+    squared feature differences added left to right, with ties at the lower
+    training index; label ties break by the smallest summed neighbor
     distance, then by label order.
     """
 
@@ -34,16 +35,26 @@ class KNearestNeighbors(ClassifierMixin, ParamsMixin):
         """Per class, minus its summed neighbor distance if it holds the most
         of the k nearest neighbors, else -inf: the argmax is the vote above."""
         check_fitted(self, "X_")
-        # shifting both by a stored row keeps the expansion from cancelling far from 0
-        X = check_feature_matrix(X, n_features=self.n_features_) - self.X_[0]
-        train = self.X_ - self.X_[0]
-        sq = np.einsum("ij,ij->i", X, X)[:, None] + np.einsum("ij,ij->i", train, train) - 2.0 * (X @ train.T)
-        np.maximum(sq, 0.0, out=sq)
-        near = np.argsort(sq, axis=1, kind="stable")[:, : self.k]
+        X = check_feature_matrix(X, n_features=self.n_features_)
+        # the dot-product expansion (shifted by a stored row, so it does not cancel
+        # far from 0) picks every row that may be as near as the k-th: the shift, the
+        # expansion and the exact measure round by less than (4d + 16) eps (|q|^2 + |t|^2)
+        q, train = X - self.X_[0], self.X_ - self.X_[0]
+        nq, nt = np.einsum("ij,ij->i", q, q)[:, None], np.einsum("ij,ij->i", train, train)
+        sq = nq + nt - 2.0 * (q @ train.T)
+        slack = (4 * X.shape[1] + 16) * np.finfo(np.float64).eps * (nq + nt)
+        kth = np.partition(sq + slack, self.k - 1, axis=1)[:, self.k - 1, None]
+        dist = np.full(sq.shape, np.inf)
+        for i, maybe in enumerate(sq - slack <= kth):
+            cand = np.flatnonzero(maybe)
+            diff = self.X_[cand] - X[i]
+            # cumsum adds the squared differences left to right
+            dist[i, cand] = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
+        near = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
         rows = np.arange(len(X))[:, None]
         counts = np.zeros((len(X), len(self.classes_)), dtype=np.int64)
-        dists = np.zeros(counts.shape)
+        summed = np.zeros(counts.shape)
         # add.at sums each row's neighbors in order, nearest first
         np.add.at(counts, (rows, self.y_[near]), 1)
-        np.add.at(dists, (rows, self.y_[near]), np.sqrt(sq[rows, near]))
-        return np.where(counts == counts.max(axis=1, keepdims=True), -dists, -np.inf)
+        np.add.at(summed, (rows, self.y_[near]), dist[rows, near])
+        return np.where(counts == counts.max(axis=1, keepdims=True), -summed, -np.inf)

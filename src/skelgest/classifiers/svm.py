@@ -29,25 +29,39 @@ _MAX_STEPS_PER_SAMPLE = 10_000
 _TAU = 1e-12
 
 
-def gaussian_kernel(X, Y, sigma=1.0):
-    """K(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for all row pairs.
+def squared_distances(X, Y=None):
+    """||x - y||^2 for every row x of X and y of Y; Y=None pairs X with itself.
 
-    Distances use the explicit difference form so bitwise-equal rows give
-    a squared distance of exactly 0 and K(x, x) of exactly 1; the dot
-    product expansion would leave cancellation residue on the diagonal.
-    One row of X at a time keeps the (m, d) difference cache-sized.
+    The explicit difference form gives bitwise-equal rows a distance of
+    exactly 0; the dot product expansion would leave cancellation residue.
+    One row of X at a time keeps the (m, d) difference cache-sized. With
+    Y=None row i measures only rows i.. and mirrors them into column i: the
+    result equals squared_distances(X, X) bit for bit, since x - y and
+    y - x square alike and einsum sums a pair the same way in any block.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
+    sym = Y is None
+    Y = X if sym else np.atleast_2d(np.asarray(Y, dtype=np.float64))
     sq = np.empty((X.shape[0], Y.shape[0]))
     for i, x in enumerate(X):
-        diff = Y - x
-        sq[i] = np.einsum("jk,jk->j", diff, diff)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+        lo = i if sym else 0
+        diff = Y[lo:] - x
+        sq[i, lo:] = np.einsum("jk,jk->j", diff, diff)
+        if sym:
+            sq[lo:, i] = sq[i, lo:]
+    return sq
+
+
+def gaussian_kernel(X, Y=None, sigma=1.0):
+    """K(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for all row pairs; Y=None pairs X with itself."""
+    return np.exp(-squared_distances(X, Y) / (2.0 * sigma * sigma))
 
 
 def _canonical_order(X, y):
     """Indices sorting rows lexicographically by features, then label."""
+    order = np.argsort(X[:, 0], kind="stable")
+    if np.all(np.diff(X[order, 0]) > 0.0):  # distinct first features decide alone
+        return order
     keys = [np.asarray(y)] + [X[:, c] for c in range(X.shape[1] - 1, -1, -1)]
     return np.lexsort(keys)
 
@@ -146,7 +160,7 @@ class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
         self.classes_ = classes
         self.X_ = X[order]
         Y = np.where(codes[order] == np.arange(len(classes))[:, None], 1.0, -1.0)
-        alpha, self.bias_ = _smo(gaussian_kernel(self.X_, self.X_, self.sigma), Y, self.C, self.tol)
+        alpha, self.bias_ = _smo(gaussian_kernel(self.X_, sigma=self.sigma), Y, self.C, self.tol)
         self.dual_coef_ = alpha * Y
         self.n_features_ = X.shape[1]
         return self

@@ -236,9 +236,13 @@ def chi2_sf(x, df):
     """P(X > x) for X chi-squared with whole df: the regularized upper
     incomplete gamma Q(df/2, x/2) by Q(a + 1, z) = Q(a, z) + z^a e^-z / Gamma(a + 1)
     from Q(1, z) = e^-z or Q(1/2, z) = erfc(sqrt z) (Abramowitz & Stegun 6.5)."""
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"df must be a whole number >= 1, got {df}")
     z = x / 2.0
     if z <= 0.0:
         return 1.0
+    if z == math.inf:  # z^a e^-z would be inf * 0
+        return 0.0
     a, q = (1.0, math.exp(-z)) if df % 2 == 0 else (0.5, math.erfc(math.sqrt(z)))
     while a < df / 2.0:
         q += math.exp(a * math.log(z) - z - math.lgamma(a + 1.0))
@@ -248,6 +252,8 @@ def chi2_sf(x, df):
 
 def chi2_isf(p, df):
     """The x with chi2_sf(x, df) = p, by bisection."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
     lo, hi = 0.0, float(df)
     while chi2_sf(hi, df) > p:
         lo, hi = hi, 2.0 * hi
@@ -277,6 +283,8 @@ def friedman(ranks):
     rounded to the three decimals of the printed tables; p_value is P(X > chi2).
     """
     ranks = np.asarray(ranks, dtype=np.float64)
+    if ranks.ndim != 2 or ranks.shape[0] < 2 or ranks.shape[1] < 1:
+        raise ValueError(f"need a (C, D) rank matrix with C >= 2 and D >= 1, got {ranks.shape}")
     c, d = ranks.shape
     avg = ranks.mean(axis=1)
     chi2 = 12.0 * d / (c * (c + 1)) * (float(np.sum(avg**2)) - c * (c + 1) ** 2 / 4.0)

@@ -254,6 +254,7 @@ class TestFriedman:
             for x in [0.01, 0.5, df / 2.0, df - 0.5, df + 2.0, 2.0 * df + 5.0]:
                 assert chi2_sf(x, df) == pytest.approx(series_chi2_sf(x, df), abs=1e-12)
             assert chi2_sf(0.0, df) == 1.0
+            assert chi2_sf(math.inf, df) == 0.0
             assert chi2_sf(chi2_isf(0.05, df), df) == pytest.approx(0.05, rel=1e-12)
 
     @pytest.mark.parametrize("c", [12, 30])
@@ -275,6 +276,24 @@ class TestFriedman:
         # chi2 = 8.2 at df 3, just past the 5% point 7.815
         assert result.p_value == pytest.approx(series_chi2_sf(8.2, 3), abs=1e-12)
         assert 0.04 < result.p_value < 0.05
+
+    @pytest.mark.parametrize("p, df", [(0.05, 0), (0.05, -1), (0.05, 1.5), (0.05, float("inf")),
+                                       (0.05, float("nan")), (0.0, 2), (1.0, 2), (-0.1, 2),
+                                       (float("nan"), 2)])
+    def test_chi2_isf_rejects_values_outside_its_domain(self, p, df):
+        # unchecked, df 0 loops forever and p 0 gives a finite point (1490.27)
+        with pytest.raises(ValueError):
+            chi2_isf(p, df)
+
+    @pytest.mark.parametrize("df", [0, 2.5, float("inf")])
+    def test_chi2_sf_rejects_df_that_is_not_whole_and_positive(self, df):
+        with pytest.raises(ValueError, match="df"):
+            chi2_sf(3.0, df)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 0), (3,), (2, 2, 2), (0, 0)])
+    def test_rejects_rank_matrix_without_two_algorithms_and_a_dataset(self, shape):
+        with pytest.raises(ValueError, match="rank matrix"):
+            friedman(np.ones(shape))
 
     def test_table_rendering(self):
         ranks = np.array(FOUR_ALGO_RANKS, dtype=float)

@@ -13,20 +13,33 @@ from skelgest.harness import ExperimentConfig, build_dataset, stratified_split
 from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
 
 
-def oracle_knn(X_train, y_train, x, k):
-    """Exhaustive scan in plain python with the documented tie-breaks."""
+def oracle_ranked(X_train, x):
+    """(distance, index) of every training row, nearest first. Each squared
+    distance is added left to right: sum() compensates from Python 3.12 on."""
     dists = []
     for i, row in enumerate(X_train):
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(row, x)))
-        dists.append((d, i))
-    dists.sort(key=lambda t: (t[0], t[1]))
-    nearest = dists[:k]
+        sq = 0.0
+        for a, b in zip(row, x):
+            sq += (a - b) ** 2
+        dists.append((math.sqrt(sq), i))
+    return sorted(dists)
+
+
+def oracle_vote(ranked, y_train, k):
+    """Majority label of the first k ranked rows with the documented tie-breaks."""
+    nearest = ranked[:k]
     counts = Counter(y_train[i] for _, i in nearest)
     best = max(counts.values())
-    tied = [lab for lab, c in counts.items() if c == best]
-    total = {lab: sum(d for d, i in nearest if y_train[i] == lab) for lab in tied}
-    tied.sort(key=lambda lab: (total[lab], lab))
-    return tied[0]
+    total = dict.fromkeys((lab for lab, c in counts.items() if c == best), 0.0)
+    for d, i in nearest:
+        if y_train[i] in total:
+            total[y_train[i]] += d
+    return min(total, key=lambda lab: (total[lab], lab))
+
+
+def oracle_knn(X_train, y_train, x, k):
+    """Exhaustive scan in plain python with the documented tie-breaks."""
+    return oracle_vote(oracle_ranked(X_train, x), y_train, k)
 
 
 class TestBasics:
@@ -106,6 +119,19 @@ class TestOracleAgreement:
             got = KNearestNeighbors(k=k).fit(X, y).predict(queries)
             want = [oracle_knn(X.tolist(), y, q.tolist(), k) for q in queries]
             assert got == want
+
+    @pytest.mark.parametrize("fields", [m[0] for m in PINNED_MACHINES], ids=["paper-single", "interaction-wide"])
+    def test_midpoints_of_consecutive_training_rows(self, fields):
+        # a midpoint is about equidistant from two rows, so the last bits of
+        # the two distances decide which is nearer
+        config = ExperimentConfig(**fields)
+        train, _ = stratified_split(build_dataset(config), config.split_fraction, config.seed)
+        X, y = train.vectors, train.labels
+        queries = (X[:-1] + X[1:]) / 2.0
+        ranked = [oracle_ranked(X.tolist(), q) for q in queries.tolist()]
+        for k in (1, 3, 5):
+            got = KNearestNeighbors(k=k).fit(X, y).predict(queries)
+            assert got == [oracle_vote(r, y, k) for r in ranked]
 
     def test_label_permutation_equivariance(self):
         rng = np.random.default_rng(62)

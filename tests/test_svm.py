@@ -5,6 +5,7 @@ import pytest
 
 from skelgest.classifiers import GaussianKernelSVM, gaussian_kernel
 from skelgest.classifiers.model_io import dumps_model
+from skelgest.classifiers.svm import _canonical_order, squared_distances
 from skelgest.errors import DimensionMismatchError, TrainingDegenerateError
 from skelgest.harness import INTERACTION_TEMPLATES, ExperimentConfig, build_dataset, stratified_split
 from skelgest.rng import PortableRNG
@@ -41,11 +42,46 @@ class TestKernel:
         np.testing.assert_allclose(K, K.T, atol=1e-15)
         assert (K > 0.0).all() and (K <= 1.0).all()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetric_form_equals_the_full_matrix(self, seed):
+        # upper triangle mirrored: the same bits as every pair measured both ways
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 1200))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4) + 10.0 ** rng.integers(0, 9)
+        assert np.array_equal(squared_distances(X), squared_distances(X, X))
+        assert np.array_equal(gaussian_kernel(X, sigma=2.0), gaussian_kernel(X, X, 2.0))
+
     def test_width_parameter(self):
         x = np.array([[0.0]])
         y = np.array([[2.0]])
         assert gaussian_kernel(x, y, sigma=1.0)[0, 0] == pytest.approx(np.exp(-2.0))
         assert gaussian_kernel(x, y, sigma=2.0)[0, 0] == pytest.approx(np.exp(-0.5))
+
+
+def full_lexsort(X, y):
+    return np.lexsort([np.asarray(y)] + [X[:, c] for c in range(X.shape[1] - 1, -1, -1)])
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distinct_first_column(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, 5))
+        y = rng.integers(0, 3, 30)
+        assert np.array_equal(_canonical_order(X, y), full_lexsort(X, y))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_rows(self, seed):
+        # first-column ties, 0.0 against -0.0, and repeated rows with other labels
+        rng = np.random.default_rng(seed)
+        X = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(40, 3))
+        X[20:] = X[:20]
+        y = rng.integers(0, 3, 40)
+        assert np.array_equal(_canonical_order(X, y), full_lexsort(X, y))
+
+    def test_signed_zeros_alone_in_the_first_column(self):
+        X = np.array([[0.0, 2.0], [-0.0, 1.0], [1.0, 0.0]])
+        assert _canonical_order(X, np.zeros(3, dtype=np.int64)).tolist() == [1, 0, 2]
 
 
 class TestFit:
