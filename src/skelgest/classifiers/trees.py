@@ -65,25 +65,43 @@ class DecisionTree:
         return self.label[node]
 
 
+def _running(a):
+    """Prefix sums down axis 0, in place: a row at a time (a fixed cost per row)
+    on arrays at least ten times wider than tall, else np.cumsum (per element)."""
+    if 10 * len(a) > a.shape[1]:
+        return np.cumsum(a, axis=0, out=a)
+    for prev, row in zip(a, a[1:]):
+        row += prev
+    return a
+
+
 def _best_split(X, y_idx, n_classes):
     """(feature, threshold) minimizing weighted Gini, or None if unsplittable.
 
-    Left class counts are one cumsum per class present; the right side's
+    Left class counts share int64 words: a field of bits = n.bit_length() per
+    class, 63 // bits classes per word, so one prefix sum counts all of a
+    word's classes. A row's own field is its rank, the rows of its class at
+    or before it, and it raises Σ l_k² by 2·rank − 1. The right side's
     Σ (t_k - l_k)² is Σ t_k² - 2 Σ t_k l_k + Σ l_k², all exact integers.
     Tied rows may sort in any order: only cuts between two distinct values
     count, and the class counts there do not depend on the order of ties."""
     n, d = X.shape
     order = np.argsort(X, axis=0)  # (n, d)
-    sx = np.take_along_axis(X, order, axis=0)
-    ys = y_idx[order[:-1]]  # labels left of each cut: cut i follows sorted row i
+    sx = np.take(X, order * d + np.arange(d))  # each column sorted
+    left = order[:-1]  # rows left of each cut: cut i follows sorted row i
     total = np.bincount(y_idx, minlength=n_classes)  # (K,)
-    count = np.int32 if 2 * n * n < 2**31 else np.int64  # 2·n² bounds Σ t² and 2 Σ t·l
-    sq_left = np.zeros((n - 1, d), dtype=count)  # Σ_k left_k²
-    for k in np.flatnonzero(total):
-        lk = np.cumsum(ys == k, axis=0, dtype=count)  # (n-1, d)
-        lk *= lk
-        sq_left += lk
-    cross = np.cumsum(total[ys], axis=0, dtype=count)  # Σ_k total_k · left_k
+    bits = n.bit_length()
+    word, field = np.divmod(np.arange(n_classes), 63 // bits)
+    rank = np.zeros((n - 1, d), dtype=np.int64)
+    for w in range(word[-1] + 1):
+        packed = _running(np.where(word == w, 1 << bits * field, 0)[y_idx][left])
+        packed >>= np.where(word == w, bits * field, 63)[y_idx][left]  # other words read 0
+        packed &= (1 << bits) - 1
+        rank += packed
+    rank *= 2
+    rank -= 1
+    sq_left = _running(rank)  # Σ_k left_k²
+    cross = _running(total[y_idx][left])  # Σ_k total_k · left_k
     sq_total = int(total @ total)
     nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl

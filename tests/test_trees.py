@@ -117,6 +117,29 @@ def balanced_node(rng):
     return np.hstack([X, np.full_like(X, 2.0)]), y_idx, 3
 
 
+def wide_node(rng):
+    """A tie-heavy node at least ten times wider than tall, so its prefix sums
+    run a row at a time; from 16 rows on, 13 or more classes need two count
+    words (11 or more from 32 rows on)."""
+    n = int(rng.integers(2, 41))
+    d = int(rng.integers(10 * (n - 1), 12 * (n - 1) + 1))
+    n_classes = int(rng.integers(2, 17))
+    X = rng.integers(0, int(rng.integers(1, 5)), size=(n, d)) * 0.25
+    y_idx = rng.integers(0, n_classes, size=n)
+    return X, y_idx, n_classes
+
+
+def many_class_node(rng):
+    """A tall, tie-heavy node with more classes than one count word holds;
+    sometimes only some classes are present, so whole words can be empty."""
+    n = int(rng.integers(64, 201))
+    d = int(rng.integers(1, 4))
+    n_classes = int(rng.integers(10, 61))
+    X = rng.integers(0, int(rng.integers(2, 12)), size=(n, d)) * 0.5
+    present = rng.choice(n_classes, size=int(rng.integers(2, n_classes + 1)), replace=False)
+    return X, rng.choice(present, size=n), n_classes
+
+
 class TestBestSplitOracle:
     def test_matches_plain_python_reference(self):
         rng = np.random.default_rng(60)
@@ -156,6 +179,27 @@ class TestBestSplitOracle:
             for _ in range(3):
                 p = rng.permutation(len(y_idx))
                 assert _best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+
+    def test_row_at_a_time_and_multi_word_paths_match_reference(self):
+        # the prefix sums go a row at a time when 10 (n - 1) <= d; a count
+        # word holds 63 // n.bit_length() classes
+        rng = np.random.default_rng(65)
+        seen = {"row loop, n > 4": 0, "row loop, 2+ words": 0, "2+ words": 0, "split": 0, "none": 0}
+        for make, count in ((wide_node, 80), (many_class_node, 60)):
+            for _ in range(count):
+                X, y_idx, n_classes = make(rng)
+                n, d = X.shape
+                expected = reference_split(X.tolist(), y_idx.tolist(), n_classes)
+                assert _best_split(X, y_idx, n_classes) == expected, (X, y_idx)
+                for _ in range(3):
+                    p = rng.permutation(n)
+                    assert _best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+                words = n_classes > 63 // n.bit_length()
+                seen["row loop, n > 4"] += 10 * (n - 1) <= d and n > 4
+                seen["row loop, 2+ words"] += 10 * (n - 1) <= d and words
+                seen["2+ words"] += words
+                seen["split" if expected else "none"] += 1
+        assert min(seen.values()) >= 10, seen
 
     @pytest.mark.parametrize("n", [32767, 32768], ids=["int32-counts", "int64-counts"])
     def test_largest_counts_match_reference(self, n):
