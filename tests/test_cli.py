@@ -229,6 +229,39 @@ class TestTrainPredictEvaluate:
         params = {"seed": 0} if kind == "edt" else {}  # train's seed when none is given
         assert model.read_text() == dumps_model(CLASSIFIERS[kind](**params).fit(X, y))
 
+    @pytest.mark.parametrize("kind, flags, params", [
+        ("svm", ["--sigma", "2", "--cost", "3", "--tol", "1e-4"], dict(sigma=2.0, C=3.0, tol=1e-4)),
+        ("edt", ["--trees", "3", "--bootstrap-fraction", "0.5", "--seed", "5"],
+         dict(n_trees=3, bootstrap_fraction=0.5, seed=5)),
+        ("knn", ["--k", "3"], dict(k=3)),
+    ])
+    def test_train_flags_set_constructor_parameters(self, tmp_path, kind, flags, params):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(94))
+        model = tmp_path / "m.model"
+        assert main(["train", "--features", str(features), "--labels", str(labels),
+                     "--model", kind, "--out", str(model), *flags]) == 0
+        X = np.loadtxt(features, delimiter=",")
+        y = [ln.split(",")[-1] for ln in labels.read_text().splitlines()]
+        assert model.read_bytes() == dumps_model(CLASSIFIERS[kind](**params).fit(X, y)).encode()
+
+    @pytest.mark.parametrize("kind, flags", [("svm", ["--k", "3"]), ("knn", ["--sigma", "2"])])
+    def test_train_ignores_another_models_flag(self, tmp_path, kind, flags):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(94))
+        plain, flagged = tmp_path / "plain.model", tmp_path / "flagged.model"
+        for out, extra in ((plain, []), (flagged, flags)):
+            assert main(["train", "--features", str(features), "--labels", str(labels),
+                         "--model", kind, "--out", str(out), *extra]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_bad_seed_env_var_exits_2_for_every_model(self, tmp_path, monkeypatch, capsys):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(94))
+        monkeypatch.setenv("SKELGEST_SEED", "seven")
+        model = tmp_path / "m.model"
+        assert main(["train", "--features", str(features), "--labels", str(labels),
+                     "--model", "svm", "--out", str(model)]) == 2
+        assert "SKELGEST_SEED" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_train_single_class_exits_3(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         labels = tmp_path / "l.csv"

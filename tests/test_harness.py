@@ -16,10 +16,12 @@ from skelgest.harness import (
     build_dataset,
     export_dataset,
     generate_sequence,
+    make_classifier,
     make_sequences,
     run_experiment,
     stratified_split,
 )
+from skelgest.harness.experiment import CLASSIFIERS
 from skelgest.harness.synthesis import generate_block
 from skelgest.harness.templates import BASE_POSE, DEPTH_RANGE, get_template
 
@@ -257,6 +259,18 @@ class TestRunExperiment:
                                frames=8, seed=13, classifier="edt", params={"n_trees": 5})
         report = run_experiment(cfg)
         assert report.matrix.total == 2  # 20% of 8
+
+    # expected: the parameters that differ from the constructor's defaults
+    @pytest.mark.parametrize("kind, params, expected", [
+        ("edt", {}, {"seed": 13}),
+        ("edt", {"seed": 4}, {"seed": 4}),
+        ("svm", {}, {}),
+        ("knn", {"k": 3}, {"k": 3}),
+    ])
+    def test_make_classifier_seeds_only_a_seeded_model(self, kind, params, expected):
+        model = make_classifier(ExperimentConfig(seed=13, classifier=kind, params=params))
+        assert type(model) is CLASSIFIERS[kind]
+        assert model.get_params() == {**CLASSIFIERS[kind]().get_params(), **expected}
 
 
 class TestExportDataset:
