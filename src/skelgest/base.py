@@ -16,21 +16,21 @@ class ParamsMixin:
     """get_params/set_params over the keyword arguments of __init__."""
 
     @classmethod
-    def _param_names(cls):
+    def _defaults(cls):
+        """Each keyword parameter of __init__ and its default, in signature order."""
         sig = inspect.signature(cls.__init__)
-        return [
-            name
+        return {
+            name: p.default
             for name, p in sig.parameters.items()
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        }
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in self._defaults()}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in self._defaults():
                 raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
@@ -107,14 +107,14 @@ def check_feature_matrix(X, n_features=None, name="X"):
 
 def check_labels(y, n_samples):
     """Labels as a list of strings, one per sample. Each must be a single
-    token, without whitespace or commas, so it survives the text formats
-    used for manifests and model files."""
+    ASCII token, without whitespace or commas, so it survives the text
+    formats used for manifests and model files."""
     y = [str(v) for v in y]
     if len(y) != n_samples:
         raise ValueError(f"{len(y)} labels for {n_samples} samples")
     for lab in dict.fromkeys(y):
-        if not lab or "," in lab or any(ch.isspace() for ch in lab):
-            raise ValueError(f"label {lab!r} must be a single comma-free token")
+        if not lab or not lab.isascii() or "," in lab or any(ch.isspace() for ch in lab):
+            raise ValueError(f"label {lab!r} must be a single comma-free token of ASCII characters")
     return y
 
 

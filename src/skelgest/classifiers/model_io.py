@@ -12,18 +12,23 @@ Layout (one record per line, whitespace separated):
     <n_nodes lines of: feature threshold left right label>
     end
 
-Floats are written with repr, so a save/load round trip reproduces bit-equal
+The scalar records are the kind's constructor parameters in signature order,
+each read as the type of its default, then the fitted n_features. Floats
+are written with repr, so a save/load round trip reproduces bit-equal
 predictions. The trailing `end` sentinel turns truncation into a
 ModelFormatError instead of a silently shorter model.
 """
 
 import numpy as np
 
+from ..base import check_labels
 from ..errors import ComputationError, ModelFormatError
 from ..skeleton import format_floats, read_ascii
 from .knn import KNearestNeighbors
 from .svm import GaussianKernelSVM
 from .trees import BaggedTreeEnsemble, DecisionTree
+
+CLASSIFIERS = {"svm": GaussianKernelSVM, "edt": BaggedTreeEnsemble, "knn": KNearestNeighbors}
 
 _MAGIC = "skelgest-model"
 _VERSION = "v1"
@@ -179,44 +184,28 @@ def _checked_tree(t, nodes, n_features, n_classes):
     return tree
 
 
-# Each kind's records after the labels record, in file order. Scalars are
-# (name, type): the constructor parameters, then the fitted n_features_
-# (the file drops a fitted attribute's trailing "_"). Fields are (record
+# Each kind's fitted records after its scalars, in file order: (record
 # name, attribute, codec).
-_KINDS = {
-    "svm": (
-        GaussianKernelSVM,
-        [("sigma", float), ("C", float), ("tol", float), ("n_features_", int)],
-        [
-            ("X", "X_", _Floats("nd")),
-            ("dual_coef", "dual_coef_", _Floats("Kn")),
-            ("bias", "bias_", _Floats("1K")),
-        ],
-    ),
-    "edt": (
-        BaggedTreeEnsemble,
-        [("n_trees", int), ("bootstrap_fraction", float), ("seed", int), ("n_features_", int)],
-        [("tree", "trees_", _Trees())],
-    ),
-    "knn": (
-        KNearestNeighbors,
-        [("k", int), ("n_features_", int)],
-        [("X", "X_", _Floats("nd")), ("y_idx", "y_", _LabelIndices())],
-    ),
+_FIELDS = {
+    "svm": [
+        ("X", "X_", _Floats("nd")),
+        ("dual_coef", "dual_coef_", _Floats("Kn")),
+        ("bias", "bias_", _Floats("1K")),
+    ],
+    "edt": [("tree", "trees_", _Trees())],
+    "knn": [("X", "X_", _Floats("nd")), ("y_idx", "y_", _LabelIndices())],
 }
 
 
 def dumps_model(model):
-    for kind, (cls, scalars, fields) in _KINDS.items():
-        if isinstance(model, cls):
-            break
-    else:
+    kind = next((kind for kind, cls in CLASSIFIERS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     lines = [f"{_MAGIC} {_VERSION}", f"kind {kind}"]
     lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
-    for name, _ in scalars:
-        lines.append(f"scalar {name.rstrip('_')} {getattr(model, name)}")
-    for name, attr, codec in fields:
+    lines += [f"scalar {name} {getattr(model, name)}" for name in CLASSIFIERS[kind]._defaults()]
+    lines.append(f"scalar n_features {model.n_features_}")
+    for name, attr, codec in _FIELDS[kind]:
         lines += codec.dump(name, getattr(model, attr))
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -230,9 +219,8 @@ def loads_model(text):
     if header[1:] != [_VERSION]:
         raise ModelFormatError(f"unsupported model version {header[1:]}")
     kind = _expect(lines, "kind", 2)[1]
-    if kind not in _KINDS:
+    if kind not in CLASSIFIERS:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    cls, scalars, fields = _KINDS[kind]
     labels = _expect(lines, "labels")
     classes = labels[2:]
     n_labels = _parse(labels[1], int, "label count") if len(labels) > 1 else None
@@ -240,13 +228,18 @@ def loads_model(text):
         raise ModelFormatError(f"labels record lists {len(classes)} labels, declared {n_labels}")
     if len(set(classes)) != n_labels:
         raise ModelFormatError(f"labels record repeats a label: {' '.join(classes)}")
+    try:
+        check_labels(classes, n_labels)
+    except ValueError as exc:
+        raise ModelFormatError(f"bad labels record: {exc}") from None
 
-    values = {name: _read_scalar(lines, name.rstrip("_"), cast) for name, cast in scalars}
-    model = cls(**{name: v for name, v in values.items() if not name.endswith("_")})
+    cls = CLASSIFIERS[kind]
+    model = cls(**{name: _read_scalar(lines, name, type(default))
+                   for name, default in cls._defaults().items()})
     model.classes_ = classes
-    model.n_features_ = values["n_features_"]
+    model.n_features_ = _read_scalar(lines, "n_features", int)
     sizes = {"1": 1, "K": n_labels, "d": model.n_features_}
-    for name, attr, codec in fields:
+    for name, attr, codec in _FIELDS[kind]:
         setattr(model, attr, codec.load(lines, name, model, sizes))
     try:
         model._check_params(sizes.get("n"))  # an edt file stores no training rows
@@ -259,8 +252,9 @@ def loads_model(text):
 
 
 def save_model(model, path):
+    text = dumps_model(model)  # before opening, so a model it cannot write leaves path as it was
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_model(model))
+        fh.write(text)
 
 
 def load_model(path):

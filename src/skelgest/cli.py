@@ -16,11 +16,10 @@ import numpy as np
 
 from . import evaluation
 from .base import feature_matrix
-from .classifiers import load_model, save_model
+from .classifiers import CLASSIFIERS, load_model, save_model
 from .errors import ComputationError, InputFormatError
 from .features import FEATURE_MODULES
 from .harness import ExperimentConfig, export_dataset
-from .harness.experiment import CLASSIFIERS
 from .harness.templates import BENCHMARK_CLASSES
 from .skeleton import (
     format_floats,
@@ -155,15 +154,11 @@ def _load_labeled(args):
 
 def cmd_train(args):
     X, y = _load_labeled(args)
-    seed = args.seed if args.seed is not None else _default_seed(0)
-    flags = {
-        "svm": dict(sigma=args.sigma, C=args.cost, tol=args.tol),
-        "edt": dict(n_trees=args.trees, bootstrap_fraction=args.bootstrap_fraction, seed=seed),
-        "knn": dict(k=args.k),
-    }[args.model]
-    # a flag left out keeps the constructor's default
-    params = {name: value for name, value in flags.items() if value is not None}
-    model = CLASSIFIERS[args.model](**params).fit(X, y)
+    flags = dict(vars(args), seed=args.seed if args.seed is not None else _default_seed(0))
+    cls = CLASSIFIERS[args.model]
+    # a flag left out keeps the constructor's default; another model's flags are ignored
+    params = {name: flags[name] for name in cls._defaults() if flags.get(name) is not None}
+    model = cls(**params).fit(X, y)
     accuracy = model.score(X, y)
     save_model(model, args.out)
     print(f"training accuracy: {accuracy:.4f}")
@@ -268,9 +263,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sigma", type=float, help="svm kernel width")
-    p.add_argument("--cost", type=float, help="svm soft-margin penalty")
+    p.add_argument("--cost", dest="C", type=float, help="svm soft-margin penalty")
     p.add_argument("--tol", type=float, help="svm KKT tolerance")
-    p.add_argument("--trees", type=int, help="edt ensemble size")
+    p.add_argument("--trees", dest="n_trees", type=int, help="edt ensemble size")
     p.add_argument("--bootstrap-fraction", type=float)
     p.add_argument("--k", type=int, help="knn neighbor count (odd)")
     p.set_defaults(func=cmd_train)

@@ -10,16 +10,11 @@ deterministic summary.
 import time
 from dataclasses import dataclass, field
 
-from ..classifiers import BaggedTreeEnsemble, GaussianKernelSVM, KNearestNeighbors
+from ..base import check_labels
+from ..classifiers import CLASSIFIERS
 from ..evaluation import evaluate
 from .synthesis import FEATURE_KINDS, build_dataset, check_noise_std, stratified_split
 from .templates import BENCHMARK_CLASSES, INTERACTION_TEMPLATES, SINGLE_PERSON_TEMPLATES
-
-CLASSIFIERS = {
-    "svm": GaussianKernelSVM,
-    "edt": BaggedTreeEnsemble,
-    "knn": KNearestNeighbors,
-}
 
 
 @dataclass
@@ -39,6 +34,7 @@ class ExperimentConfig:
         self.classes = tuple(self.classes)
         if not self.classes:
             raise ValueError("config needs at least one class")
+        check_labels(self.classes, len(self.classes))  # class names become manifest labels
         repeated = sorted({name for name in self.classes if self.classes.count(name) > 1})
         if repeated:
             raise ValueError(f"class(es) named more than once: {', '.join(map(repr, repeated))}")
@@ -61,10 +57,11 @@ class ExperimentConfig:
 
 
 def make_classifier(config):
-    params = dict(config.params)
-    if config.classifier == "edt":
-        params.setdefault("seed", config.seed)
-    return CLASSIFIERS[config.classifier](**params)
+    """The config's classifier; one with a seed parameter gets config.seed
+    unless config.params sets it."""
+    cls = CLASSIFIERS[config.classifier]
+    seed = {"seed": config.seed} if "seed" in cls._defaults() else {}
+    return cls(**{**seed, **config.params})
 
 
 def run_experiment(config):

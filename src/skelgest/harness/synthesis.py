@@ -81,13 +81,10 @@ def make_sequences(config):
     return sequences, labels
 
 
-def build_dataset(config, feature_kind=None):
+def build_dataset(config):
     """Generate and featurize the samples a class at a time, flattened
     into a LabeledDataset."""
-    kind = feature_kind or config.feature_kind
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"feature_kind must be one of {sorted(FEATURE_KINDS)}, got {kind!r}")
-    featurize = FEATURE_KINDS[kind]
+    featurize = FEATURE_KINDS[config.feature_kind]
     vectors, labels = [], []
     for name, block in _class_blocks(config):
         vectors.append(featurize(block).reshape(len(block), -1))

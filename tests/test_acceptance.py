@@ -141,11 +141,11 @@ def test_criterion_4_dimensional_claims():
 
     all_classes = tuple(sorted(SINGLE_PERSON_TEMPLATES))
     cfg_single = ExperimentConfig(classes=all_classes, samples_per_class=15,
-                                  frames=90, noise_std=0.0)
-    data_single = build_dataset(cfg_single, "single")
+                                  frames=90, noise_std=0.0, feature_kind="single")
+    data_single = build_dataset(cfg_single)
     cfg_two = ExperimentConfig(classes=all_classes, samples_per_class=30,
-                               frames=90, noise_std=0.0)
-    data_two = build_dataset(cfg_two, "two_person")
+                               frames=90, noise_std=0.0, feature_kind="two_person")
+    data_two = build_dataset(cfg_two)
     elapsed = time.perf_counter() - t0
 
     ok = (

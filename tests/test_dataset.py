@@ -40,7 +40,7 @@ class TestLabeledDataset:
         assert sub.vectors.tolist() == [[0.0, 1.0], [6.0, 7.0]]
 
 
-@pytest.mark.parametrize("bad", ["has space", ""])
+@pytest.mark.parametrize("bad", ["has space", "", "caf\u00e9"])
 @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
 def test_fit_rejects_a_label_that_is_not_one_token(kind, bad):
     X = np.arange(8.0).reshape(4, 2)

@@ -114,14 +114,15 @@ class TestBuildDataset:
     def test_paper_scale_single(self):
         cfg = ExperimentConfig(
             classes=tuple(sorted(SINGLE_PERSON_TEMPLATES)), samples_per_class=2,
-            frames=9, noise_std=0.0,
+            frames=9, noise_std=0.0, feature_kind="single",
         )
-        data = build_dataset(cfg, "single")
+        data = build_dataset(cfg)
         assert data.vectors.shape == (40, 54)
 
     def test_feature_kind_two_person(self):
-        cfg = ExperimentConfig(classes=("waving", "clap"), samples_per_class=2, frames=5)
-        data = build_dataset(cfg, "two_person")
+        cfg = ExperimentConfig(classes=("waving", "clap"), samples_per_class=2, frames=5,
+                               feature_kind="two_person")
+        data = build_dataset(cfg)
         assert data.vectors.shape == (4, 60)
         assert data.label_set == ("waving", "clap")
 
@@ -142,9 +143,8 @@ class TestBuildDataset:
             GaussianKernelSVM().fit(data.vectors, data.labels)
 
     def test_unknown_feature_kind(self):
-        cfg = ExperimentConfig(classes=("waving",), samples_per_class=1, frames=2)
-        with pytest.raises(ValueError):
-            build_dataset(cfg, "volumetric")
+        with pytest.raises(ValueError, match="feature_kind"):
+            ExperimentConfig(classes=("waving",), samples_per_class=1, frames=2, feature_kind="volumetric")
 
 
 # SHA-256 of build_dataset(config).vectors and of the stacked make_sequences
@@ -304,6 +304,11 @@ class TestConfigValidation:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError, match="'nosuch'"):
             ExperimentConfig(classes=("waving", "nosuch"))
+
+    @pytest.mark.parametrize("name", ["has space", "caf\u00e9"])
+    def test_class_name_that_is_not_one_token_rejected(self, name):
+        with pytest.raises(ValueError, match="single comma-free token"):
+            ExperimentConfig(classes=("waving", name), templates={name: static_template()})
 
     def test_template_override_names_a_class(self):
         cfg = ExperimentConfig(classes=("static",), templates={"static": static_template()})

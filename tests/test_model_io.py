@@ -50,6 +50,13 @@ class TestRoundTrip:
         save_model(model, path)
         assert load_model(path).predict(probe) == model.predict(probe)
 
+    def test_model_that_cannot_be_written_leaves_the_file(self, tmp_path):
+        path = tmp_path / "old.model"
+        path.write_text("old model\n")
+        with pytest.raises(AttributeError):
+            save_model(GaussianKernelSVM(), path)  # not fitted
+        assert path.read_text() == "old model\n"
+
     def test_text_round_trip_is_stable(self, training):
         X, y, _ = training
         model = KNearestNeighbors(k=1).fit(X, y)
@@ -248,6 +255,8 @@ class TestStructureChecks:
             (GOLDEN_EDT, "0 0.5 1 2 -1", "0 inf 1 2 -1", "tree 0: a threshold is not finite"),
             (GOLDEN_SVM, "labels 2 left right", "labels 2 left left", "repeats a label"),
             (GOLDEN_KNN, "labels 2 left right", "labels 2 right right", "repeats a label"),
+            (GOLDEN_SVM, "labels 2 left right", "labels 2 a,b right", "single comma-free token"),
+            (GOLDEN_KNN, "labels 2 left right", "labels 2 left caf\u00e9", "single comma-free token"),
         ],
         ids=[
             "self-loop", "child-past-end", "leaf-with-child", "feature-past-n_features",
@@ -257,6 +266,7 @@ class TestStructureChecks:
             "negative-array-rows", "huge-array-rows", "non-integer-label-count",
             "svm-nan-in-X", "svm-inf-bias", "knn-negative-inf-in-X", "edt-nan-threshold",
             "edt-inf-threshold", "svm-repeated-label", "knn-repeated-label",
+            "svm-label-with-comma", "knn-non-ascii-label",
         ],
     )
     def test_rejected(self, golden, old, new, message):
