@@ -29,14 +29,8 @@ def check_noise_std(std):
     return std
 
 
-def generate_block(template, n_frames, seeds, noise_std=None):
-    """(len(seeds), n_frames, 20, 3) samples of a template at n_frames
-    uniform times, sample i jittered by PortableRNG(seeds[i]) normals.
-
-    The noiseless trajectory must stay inside the sensor depth range;
-    leaving it raises DepthRangeViolationError. noise_std overrides the
-    template's own value when given.
-    """
+def _clean(template, n_frames, noise_std=None):
+    """(depth-checked noiseless trajectory at n_frames uniform times, effective std)."""
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
     std = check_noise_std(template.noise_std if noise_std is None else noise_std)
@@ -47,10 +41,26 @@ def generate_block(template, n_frames, seeds, noise_std=None):
     if depths.min() < lo or depths.max() > hi:
         z = depths.min() if depths.min() < lo else depths.max()
         raise DepthRangeViolationError(template.name, float(z), lo, hi)
+    return clean, std
+
+
+def _jitter(clean, std, seeds):
+    """clean plus std times the PortableRNG(seeds[i]) normals, per sample i."""
     shape = (len(seeds),) + clean.shape
     if std > 0.0:
         return clean + std * normal_rows(seeds, clean.size).reshape(shape)
     return np.broadcast_to(clean, shape)
+
+
+def generate_block(template, n_frames, seeds, noise_std=None):
+    """(len(seeds), n_frames, 20, 3) samples of a template at n_frames
+    uniform times, sample i jittered by PortableRNG(seeds[i]) normals.
+
+    The noiseless trajectory must stay inside the sensor depth range;
+    leaving it raises DepthRangeViolationError. noise_std overrides the
+    template's own value when given.
+    """
+    return _jitter(*_clean(template, n_frames, noise_std), seeds)
 
 
 def generate_sequence(template, n_frames, seed, noise_std=None):
@@ -58,38 +68,46 @@ def generate_sequence(template, n_frames, seed, noise_std=None):
     return SkeletonSequence(generate_block(template, n_frames, [seed], noise_std)[0])
 
 
-def _class_blocks(config):
-    """(class name, generate_block samples) per class, class-major.
+def clean_classes(config):
+    """(checked noiseless trajectory, effective std) per class of config."""
+    templates = config.templates or {}
+    return [_clean(templates.get(name) or get_template(name), config.frames, config.noise_std)
+            for name in config.classes]
+
+
+def _class_blocks(config, cleans):
+    """The samples of each class of clean_classes(config), class-major.
 
     Sample i of class c uses the noise stream spawned from the config seed
     at global index c * samples_per_class + i.
     """
     base = PortableRNG(config.seed)
     n = config.samples_per_class
-    for c, name in enumerate(config.classes):
-        template = (config.templates or {}).get(name) or get_template(name)
-        seeds = [base.spawn(c * n + i).seed for i in range(n)]
-        yield name, generate_block(template, config.frames, seeds, config.noise_std)
+    for c, (clean, std) in enumerate(cleans):
+        yield _jitter(clean, std, [base.spawn(c * n + i).seed for i in range(n)])
+
+
+def _labels(config):
+    return [name for name in config.classes for _ in range(config.samples_per_class)]
 
 
 def make_sequences(config):
     """All sequences for a config, class-major, with their labels."""
-    sequences, labels = [], []
-    for name, block in _class_blocks(config):
-        sequences.extend(SkeletonSequence(joints) for joints in block)
-        labels.extend([name] * len(block))
-    return sequences, labels
+    blocks = _class_blocks(config, clean_classes(config))
+    return [SkeletonSequence(joints) for block in blocks for joints in block], _labels(config)
 
 
 def build_dataset(config):
     """Generate and featurize the samples a class at a time, flattened
     into a LabeledDataset."""
+    return dataset_from(config, clean_classes(config))
+
+
+def dataset_from(config, cleans):
+    """build_dataset(config) from its clean_classes(config)."""
     featurize = FEATURE_KINDS[config.feature_kind]
-    vectors, labels = [], []
-    for name, block in _class_blocks(config):
-        vectors.append(featurize(block).reshape(len(block), -1))
-        labels.extend([name] * len(block))
-    return LabeledDataset(np.concatenate(vectors), labels, tuple(config.classes))
+    vectors = [featurize(block).reshape(len(block), -1) for block in _class_blocks(config, cleans)]
+    return LabeledDataset(np.concatenate(vectors), _labels(config), tuple(config.classes))
 
 
 def stratified_split(data, fraction, seed):

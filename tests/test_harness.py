@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skelgest import parse_skeleton_stream, serialize_skeleton_stream
+from skelgest import Joint, parse_skeleton_stream, serialize_skeleton_stream
 from skelgest.errors import DepthRangeViolationError, StratifyError
 from skelgest.classifiers import LabeledDataset
 from skelgest.harness import (
@@ -21,8 +22,9 @@ from skelgest.harness import (
     run_experiment,
     stratified_split,
 )
+import skelgest.harness.experiment as experiment
 from skelgest.harness.experiment import CLASSIFIERS
-from skelgest.harness.synthesis import generate_block
+from skelgest.harness.synthesis import dataset_from, generate_block
 from skelgest.harness.templates import BASE_POSE, DEPTH_RANGE, get_template
 
 
@@ -230,10 +232,44 @@ class TestSplit:
             stratified_split(data, 1.0, seed=0)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The configs whose dataset run_experiment builds, from an empty memo."""
+    built = []
+
+    def counting(config, cleans):
+        built.append(config)
+        return dataset_from(config, cleans)
+
+    monkeypatch.setattr(experiment, "_last", None)
+    monkeypatch.setattr(experiment, "dataset_from", counting)
+    return built
+
+
+def editable_template(name):
+    """A copy of a catalog template whose moves and base pose can be edited."""
+    template = get_template(name)
+    return dataclasses.replace(template, moves=dict(template.moves), base_pose=BASE_POSE.copy())
+
+
+SMALL = ExperimentConfig(classes=("waving", "punching", "clap"), samples_per_class=6, frames=12,
+                         seed=5, noise_std=0.05)
+
+
+def _moved_hand(t):
+    t.moves[Joint.HAND_LEFT] = ((0.0, (0.0, 0.1, 0.0)),)
+
+
+def _noisier(t):
+    t.noise_std = 0.05
+
+
+def _shifted_pose(t):
+    t.base_pose[Joint.HIP_CENTER.row, 0] += 0.01
+
+
 class TestRunExperiment:
     def test_two_distinct_templates_zero_noise_perfect(self):
-        from skelgest import Joint
-
         arms = (Joint.ELBOW_LEFT, Joint.WRIST_LEFT, Joint.HAND_LEFT,
                 Joint.ELBOW_RIGHT, Joint.WRIST_RIGHT, Joint.HAND_RIGHT)
         up = GestureTemplate("arms_up", {j: ((0.0, (0, 0.5, 0)),) for j in arms}, noise_std=0.0)
@@ -272,6 +308,47 @@ class TestRunExperiment:
         assert type(model) is CLASSIFIERS[kind]
         assert model.get_params() == {**CLASSIFIERS[kind]().get_params(), **expected}
 
+    @pytest.mark.parametrize("kind", ["svm", "edt", "knn"])
+    def test_reused_dataset_gives_the_built_summary(self, builds, kind):
+        config = dataclasses.replace(SMALL, classifier=kind)
+        cold = run_experiment(config).summary()
+        warm = run_experiment(config).summary()
+        assert len(builds) == 1
+        assert warm == cold
+
+    def test_classifier_params_and_split_share_one_build(self, builds):
+        for change in [{}, {"classifier": "edt", "params": {"n_trees": 3}},
+                       {"classifier": "knn", "params": {"k": 1}}, {"split_fraction": 0.5}]:
+            run_experiment(dataclasses.replace(SMALL, **change))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 6},
+        {"noise_std": 0.06},
+        {"frames": 13},
+        {"samples_per_class": 5},
+        {"classes": ("clap", "punching", "waving")},
+        {"feature_kind": "two_person"},
+    ], ids=lambda change: next(iter(change)))
+    def test_a_new_problem_rebuilds(self, builds, monkeypatch, change):
+        run_experiment(SMALL)
+        changed = dataclasses.replace(SMALL, **change)
+        rebuilt = run_experiment(changed).summary()
+        assert len(builds) == 2
+        monkeypatch.setattr(experiment, "_last", None)
+        assert run_experiment(changed).summary() == rebuilt
+
+    @pytest.mark.parametrize("edit", [_moved_hand, _noisier, _shifted_pose])
+    def test_an_edited_template_rebuilds(self, builds, monkeypatch, edit):
+        templates = {"waving": editable_template("waving")}
+        config = dataclasses.replace(SMALL, classes=("waving", "clap"), noise_std=None, templates=templates)
+        run_experiment(config)
+        edit(templates["waving"])
+        rebuilt = run_experiment(config).summary()
+        assert len(builds) == 2
+        monkeypatch.setattr(experiment, "_last", None)
+        assert run_experiment(config).summary() == rebuilt
+
 
 class TestExportDataset:
     def test_files_manifest_and_round_trip(self, tmp_path):
@@ -309,6 +386,10 @@ class TestConfigValidation:
     def test_class_name_that_is_not_one_token_rejected(self, name):
         with pytest.raises(ValueError, match="single comma-free token"):
             ExperimentConfig(classes=("waving", name), templates={name: static_template()})
+
+    def test_param_the_classifier_does_not_take_rejected(self):
+        with pytest.raises(ValueError, match="svm takes no parameter.* 'k'$"):
+            ExperimentConfig(classifier="svm", params={"k": 3})
 
     def test_template_override_names_a_class(self):
         cfg = ExperimentConfig(classes=("static",), templates={"static": static_template()})
