@@ -12,7 +12,7 @@ import skelgest
 from skelgest import serialize_skeleton_stream
 from skelgest.classifiers import dumps_model
 from skelgest.cli import main
-from skelgest.harness import GestureTemplate, generate_sequence, get_template
+from skelgest.harness import ExperimentConfig, GestureTemplate, export_dataset, generate_sequence, get_template
 from skelgest.harness.experiment import CLASSIFIERS
 from skelgest.skeleton import SkeletonSequence
 
@@ -40,6 +40,11 @@ def run_cli(*argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(Path(skelgest.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "skelgest.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def dir_bytes(path):
+    """{file name: bytes} of every file in a directory."""
+    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
 
 
 def write_sequence(path, seq):
@@ -632,6 +637,34 @@ class TestGenSynthAndRoundTrip:
             filename, label = line.split(",")
             assert (out_dir / filename).exists()
             assert label in ("waving", "clap")
+
+    # flags left out take ExperimentConfig's defaults: frames and seed, then samples_per_class
+    @pytest.mark.parametrize("flags, given", [
+        (["--classes", "waving,clap", "--samples-per-class", "2"],
+         {"classes": ("waving", "clap"), "samples_per_class": 2}),
+        (["--classes", "waving", "--frames", "3"], {"classes": ("waving",), "frames": 3}),
+    ], ids=["frames-and-seed", "samples"])
+    def test_flags_left_out_take_the_config_defaults(self, tmp_path, monkeypatch, flags, given):
+        monkeypatch.delenv("SKELGEST_SEED", raising=False)
+        assert main(["gen-synth", "--out-dir", str(tmp_path / "cli"), *flags]) == 0
+        export_dataset(ExperimentConfig(**given), tmp_path / "api")
+        assert dir_bytes(tmp_path / "cli") == dir_bytes(tmp_path / "api")
+
+    def test_seed_env_var_sets_the_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SKELGEST_SEED", "5")
+        assert main(["gen-synth", "--out-dir", str(tmp_path / "cli"), "--classes", "waving,clap",
+                     "--samples-per-class", "2", "--frames", "3"]) == 0
+        export_dataset(ExperimentConfig(classes=("waving", "clap"), samples_per_class=2, frames=3, seed=5),
+                       tmp_path / "api")
+        assert dir_bytes(tmp_path / "cli") == dir_bytes(tmp_path / "api")
+
+    def test_bad_seed_env_var_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SKELGEST_SEED", "seven")
+        out_dir = tmp_path / "data"
+        assert main(["gen-synth", "--out-dir", str(out_dir), "--classes", "waving,clap",
+                     "--samples-per-class", "2", "--frames", "3"]) == 2
+        assert "SKELGEST_SEED" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_class_exits_2_without_traceback(self, tmp_path):
         out_dir = tmp_path / "data"
