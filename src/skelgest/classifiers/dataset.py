@@ -35,10 +35,6 @@ class LabeledDataset:
         return self.vectors.shape[0]
 
     @property
-    def n_features(self):
-        return self.vectors.shape[1]
-
-    @property
     def total_scalars(self):
         """Total count of feature scalars across all samples."""
         return int(self.vectors.size)

@@ -9,18 +9,18 @@ The SKELGEST_SEED environment variable supplies the default seed.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import evaluation
-from .base import feature_matrix
+from .base import check_labels, feature_matrix
 from .classifiers import CLASSIFIERS, load_model, save_model
 from .errors import ComputationError, InputFormatError
 from .features import FEATURE_MODULES
 from .harness import ExperimentConfig, export_dataset
-from .harness.templates import BENCHMARK_CLASSES
 from .skeleton import (
     format_floats,
     matrix_to_csv,
@@ -43,10 +43,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed(fallback=0):
+def _default_seed():
+    """SKELGEST_SEED as an int, or None when it is unset."""
     env = os.environ.get("SKELGEST_SEED")
     if env is None:
-        return fallback
+        return None
     try:
         return int(env)
     except ValueError:
@@ -101,22 +102,20 @@ def _load_matrix(path):
     return X
 
 
-def _load_labels(path):
-    """Labels manifest: one `name,label` (or bare `label`) line per sample."""
-    labels = [ln.split(",")[-1].strip() for _, ln in _read_lines(path)]
-    if not labels:
-        raise InputFormatError(f"{path} holds no labels")
-    return labels
-
-
-def _load_manifest(path):
-    """(filename, label) pairs for batch feature extraction."""
+def _load_labels(path, need_filename=False):
+    """(filename or None, label) per line of a labels manifest: `filename,label`,
+    or a bare `label` unless need_filename. Each label is checked as it is read."""
     pairs = []
     for ln_no, ln in _read_lines(path):
         fields = [f.strip() for f in ln.split(",")]
-        if len(fields) != 2:
-            raise InputFormatError(f"{path} line {ln_no}: expected 'filename,label'")
-        pairs.append((fields[0], fields[1]))
+        if len(fields) not in ((2,) if need_filename else (1, 2)):
+            expected = "'filename,label'" if need_filename else "'filename,label' or 'label'"
+            raise InputFormatError(f"{path} line {ln_no}: expected {expected}")
+        try:
+            check_labels(fields[-1:], 1)
+        except ValueError as exc:
+            raise InputFormatError(f"{path} line {ln_no}: {exc}") from None
+        pairs.append((fields[0] if len(fields) == 2 else None, fields[-1]))
     if not pairs:
         raise InputFormatError(f"{path} holds no entries")
     return pairs
@@ -133,7 +132,7 @@ def cmd_extract_features(args):
         _emit(matrix_to_csv(module.CSV_COLUMNS, feats, args.frame_column), args.out)
         return EXIT_OK
     # one flattened row per recording; --flatten is the one-recording case
-    pairs = _load_manifest(args.manifest) if args.manifest else [(args.input, None)]
+    pairs = _load_labels(args.manifest, need_filename=True) if args.manifest else [(args.input, None)]
     base = os.path.dirname(os.path.abspath(args.manifest)) if args.manifest else ""
     recordings = (read_skeleton_file(os.path.join(base, filename)) for filename, _ in pairs)
     X = feature_matrix(module.sequence_features, recordings)
@@ -146,19 +145,23 @@ def cmd_extract_features(args):
 def _load_labeled(args):
     """Feature matrix and its labels, one label per row."""
     X = _load_matrix(args.features)
-    y = _load_labels(args.labels)
+    y = [label for _, label in _load_labels(args.labels)]
     if len(y) != X.shape[0]:
         raise InputFormatError(f"{X.shape[0]} feature rows but {len(y)} labels")
     return X, y
 
 
+def _given(args, names):
+    """The flags among names that were given, SKELGEST_SEED standing in for
+    --seed; a flag left out keeps the constructor's default."""
+    flags = dict(vars(args), seed=args.seed if args.seed is not None else _default_seed())
+    return {name: flags[name] for name in names if flags.get(name) is not None}
+
+
 def cmd_train(args):
     X, y = _load_labeled(args)
-    flags = dict(vars(args), seed=args.seed if args.seed is not None else _default_seed(0))
     cls = CLASSIFIERS[args.model]
-    # a flag left out keeps the constructor's default; another model's flags are ignored
-    params = {name: flags[name] for name in cls._defaults() if flags.get(name) is not None}
-    model = cls(**params).fit(X, y)
+    model = cls(**_given(args, cls._defaults())).fit(X, y)  # another model's flags are ignored
     accuracy = model.score(X, y)
     save_model(model, args.out)
     print(f"training accuracy: {accuracy:.4f}")
@@ -214,18 +217,10 @@ def cmd_friedman(args):
 
 
 def cmd_gen_synth(args):
-    seed = args.seed if args.seed is not None else _default_seed(7)
-    classes = tuple(c.strip() for c in args.classes.split(",")) if args.classes else BENCHMARK_CLASSES
-    config = ExperimentConfig(
-        classes=classes,
-        samples_per_class=args.samples_per_class,
-        frames=args.frames,
-        seed=seed,
-        noise_std=args.noise_std,
-    )
+    config = ExperimentConfig(**_given(args, [field.name for field in dataclasses.fields(ExperimentConfig)]))
     manifest = export_dataset(config, args.out_dir)
     print(
-        f"wrote {len(classes) * args.samples_per_class} sequences to {args.out_dir} "
+        f"wrote {len(config.classes) * config.samples_per_class} sequences to {args.out_dir} "
         f"(manifest: {manifest})",
         file=sys.stderr,
     )
@@ -261,7 +256,7 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--model", choices=tuple(CLASSIFIERS), required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int)
     p.add_argument("--sigma", type=float, help="svm kernel width")
     p.add_argument("--cost", dest="C", type=float, help="svm soft-margin penalty")
     p.add_argument("--tol", type=float, help="svm KKT tolerance")
@@ -289,11 +284,12 @@ def build_parser():
 
     p = sub.add_parser("gen-synth", help="write a synthetic labeled skeleton dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--classes", help="comma-separated template names (default: benchmark 8)")
-    p.add_argument("--samples-per-class", type=int, default=30)
-    p.add_argument("--frames", type=int, default=90)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise-std", type=float, default=None)
+    p.add_argument("--classes", type=lambda text: [c.strip() for c in text.split(",")],
+                   help="comma-separated template names (default: benchmark 8)")
+    p.add_argument("--samples-per-class", type=int)
+    p.add_argument("--frames", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--noise-std", type=float)
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("round-trip-check", help="verify parse/serialize identity for a file")

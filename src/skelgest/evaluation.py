@@ -19,7 +19,8 @@ from .skeleton import format_floats
 
 @dataclass
 class ConfusionMatrix:
-    """K x K counts; rows are true classes, columns predicted classes."""
+    """K x K counts over K >= 1 distinct labels; rows are true classes,
+    columns predicted classes."""
 
     labels: list[str]
     counts: np.ndarray
@@ -27,6 +28,8 @@ class ConfusionMatrix:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         k = len(self.labels)
+        if k == 0 or len(set(self.labels)) != k:
+            raise ValueError(f"labels must be one or more distinct names, got {self.labels}")
         if self.counts.shape != (k, k):
             raise ValueError(f"counts must be ({k}, {k}), got {self.counts.shape}")
         if (self.counts < 0).any():

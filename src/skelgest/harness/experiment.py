@@ -7,14 +7,13 @@ wall-clock timings ride along in the report but stay out of its
 deterministic summary.
 """
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 
 from ..base import check_labels
 from ..classifiers import CLASSIFIERS
 from ..evaluation import evaluate
-from .synthesis import FEATURE_KINDS, check_noise_std, clean_classes, dataset_from, stratified_split
+from .synthesis import FEATURE_KINDS, check_noise_std, reuse_or_build, stratified_split
 from .templates import BENCHMARK_CLASSES, INTERACTION_TEMPLATES, SINGLE_PERSON_TEMPLATES
 
 
@@ -68,39 +67,19 @@ def make_classifier(config):
     return cls(**{**seed, **config.params})
 
 
-# (key, LabeledDataset) of the last problem run_experiment built, or None
-_last = None
-
-
-def _dataset(config):
-    """build_dataset(config), or the last one built if its key matches: the
-    classes, sizes, seed, feature kind, and per class the effective std and
-    the digest of its trajectory (templates are mutable, so not their identity)."""
-    global _last
-    cleans = clean_classes(config)
-    key = (config.classes, config.feature_kind, config.frames, config.seed, config.samples_per_class,
-           [(std, clean.shape, hashlib.sha256(clean.tobytes()).hexdigest()) for clean, std in cleans])
-    last_key, data = _last or (None, None)
-    if last_key != key:
-        _last = data = None  # free the old dataset before building the next
-        data = dataset_from(config, cleans)
-        _last = key, data
-    return data
-
-
 def run_experiment(config):
     """Generate, split, train, predict, evaluate; returns the report.
 
     The report's summary() is byte-identical across runs with the same
     config; report.timings carries the wall-clock seconds per stage. The
     last call's dataset stays alive, and a call whose problem is the same
-    (see _dataset), as when only classifier, params or split_fraction
-    differ, reuses it; every artifact is still a pure function of the
-    config, and report.timings["build_dataset"] then times only the lookup.
+    (see synthesis.reuse_or_build), as when only classifier, params or
+    split_fraction differ, reuses it; every artifact is still a pure function
+    of the config, and report.timings["build_dataset"] then times only the lookup.
     """
     timings = {}
     t0 = time.perf_counter()
-    data = _dataset(config)
+    data = reuse_or_build(config)
     timings["build_dataset"] = time.perf_counter() - t0
 
     train, test = stratified_split(data, config.split_fraction, config.seed)

@@ -3,9 +3,11 @@
 Everything here is a pure function of (configuration, seed): per-sample
 noise streams derive from the dataset seed and the sample's global index
 (and are drawn and featurized a class at a time, as one array), and split
-shuffles derive from the split seed and the class index.
+shuffles derive from the split seed and the class index. reuse_or_build
+keeps the last dataset it built and decides when a config may reuse it.
 """
 
+import hashlib
 import math
 import os
 
@@ -52,23 +54,18 @@ def _jitter(clean, std, seeds):
     return np.broadcast_to(clean, shape)
 
 
-def generate_block(template, n_frames, seeds, noise_std=None):
-    """(len(seeds), n_frames, 20, 3) samples of a template at n_frames
-    uniform times, sample i jittered by PortableRNG(seeds[i]) normals.
+def generate_sequence(template, n_frames, seed, noise_std=None):
+    """One sample of a template at n_frames uniform times, jittered by
+    PortableRNG(seed) normals.
 
     The noiseless trajectory must stay inside the sensor depth range;
     leaving it raises DepthRangeViolationError. noise_std overrides the
     template's own value when given.
     """
-    return _jitter(*_clean(template, n_frames, noise_std), seeds)
+    return SkeletonSequence(_jitter(*_clean(template, n_frames, noise_std), [seed])[0])
 
 
-def generate_sequence(template, n_frames, seed, noise_std=None):
-    """One sample of a template: generate_block with the single seed."""
-    return SkeletonSequence(generate_block(template, n_frames, [seed], noise_std)[0])
-
-
-def clean_classes(config):
+def _clean_classes(config):
     """(checked noiseless trajectory, effective std) per class of config."""
     templates = config.templates or {}
     return [_clean(templates.get(name) or get_template(name), config.frames, config.noise_std)
@@ -76,7 +73,7 @@ def clean_classes(config):
 
 
 def _class_blocks(config, cleans):
-    """The samples of each class of clean_classes(config), class-major.
+    """The samples of each class of _clean_classes(config), class-major.
 
     Sample i of class c uses the noise stream spawned from the config seed
     at global index c * samples_per_class + i.
@@ -93,21 +90,41 @@ def _labels(config):
 
 def make_sequences(config):
     """All sequences for a config, class-major, with their labels."""
-    blocks = _class_blocks(config, clean_classes(config))
+    blocks = _class_blocks(config, _clean_classes(config))
     return [SkeletonSequence(joints) for block in blocks for joints in block], _labels(config)
 
 
 def build_dataset(config):
     """Generate and featurize the samples a class at a time, flattened
     into a LabeledDataset."""
-    return dataset_from(config, clean_classes(config))
+    return _dataset_from(config, _clean_classes(config))
 
 
-def dataset_from(config, cleans):
-    """build_dataset(config) from its clean_classes(config)."""
+def _dataset_from(config, cleans):
+    """build_dataset(config) from its _clean_classes(config)."""
     featurize = FEATURE_KINDS[config.feature_kind]
     vectors = [featurize(block).reshape(len(block), -1) for block in _class_blocks(config, cleans)]
     return LabeledDataset(np.concatenate(vectors), _labels(config), tuple(config.classes))
+
+
+# (key, LabeledDataset) of the last problem reuse_or_build built, or None
+_last = None
+
+
+def reuse_or_build(config):
+    """build_dataset(config), or the last one this built if its key matches: the
+    classes, sizes, seed, feature kind, and per class the effective std and
+    the digest of its trajectory (templates are mutable, so not their identity)."""
+    global _last
+    cleans = _clean_classes(config)
+    key = (config.classes, config.feature_kind, config.frames, config.seed, config.samples_per_class,
+           [(std, clean.shape, hashlib.sha256(clean.tobytes()).hexdigest()) for clean, std in cleans])
+    last_key, data = _last or (None, None)
+    if last_key != key:
+        _last = data = None  # free the old dataset before building the next
+        data = _dataset_from(config, cleans)
+        _last = key, data
+    return data
 
 
 def stratified_split(data, fraction, seed):

@@ -178,6 +178,16 @@ class TestExtractFeatures:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
+    def test_manifest_label_that_is_not_one_token_exits_2_before_writing(self, skeleton_file, tmp_path,
+                                                                          capsys):
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text(f"{skeleton_file.name},static\n{skeleton_file.name},has space\n")
+        out, labels_out = tmp_path / "matrix.csv", tmp_path / "y.csv"
+        assert main(["extract-features", "--manifest", str(manifest), "--mode", "single",
+                     "--out", str(out), "--labels-out", str(labels_out)]) == 2
+        assert "labels.csv line 2: label 'has space'" in capsys.readouterr().err
+        assert not out.exists() and not labels_out.exists()
+
     def test_manifest_of_differing_lengths_exits_2(self, tmp_path):
         for name, frames in (("a.txt", 5), ("b.txt", 7)):
             write_sequence(tmp_path / name, generate_sequence(GestureTemplate("static"), frames, seed=1))
@@ -289,6 +299,29 @@ class TestTrainPredictEvaluate:
         assert result.returncode == 2
         assert "single comma-free token" in result.stderr and "Traceback" not in result.stderr
         assert not model.exists()
+
+    def test_labels_line_of_three_fields_exits_2_without_model(self, tmp_path, capsys):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(98))
+        rows = labels.read_text().splitlines()
+        rows[3] = "a,b,a"
+        labels.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "m.model"
+        assert main(["train", "--features", str(features), "--labels", str(labels),
+                     "--model", "knn", "--out", str(model)]) == 2
+        assert "labels.csv line 4: expected 'filename,label' or 'label'" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_evaluate_rejects_a_label_that_is_not_one_token(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text("0.5,0.5\n0.1,0.1\n")
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        labels = tmp_path / "l.csv"
+        labels.write_text("r0,left\nr1,has space\n")
+        assert main(["evaluate", "--model", str(model), "--features", str(features),
+                     "--labels", str(labels)]) == 2
+        captured = capsys.readouterr()
+        assert "l.csv line 2: label 'has space'" in captured.err and captured.out == ""
 
     # bad hyperparameters are bad input (2); k above the 30 rows is a failed fit (3)
     @pytest.mark.parametrize("kind, flag, value, code", [

@@ -9,7 +9,7 @@ class TestLabeledDataset:
     def test_basic_construction(self):
         data = LabeledDataset(np.zeros((3, 4)), ["b", "a", "b"])
         assert data.label_set == ("a", "b")
-        assert data.n_features == 4
+        assert data.vectors.shape == (3, 4)
         assert data.total_scalars == 12
         assert data.class_counts() == {"a": 1, "b": 2}
 

@@ -84,6 +84,18 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion(["a"], ["z"], labels=["a", "b"])
 
+    def test_repeated_label_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            ConfusionMatrix(["a", "a", "b"], np.eye(3))
+        with pytest.raises(ValueError, match="distinct"):
+            confusion(["a", "b"], ["a", "b"], labels=["a", "a", "b"])
+        with pytest.raises(ValueError, match="distinct"):
+            evaluate(["a", "b"], ["a", "b"], labels=["a", "a", "b"])
+
+    def test_no_samples_and_no_labels_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate([], [])
+
     def test_row_sums_are_class_support(self):
         y_true = ["a"] * 7 + ["b"] * 3
         y_pred = ["a", "b"] * 5

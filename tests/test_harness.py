@@ -22,10 +22,10 @@ from skelgest.harness import (
     run_experiment,
     stratified_split,
 )
-import skelgest.harness.experiment as experiment
 from skelgest.harness.experiment import CLASSIFIERS
-from skelgest.harness.synthesis import dataset_from, generate_block
+import skelgest.harness.synthesis as synthesis
 from skelgest.harness.templates import BASE_POSE, DEPTH_RANGE, get_template
+from skelgest.rng import PortableRNG
 
 
 def static_template(noise_std=0.0):
@@ -104,12 +104,14 @@ class TestGenerateSequence:
 
     @pytest.mark.parametrize("noise_std", [None, 0.0, 0.2])
     def test_each_row_of_a_block_is_its_seeds_sequence(self, noise_std):
-        t = get_template("clap")
-        seeds = [5, 2**64 - 1, 12345678901234567]
-        block = generate_block(t, 13, seeds, noise_std)
-        assert block.shape == (3, 13, 20, 3)
-        for seed, joints in zip(seeds, block):
-            assert np.array_equal(generate_sequence(t, 13, seed, noise_std).joints, joints)
+        config = ExperimentConfig(classes=("clap",), samples_per_class=3, frames=13, seed=5,
+                                  noise_std=noise_std)
+        sequences, _ = make_sequences(config)
+        assert len(sequences) == 3
+        for i, seq in enumerate(sequences):
+            seed = PortableRNG(config.seed).spawn(i).seed
+            assert np.array_equal(generate_sequence(get_template("clap"), 13, seed, noise_std).joints,
+                                  seq.joints)
 
 
 class TestBuildDataset:
@@ -236,13 +238,14 @@ class TestSplit:
 def builds(monkeypatch):
     """The configs whose dataset run_experiment builds, from an empty memo."""
     built = []
+    build = synthesis._dataset_from
 
     def counting(config, cleans):
         built.append(config)
-        return dataset_from(config, cleans)
+        return build(config, cleans)
 
-    monkeypatch.setattr(experiment, "_last", None)
-    monkeypatch.setattr(experiment, "dataset_from", counting)
+    monkeypatch.setattr(synthesis, "_last", None)
+    monkeypatch.setattr(synthesis, "_dataset_from", counting)
     return built
 
 
@@ -335,7 +338,7 @@ class TestRunExperiment:
         changed = dataclasses.replace(SMALL, **change)
         rebuilt = run_experiment(changed).summary()
         assert len(builds) == 2
-        monkeypatch.setattr(experiment, "_last", None)
+        monkeypatch.setattr(synthesis, "_last", None)
         assert run_experiment(changed).summary() == rebuilt
 
     @pytest.mark.parametrize("edit", [_moved_hand, _noisier, _shifted_pose])
@@ -346,7 +349,7 @@ class TestRunExperiment:
         edit(templates["waving"])
         rebuilt = run_experiment(config).summary()
         assert len(builds) == 2
-        monkeypatch.setattr(experiment, "_last", None)
+        monkeypatch.setattr(synthesis, "_last", None)
         assert run_experiment(config).summary() == rebuilt
 
 
