@@ -10,8 +10,10 @@ import pytest
 
 import skelgest
 from skelgest import serialize_skeleton_stream
+from skelgest.base import feature_matrix
 from skelgest.classifiers import dumps_model
-from skelgest.cli import main
+from skelgest.cli import _load_matrix, main
+from skelgest.features import FEATURE_MODULES
 from skelgest.harness import ExperimentConfig, GestureTemplate, export_dataset, generate_sequence, get_template
 from skelgest.harness.experiment import CLASSIFIERS
 from skelgest.skeleton import SkeletonSequence
@@ -199,6 +201,29 @@ class TestExtractFeatures:
         err = result.stderr.splitlines()
         assert len(err) == 1 and "differing lengths" in err[0]
         assert "Traceback" not in result.stderr
+
+    # the feature reader returns, bit for bit, the matrix each CSV was written from
+    @pytest.mark.parametrize("source", ["per-frame", "frame-column", "flatten", "manifest"])
+    @pytest.mark.parametrize("mode", ["single", "two-person"])
+    def test_feature_reader_reads_back_what_was_written(self, tmp_path, mode, source):
+        featurize = FEATURE_MODULES[mode.replace("-", "_")].sequence_features
+        names = ("waving", "clap", "hugging")
+        seqs = [generate_sequence(get_template(name), 9, seed=40 + i, noise_std=0.02)
+                for i, name in enumerate(names)]
+        for name, seq in zip(names, seqs):
+            write_sequence(tmp_path / f"{name}.txt", seq)
+        manifest = tmp_path / "labels.csv"
+        manifest.write_text("".join(f"{name}.txt,{name}\n" for name in names))
+        first = ["--input", str(tmp_path / "waving.txt")]
+        argv, want = {
+            "per-frame": (first, featurize(seqs[0])),
+            "frame-column": (first + ["--frame-column"], featurize(seqs[0])),
+            "flatten": (first + ["--flatten"], feature_matrix(featurize, seqs[:1])),
+            "manifest": (["--manifest", str(manifest)], feature_matrix(featurize, seqs)),
+        }[source]
+        out = tmp_path / "features.csv"
+        assert main(["extract-features", *argv, "--mode", mode, "--out", str(out)]) == 0
+        assert np.array_equal(_load_matrix(str(out)), want)
 
 
 class TestTrainPredictEvaluate:
