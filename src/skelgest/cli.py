@@ -10,6 +10,8 @@ The SKELGEST_SEED environment variable supplies the default seed.
 
 import argparse
 import dataclasses
+import itertools
+import math
 import os
 import sys
 
@@ -62,52 +64,62 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _read_lines(path):
-    """(line number, stripped text) of each non-blank line of a text input file."""
+def _csv_lines(path):
+    """Iterator of (line number, stripped fields) over the non-blank lines of a
+    CSV input file; a line is split only when it is reached."""
     lines = read_ascii(path).split("\n")  # splitlines() would also split at \v, \f, \x1c-\x1e
-    return [(ln_no, ln.strip()) for ln_no, ln in enumerate(lines, start=1) if ln.strip()]
+    return ((ln_no, [f.strip() for f in ln.split(",")]) for ln_no, ln in enumerate(lines, start=1) if ln.strip())
 
 
-def _load_matrix(path):
-    """Feature CSV as a float matrix; tolerates a header and a frame column."""
-    rows = []
-    drop_first = False
-    lines = _read_lines(path)
-    if not lines:
-        raise InputFormatError(f"{path} is empty")
-    start = 0
-    first = lines[0][1].split(",")
+def _is_number(field):
     try:
-        float(first[0])
+        float(field)
     except ValueError:
-        start = 1
-        drop_first = first[0].strip().lower() == "frame"
-    for ln_no, ln in lines[start:]:
-        fields = ln.split(",")
-        if drop_first:
-            fields = fields[1:]
+        return False
+    return True
+
+
+def _split_header(lines):
+    """(header fields or None, iterator of data lines) of a numeric CSV's lines:
+    the first line is a header exactly when none of its fields parses as a float."""
+    first = next(lines, None)
+    if first and not any(map(_is_number, first[1])):
+        return first[1], lines
+    return None, itertools.chain([first] if first else [], lines)
+
+
+def _floats(path, lines, what):
+    """Float matrix of (line number, fields) rows; names the line of a
+    non-numeric or non-finite value and rejects ragged rows."""
+    rows = []
+    for ln_no, fields in lines:
         try:
-            rows.append([float(v) for v in fields])
+            row = [float(v) for v in fields]
         except ValueError:
-            raise InputFormatError(f"{path} line {ln_no}: non-numeric value") from None
+            raise InputFormatError(f"{path} line {ln_no}: non-numeric {what}") from None
+        if not all(map(math.isfinite, row)):
+            raise InputFormatError(f"{path} line {ln_no}: non-finite {what}")
+        rows.append(row)
     if not rows:
         raise InputFormatError(f"{path} holds no rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InputFormatError(f"{path}: ragged rows with widths {sorted(widths)}")
-    X = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise InputFormatError(f"{path} line {lines[start + int(np.argmin(finite))][0]}: non-finite value")
-    return X
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _load_matrix(path):
+    """Feature CSV as a float matrix; a header and its `frame` column are dropped."""
+    header, lines = _split_header(_csv_lines(path))
+    skip = int(header is not None and header[0].lower() == "frame")
+    return _floats(path, ((ln_no, fields[skip:]) for ln_no, fields in lines), "value")
 
 
 def _load_labels(path, need_filename=False):
     """(filename or None, label) per line of a labels manifest: `filename,label`,
     or a bare `label` unless need_filename. Each label is checked as it is read."""
     pairs = []
-    for ln_no, ln in _read_lines(path):
-        fields = [f.strip() for f in ln.split(",")]
+    for ln_no, fields in _csv_lines(path):
         if len(fields) not in ((2,) if need_filename else (1, 2)):
             expected = "'filename,label'" if need_filename else "'filename,label' or 'label'"
             raise InputFormatError(f"{path} line {ln_no}: expected {expected}")
@@ -191,26 +203,11 @@ def cmd_evaluate(args):
 
 
 def cmd_friedman(args):
-    names = []
-    rows = []
-    for i, (ln_no, ln) in enumerate(_read_lines(args.scores)):
-        fields = [f.strip() for f in ln.split(",")]
-        try:
-            float(fields[0])
-            name = None
-        except ValueError:
-            name, fields = fields[0], fields[1:]
-        try:
-            row = [float(v) for v in fields]
-        except ValueError:
-            if i == 0:
-                continue  # header row
-            raise InputFormatError(f"{args.scores} line {ln_no}: non-numeric score") from None
-        names.append(name if name is not None else f"algorithm-{len(rows) + 1}")
-        rows.append(row)
-    if len(rows) < 2 or len({len(r) for r in rows}) != 1:
-        raise InputFormatError(f"{args.scores}: need a C x D score grid with C >= 2")
-    ranks = evaluation.rank_algorithms(rows)
+    _, lines = _split_header(_csv_lines(args.scores))
+    lines = list(lines)
+    # a row may lead with its algorithm's name, which pop takes off its scores
+    names = [None if _is_number(fields[0]) else fields.pop(0) for _, fields in lines]
+    ranks = evaluation.rank_algorithms(_floats(args.scores, lines, "score"))
     result = evaluation.friedman(ranks)
     sys.stdout.write(evaluation.friedman_table(result, ranks, names))
     return EXIT_OK

@@ -296,11 +296,11 @@ def friedman(ranks):
 
 
 def friedman_table(result, ranks, names=None):
-    """Plain-text table: algorithm, per-dataset ranks, mean rank, chi2."""
+    """Plain-text table: algorithm, per-dataset ranks, mean rank, chi2.
+    A name that is None shows as algorithm-N, N its 1-based row."""
     ranks = np.asarray(ranks, dtype=np.float64)
     c, d = ranks.shape
-    if names is None:
-        names = [f"algorithm-{i + 1}" for i in range(c)]
+    names = [f"algorithm-{i + 1}" if n is None else n for i, n in enumerate(names or [None] * c)]
     width = max(12, max(len(n) for n in names) + 2)
     out = io.StringIO()
     out.write(

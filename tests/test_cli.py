@@ -580,6 +580,26 @@ class TestLineNumbers:
         scores.write_text("\n\nalgorithm,d1,d2\nSVM,0.9,0.8\n\nkNN,0.5,0.4\n")
         assert main(["friedman", "--scores", str(scores)]) == 0
 
+    # a first line holding a number is data, so its bad field is reported, not dropped as a header
+    @pytest.mark.parametrize("text", ["0.5x,1.0\n0.2,0.3\n", "x,1.0\n0.2,0.3\n"])
+    def test_corrupt_first_feature_row(self, tmp_path, capsys, text):
+        model = tmp_path / "m.model"
+        model.write_text(GOLDEN_KNN)
+        features = tmp_path / "f.csv"
+        features.write_text(text)
+        assert main(["predict", "--model", str(model), "--features", str(features)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "f.csv line 1: non-numeric value" in captured.err
+
+    def test_corrupt_first_score_row(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("svm,0.9x,0.8\nedt,0.5,0.6\nknn,0.8,0.7\n")
+        assert main(["friedman", "--scores", str(scores)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scores.csv line 1: non-numeric score" in captured.err
+
 
 class TestNonAsciiInput:
     # every text reader names the file and keeps the codec's message
