@@ -17,7 +17,6 @@ from .classifiers import (
     save_model,
 )
 from .evaluation import confusion, evaluate, friedman, rank_algorithms
-from .features import SinglePersonFeatures, TwoPersonFeatures
 from .harness import ExperimentConfig, run_experiment
 from .rng import PortableRNG
 from .skeleton import (
@@ -42,8 +41,6 @@ __all__ = [
     "SkeletonSequence",
     "parse_skeleton_stream",
     "serialize_skeleton_stream",
-    "SinglePersonFeatures",
-    "TwoPersonFeatures",
     "LabeledDataset",
     "GaussianKernelSVM",
     "BaggedTreeEnsemble",

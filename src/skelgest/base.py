@@ -1,19 +1,18 @@
-"""Estimator plumbing: get_params/set_params and input validation.
-
-The classes here make the feature extractors and classifiers duck-type
-compatible with scikit-learn style pipelines without depending on
-scikit-learn itself.
-"""
+"""Classifier plumbing: the parameter list and fit/predict contract, and
+input validation."""
 
 import inspect
+import numbers
 
 import numpy as np
 
 from .errors import DimensionMismatchError, TrainingDegenerateError
 
 
-class ParamsMixin:
-    """get_params/set_params over the keyword arguments of __init__."""
+class ClassifierMixin:
+    """The classifiers' base: the keyword arguments of __init__ are the
+    parameter list, fit() starts with _fit_inputs, and predict() takes the
+    best of _class_scores(X), one (n_samples, n_classes) array."""
 
     @classmethod
     def _defaults(cls):
@@ -25,29 +24,23 @@ class ParamsMixin:
             if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         }
 
-    def get_params(self, deep=True):
+    def get_params(self):
         return {name: getattr(self, name) for name in self._defaults()}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._defaults():
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-
-class ClassifierMixin:
-    """The classifiers' contract: fit() starts with _fit_inputs, and predict()
-    takes the best of _class_scores(X), one (n_samples, n_classes) array."""
-
     def _fit_inputs(self, X, y):
-        """Checked X, sorted classes and int64 label codes; params checked for X's rows."""
+        """Checked X, sorted classes and int64 label codes; params checked for
+        X's rows, and each for its default's type as the model file reads it:
+        an int default takes integers, a float one real numbers, neither a bool."""
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
+        for name, default in self._defaults().items():
+            value, integral = getattr(self, name), isinstance(default, int)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
         self._check_params(X.shape[0])
         classes, codes = encode_labels(y)
         return X, classes, codes
@@ -61,23 +54,6 @@ class ClassifierMixin:
         pred = self.predict(X)
         y = check_labels(y, len(pred))
         return float(np.mean([p == t for p, t in zip(pred, y)]))
-
-
-class SequenceTransformer(ParamsMixin):
-    """Transformer from skeleton sequences to per-sequence feature vectors.
-
-    Subclasses set `sequence_features`, the function giving one sequence's
-    (T, F) feature matrix; transform() applies feature_matrix with it.
-    """
-
-    def fit(self, X, y=None):
-        return self
-
-    def transform(self, X):
-        return feature_matrix(self.sequence_features, X)
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
 
 
 def feature_matrix(sequence_features, sequences):

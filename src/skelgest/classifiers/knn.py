@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin, check_feature_matrix, check_fitted
 from ..errors import TrainingDegenerateError
 
 
-class KNearestNeighbors(ClassifierMixin, ParamsMixin):
+class KNearestNeighbors(ClassifierMixin):
     """Majority label among the k nearest stored samples.
 
     k must be a positive odd integer (default 1) no larger than the training

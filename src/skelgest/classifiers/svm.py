@@ -20,7 +20,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin, check_feature_matrix, check_fitted
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample and machine before giving up
@@ -133,7 +133,7 @@ def _smo(K, Y, C, tol):
     return alpha, bias
 
 
-class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
+class GaussianKernelSVM(ClassifierMixin):
     """Multi-class one-vs-all SVM with the Gaussian kernel.
 
     Parameters: sigma (kernel width), C (soft-margin penalty), tol (KKT
@@ -147,10 +147,11 @@ class GaussianKernelSVM(ClassifierMixin, ParamsMixin):
         self.tol = tol
 
     def _check_params(self, n_samples=None):
-        """Reject a sigma, C or tol that is not a positive finite number."""
-        for name in ("sigma", "C", "tol"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        """Reject a sigma, C, tol or kernel divisor 2 sigma^2 that is not a
+        positive finite number; a tiny sigma's 2 sigma^2 underflows to 0."""
+        for name, value in [*self.get_params().items(), ("2 sigma^2", 2.0 * self.sigma * self.sigma)]:
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def fit(self, X, y):
         X, classes, codes = self._fit_inputs(X, y)

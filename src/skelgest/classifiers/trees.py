@@ -10,7 +10,7 @@ exact same model anywhere.
 
 import numpy as np
 
-from ..base import ClassifierMixin, ParamsMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin, check_feature_matrix, check_fitted
 from ..errors import InvalidBootstrapError
 from ..rng import PortableRNG
 
@@ -116,7 +116,7 @@ def _best_split(X, y_idx, n_classes):
     return f, float(thr)
 
 
-class BaggedTreeEnsemble(ClassifierMixin, ParamsMixin):
+class BaggedTreeEnsemble(ClassifierMixin):
     """Majority vote over n_trees bootstrap-trained decision trees."""
 
     def __init__(self, n_trees=100, bootstrap_fraction=0.30, seed=0):

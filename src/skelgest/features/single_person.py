@@ -8,7 +8,6 @@ dimensionless and independent of how far the subject stands from the sensor.
 
 import numpy as np
 
-from ..base import SequenceTransformer
 from ..errors import DegenerateDepthError
 from ..skeleton import Frame, Joint
 
@@ -72,9 +71,3 @@ def frame_features(frame):
     """The six normalized centroid-to-spine distances of one frame (a Frame
     or a (20, 3) array); an error names it frame 0."""
     return sequence_features(Frame(getattr(frame, "joints", frame)).joints[None])[0]
-
-
-class SinglePersonFeatures(SequenceTransformer):
-    """Sequences to (n, T*6) flattened distance vectors; see SequenceTransformer."""
-
-    sequence_features = staticmethod(sequence_features)

@@ -9,7 +9,6 @@ one per person; each person's gesture is classified on its own.
 
 import numpy as np
 
-from ..base import SequenceTransformer
 from ..errors import DegenerateDirectionError
 from ..skeleton import Frame, Joint
 
@@ -84,9 +83,3 @@ def frame_features(frame):
     """Twelve angles of one frame (a Frame or a (20, 3) array), ordered
     (a, b, g) for J1, J2, J3, J4; an error names it frame 0."""
     return sequence_features(Frame(getattr(frame, "joints", frame)).joints[None])[0]
-
-
-class TwoPersonFeatures(SequenceTransformer):
-    """One person's sequences to (n, T*12) angle vectors; see SequenceTransformer."""
-
-    sequence_features = staticmethod(sequence_features)

@@ -352,6 +352,7 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize("kind, flag, value, code", [
         ("knn", "--k", "2", 2),
         ("svm", "--sigma", "0", 2),
+        ("svm", "--sigma", "1e-200", 2),
         ("edt", "--trees", "0", 2),
         ("edt", "--bootstrap-fraction", "2", 2),
         ("knn", "--k", "31", 3),
@@ -478,6 +479,7 @@ class TestMalformedModelFiles:
             (GOLDEN_EDT, "bootstrap_fraction 0.3", "bootstrap_fraction nan"),
             (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma 0.0"),
             (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma inf"),
+            (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma 1e-200"),
             (GOLDEN_SVM, "scalar C 2.0", "scalar C -2.0"),
             (GOLDEN_SVM, "scalar tol 0.001", "scalar tol nan"),
         ],
@@ -485,7 +487,7 @@ class TestMalformedModelFiles:
             "non-integer-tree-index", "knn-label-index-past-K",
             "knn-k-0", "knn-k-even", "knn-k-past-stored-rows", "edt-n_trees-0",
             "edt-bootstrap-0", "edt-bootstrap-above-1", "edt-bootstrap-nan",
-            "svm-sigma-0", "svm-sigma-inf", "svm-C-negative", "svm-tol-nan",
+            "svm-sigma-0", "svm-sigma-inf", "svm-sigma-1e-200", "svm-C-negative", "svm-tol-nan",
         ],
     )
     def test_exits_2_without_traceback(self, tmp_path, golden, old, new):

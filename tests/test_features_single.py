@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from skelgest import Frame, Joint, SkeletonSequence
+from skelgest.base import feature_matrix
 from skelgest.errors import DegenerateDepthError
 from skelgest.features.single_person import (
     CSV_COLUMNS,
     TRIANGLES,
-    SinglePersonFeatures,
     frame_features,
     normalized_distance,
     sequence_features,
@@ -236,15 +236,14 @@ class TestCsvAndTransformer:
     def test_transformer_flattens(self):
         rng = np.random.default_rng(14)
         seqs = [SkeletonSequence(random_frames(rng, 4)) for _ in range(3)]
-        out = SinglePersonFeatures().fit_transform(seqs)
+        out = feature_matrix(sequence_features, seqs)
         assert out.shape == (3, 24)
 
     def test_transformer_rejects_ragged(self):
         rng = np.random.default_rng(15)
         seqs = [SkeletonSequence(random_frames(rng, 4)), SkeletonSequence(random_frames(rng, 5))]
         with pytest.raises(ValueError):
-            SinglePersonFeatures().transform(seqs)
+            feature_matrix(sequence_features, seqs)
 
     def test_get_params(self):
-        assert SinglePersonFeatures().get_params() == {}
         assert len(CSV_COLUMNS) == 6

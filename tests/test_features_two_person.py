@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from skelgest import Frame, SkeletonSequence
+from skelgest.base import feature_matrix
 from skelgest.errors import DegenerateDirectionError
 from skelgest.features.two_person import (
     ARM_WEIGHTS,
     LEG_WEIGHTS,
     MEAN_JOINT_GROUPS,
-    TwoPersonFeatures,
     direction_angles,
     direction_cosines,
     frame_features,
@@ -267,5 +267,5 @@ class TestCsvAndTransformer:
     def test_transformer(self):
         rng = np.random.default_rng(31)
         seqs = [SkeletonSequence(random_frames(rng, 3)) for _ in range(2)]
-        out = TwoPersonFeatures().fit_transform(seqs)
+        out = feature_matrix(sequence_features, seqs)
         assert out.shape == (2, 36)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from skelgest import Joint, parse_skeleton_stream, serialize_skeleton_stream
+from skelgest.base import feature_matrix
 from skelgest.errors import DepthRangeViolationError, StratifyError
+from skelgest.features import FEATURE_MODULES
 from skelgest.classifiers import LabeledDataset
 from skelgest.harness import (
     BENCHMARK_CLASSES,
@@ -184,6 +186,9 @@ def test_generated_data_is_pinned(config, vectors_digest, joints_digest):
     joints = np.stack([seq.joints for seq in sequences])
     assert hashlib.sha256(joints.tobytes()).hexdigest() == joints_digest
     assert labels == data.labels == [c for c in config.classes for _ in range(config.samples_per_class)]
+    # the public path, one recording at a time, gives the class-block matrix bit for bit
+    public = feature_matrix(FEATURE_MODULES[config.feature_kind].sequence_features, sequences)
+    assert public.shape == data.vectors.shape and public.tobytes() == data.vectors.tobytes()
 
 
 class TestSplit:

@@ -69,6 +69,31 @@ class TestRoundTrip:
         model = BaggedTreeEnsemble(n_trees=3, seed=seed).fit(X, y)
         assert loads_model(dumps_model(model)).seed == seed
 
+    # fit checks each parameter against its default's type, as the model file
+    # reads it back, so a model that fits also loads
+    @pytest.mark.parametrize("cls, params, rejected", [
+        (BaggedTreeEnsemble, {"n_trees": 3, "seed": 1.5}, "seed"),
+        (BaggedTreeEnsemble, {"n_trees": 3.0}, "n_trees"),
+        (KNearestNeighbors, {"k": True}, "k"),
+        (KNearestNeighbors, {"k": 3.0}, "k"),
+        (GaussianKernelSVM, {"sigma": True}, "sigma"),
+        (GaussianKernelSVM, {"C": "10"}, "C"),
+        (KNearestNeighbors, {"k": np.int64(3)}, None),
+        (BaggedTreeEnsemble, {"n_trees": 3, "seed": np.int64(5)}, None),
+        (GaussianKernelSVM, {"sigma": 2, "C": np.float64(5.0)}, None),
+    ], ids=["float-seed", "float-n_trees", "bool-k", "float-k", "bool-sigma", "str-C",
+            "int64-k", "int64-seed", "int-sigma"])
+    def test_parameter_types(self, training, cls, params, rejected):
+        X, y, probe = training
+        model = cls(**params)
+        if rejected:
+            with pytest.raises(ValueError, match=f"^{rejected} must be"):
+                model.fit(X, y)
+            return
+        loaded = loads_model(dumps_model(model.fit(X, y)))
+        assert loaded.get_params() == model.get_params()
+        assert loaded.predict(probe) == model.predict(probe)
+
 
 class TestCorruptFiles:
     def test_truncated_file(self, training, tmp_path):

@@ -160,13 +160,9 @@ class TestInvariances:
         renamed = GaussianKernelSVM().fit(X, [rename[v] for v in y]).predict(probe)
         assert [rename[v] for v in base] == renamed
 
-    def test_get_set_params(self):
+    def test_get_params(self):
         model = GaussianKernelSVM(sigma=2.0, C=5.0)
         assert model.get_params() == {"sigma": 2.0, "C": 5.0, "tol": 1e-3}
-        model.set_params(C=1.0)
-        assert model.C == 1.0
-        with pytest.raises(ValueError):
-            model.set_params(bogus=1)
 
     def test_exhausted_step_budget_raises(self, monkeypatch):
         from skelgest.classifiers import svm as svm_mod
