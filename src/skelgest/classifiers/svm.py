@@ -54,7 +54,8 @@ def squared_distances(X, Y=None):
 
 def gaussian_kernel(X, Y=None, sigma=1.0):
     """K(x, y) = exp(-||x - y||^2 / (2 sigma^2)) for all row pairs; Y=None pairs X with itself."""
-    return np.exp(-squared_distances(X, Y) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a tiny sigma's quotient is -inf, whose exp is the right 0
+        return np.exp(-squared_distances(X, Y) / (2.0 * sigma * sigma))
 
 
 def _canonical_order(X, y):

@@ -26,6 +26,9 @@ N_FEATURES = len(TRIANGLES)
 
 CSV_COLUMNS = tuple(f"d{i + 1}" for i in range(N_FEATURES))
 
+# the skeleton rows sequence_features reads, ascending
+JOINT_ROWS = tuple(sorted({j.row for tri in TRIANGLES for j in tri} | {Joint.SPINE.row}))
+
 # (3, 6) rows of each triangle's first, second and third vertex
 _VERTEX_ROWS = np.array([[j.row for j in tri] for tri in TRIANGLES]).T
 _SPINE_ROW = Joint.SPINE.row

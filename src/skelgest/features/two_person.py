@@ -29,6 +29,9 @@ CSV_COLUMNS = tuple(
     f"{axis}{name}" for name, _, _ in MEAN_JOINT_GROUPS for axis in ("a", "b", "g")
 )
 
+# the skeleton rows sequence_features reads, ascending
+JOINT_ROWS = tuple(sorted(j.row for _, joints, _ in MEAN_JOINT_GROUPS for j in joints))
+
 # (4, 4) rows of each group's first..fourth joint, and (4, 4, 1) weight
 # columns: entry k is the k-th joint's weight in each of the four groups
 _MEMBER_ROWS = np.array([[j.row for j in joints] for _, joints, _ in MEAN_JOINT_GROUPS]).T

@@ -17,7 +17,7 @@ from ..classifiers.dataset import LabeledDataset
 from ..errors import DepthRangeViolationError, StratifyError
 from ..features import FEATURE_MODULES
 from ..rng import PortableRNG, normal_rows
-from ..skeleton import SkeletonSequence, write_skeleton_file
+from ..skeleton import FLOATS_PER_FRAME, N_JOINTS, SkeletonSequence, write_skeleton_file
 from .templates import DEPTH_RANGE, get_template
 
 FEATURE_KINDS = {kind: module.sequence_features for kind, module in FEATURE_MODULES.items()}
@@ -46,12 +46,22 @@ def _clean(template, n_frames, noise_std=None):
     return clean, std
 
 
-def _jitter(clean, std, seeds):
-    """clean plus std times the PortableRNG(seeds[i]) normals, per sample i."""
-    shape = (len(seeds),) + clean.shape
-    if std > 0.0:
-        return clean + std * normal_rows(seeds, clean.size).reshape(shape)
-    return np.broadcast_to(clean, shape)
+def _jitter(clean, std, seeds, rows):
+    """clean plus std times the PortableRNG(seeds[i]) normals, per sample i, on the
+    given joint rows; other rows stay clean. A frame is 30 whole Box-Muller pairs, so
+    only the pairs p covering rows are drawn, the same in every frame f: 30 f + p."""
+    if std == 0.0:
+        return np.broadcast_to(clean, (len(seeds),) + clean.shape)
+    values = clean.reshape(len(clean), FLOATS_PER_FRAME)
+    per_frame = np.array(sorted({(3 * row + axis) // 2 for row in rows for axis in range(3)}))
+    cols = (2 * per_frame[:, None] + np.arange(2)).ravel()
+    pairs = (FLOATS_PER_FRAME // 2 * np.arange(len(clean))[:, None] + per_frame).ravel()
+    noise = normal_rows(seeds, clean.size, pairs).reshape(len(seeds), len(clean), cols.size)
+    noise *= std
+    noise += values[:, cols]
+    out = np.repeat(values[None], len(seeds), axis=0)  # after the draws, so the peak stays theirs
+    out[..., cols] = noise
+    return out.reshape((len(seeds),) + clean.shape)
 
 
 def generate_sequence(template, n_frames, seed, noise_std=None):
@@ -62,7 +72,7 @@ def generate_sequence(template, n_frames, seed, noise_std=None):
     leaving it raises DepthRangeViolationError. noise_std overrides the
     template's own value when given.
     """
-    return SkeletonSequence(_jitter(*_clean(template, n_frames, noise_std), [seed])[0])
+    return SkeletonSequence(_jitter(*_clean(template, n_frames, noise_std), [seed], range(N_JOINTS))[0])
 
 
 def _clean_classes(config):
@@ -72,8 +82,8 @@ def _clean_classes(config):
             for name in config.classes]
 
 
-def _class_blocks(config, cleans):
-    """The samples of each class of _clean_classes(config), class-major.
+def _class_blocks(config, cleans, rows):
+    """The samples of each class of _clean_classes(config), class-major, jittered on rows.
 
     Sample i of class c uses the noise stream spawned from the config seed
     at global index c * samples_per_class + i.
@@ -81,7 +91,7 @@ def _class_blocks(config, cleans):
     base = PortableRNG(config.seed)
     n = config.samples_per_class
     for c, (clean, std) in enumerate(cleans):
-        yield _jitter(clean, std, [base.spawn(c * n + i).seed for i in range(n)])
+        yield _jitter(clean, std, [base.spawn(c * n + i).seed for i in range(n)], rows)
 
 
 def _labels(config):
@@ -90,7 +100,7 @@ def _labels(config):
 
 def make_sequences(config):
     """All sequences for a config, class-major, with their labels."""
-    blocks = _class_blocks(config, _clean_classes(config))
+    blocks = _class_blocks(config, _clean_classes(config), range(N_JOINTS))
     return [SkeletonSequence(joints) for block in blocks for joints in block], _labels(config)
 
 
@@ -101,9 +111,10 @@ def build_dataset(config):
 
 
 def _dataset_from(config, cleans):
-    """build_dataset(config) from its _clean_classes(config)."""
-    featurize = FEATURE_KINDS[config.feature_kind]
-    vectors = [featurize(block).reshape(len(block), -1) for block in _class_blocks(config, cleans)]
+    """build_dataset(config) from its _clean_classes(config), jittering only the rows the scheme reads."""
+    module = FEATURE_MODULES[config.feature_kind]
+    blocks = _class_blocks(config, cleans, module.JOINT_ROWS)
+    vectors = [module.sequence_features(block).reshape(len(block), -1) for block in blocks]
     return LabeledDataset(np.concatenate(vectors), _labels(config), tuple(config.classes))
 
 

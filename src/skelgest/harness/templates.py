@@ -60,15 +60,18 @@ class GestureTemplate:
     noise_std: float = DEFAULT_NOISE_STD
 
     def trajectory(self, ts):
-        """(len(ts), 20, 3) noiseless joint positions at the given times."""
+        """(len(ts), 20, 3) noiseless joint positions at the given times; joints
+        sharing one keyframe object are one track, interpolated once."""
         ts = np.asarray(ts, dtype=np.float64)
         poses = np.tile(np.asarray(self.base_pose, dtype=np.float64), (len(ts), 1, 1))
+        tracks = {}  # id(keys) -> (keys, rows); keys stays referenced, so its id stays unique
         for joint, keys in self.moves.items():
+            tracks.setdefault(id(keys), (keys, []))[1].append(Joint(joint).row)
+        for keys, rows in tracks.values():
             kts = np.array([k[0] for k in keys], dtype=np.float64)
             offs = np.array([k[1] for k in keys], dtype=np.float64)
-            row = Joint(joint).row
             for axis in range(3):
-                poses[:, row, axis] += np.interp(ts, kts, offs[:, axis])
+                poses[:, rows, axis] += np.interp(ts, kts, offs[:, axis])[:, None]
         return poses
 
 
@@ -82,8 +85,9 @@ _RIGHT_LEG = (Joint.KNEE_RIGHT, Joint.ANKLE_RIGHT, Joint.FOOT_RIGHT)
 def _spread(groups_to_keys):
     moves = {}
     for joints, keys in groups_to_keys:
+        track = tuple(keys)
         for j in joints:
-            moves[j] = tuple(keys)
+            moves[j] = track
     return moves
 
 

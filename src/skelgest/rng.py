@@ -26,7 +26,8 @@ Derived quantities are also frozen:
   * substream i of a stream with seed s: seed = mix64(s + (i+1) * 0xBB67AE8584CAA73B)
 
 Counter-based form means array draws vectorize with numpy uint64 arithmetic
-while staying identical to the scalar path.
+while staying identical to the scalar path, and that any subset of the
+Box-Muller pairs can be drawn alone, with the bits it has in the whole stream.
 """
 
 import math
@@ -72,13 +73,16 @@ def _box_muller(bits):
     return out
 
 
-def normal_rows(seeds, n):
+def normal_rows(seeds, n, pairs=None):
     """(len(seeds), n) normals drawn as one uint64 array of counter outputs;
-    row i equals PortableRNG(seeds[i]).normal_array(n)."""
-    ks = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64)
+    row i equals PortableRNG(seeds[i]).normal_array(n). Given distinct pairs p
+    with 2p + 2 <= n, only those are drawn (counters 2p+1, 2p+2): columns 2p
+    and 2p+1 of the full draw, pair by pair, as (len(seeds), 2 len(pairs))."""
+    pairs = np.arange((n + 1) // 2) if pairs is None else pairs
+    ks = 2 * np.asarray(pairs, dtype=np.uint64)[:, None] + np.array([1, 2], dtype=np.uint64)
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _box_muller(_mix_array(seeds[:, None] + ks * np.uint64(_GAMMA)))[:, :n]
+        return _box_muller(_mix_array(seeds[:, None] + ks.ravel() * np.uint64(_GAMMA)))[:, :n]
 
 
 class PortableRNG:

@@ -115,6 +115,23 @@ class TestGenerateSequence:
             assert np.array_equal(generate_sequence(get_template("clap"), 13, seed, noise_std).joints,
                                   seq.joints)
 
+    @pytest.mark.parametrize("rows", [(0,), (1, 2, 4, 5), (3, 19), tuple(range(20))])
+    @pytest.mark.parametrize("frames", [1, 4])
+    def test_row_subset_jitter_matches_the_full_draw(self, rows, frames):
+        # every value in a drawn pair is jittered as the full draw would; the
+        # pairs cover the listed rows, and every other value stays clean
+        clean = get_template("waving").trajectory(np.linspace(0.0, 1.0, frames))
+        seeds = [7, 2**64 - 1]
+        out = synthesis._jitter(clean, 0.2, seeds, rows)
+        full = synthesis._jitter(clean, 0.2, seeds, range(20))
+        drawn = np.zeros((frames, 60), dtype=bool)
+        for r in rows:
+            for p in range(3 * r // 2, (3 * r + 2) // 2 + 1):
+                drawn[:, 2 * p : 2 * p + 2] = True
+        drawn = np.broadcast_to(drawn.reshape(clean.shape), out.shape)
+        assert np.array_equal(out[drawn], full[drawn])
+        assert np.array_equal(out[~drawn], np.broadcast_to(clean, out.shape)[~drawn])
+
 
 class TestBuildDataset:
     def test_paper_scale_single(self):

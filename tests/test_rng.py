@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelgest.rng import PortableRNG, _mix, normal_rows
 
@@ -79,3 +81,17 @@ class TestNormalRows:
         assert rows.shape == (50, n)
         for seed, row in zip(seeds, rows):
             assert np.array_equal(row, PortableRNG(seed).normal_array(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           frames=st.integers(1, 4), rows=st.sets(st.integers(0, 19), min_size=1))
+    def test_pair_subset_is_the_same_columns(self, seeds, frames, rows):
+        # the pairs that cover some joint rows of every 60-value frame, as
+        # synthesis draws them; pair p holds stream values 2p and 2p+1
+        n = 60 * frames
+        pairs = sorted({(60 * f + 3 * r + axis) // 2 for f in range(frames) for r in rows for axis in range(3)})
+        cols = [2 * p + half for p in pairs for half in (0, 1)]
+        full = normal_rows(seeds, n)
+        for seed, row in zip(seeds, full):
+            assert np.array_equal(row, PortableRNG(seed).normal_array(n))
+        assert np.array_equal(normal_rows(seeds, n, np.array(pairs)), full[:, cols])

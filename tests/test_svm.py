@@ -57,6 +57,15 @@ class TestKernel:
         assert gaussian_kernel(x, y, sigma=1.0)[0, 0] == pytest.approx(np.exp(-2.0))
         assert gaussian_kernel(x, y, sigma=2.0)[0, 0] == pytest.approx(np.exp(-0.5))
 
+    def test_tiny_width_fits_and_predicts(self):
+        # d / (2 sigma^2) overflows to inf, so every distinct pair's kernel
+        # value is exactly 0; pytest makes the overflow warning an error
+        X, y = blobs(np.random.default_rng(49), THREE_BLOBS, 5)
+        model = GaussianKernelSVM(sigma=1e-156).fit(X, y)
+        assert np.array_equal(gaussian_kernel(X, sigma=1e-156), np.eye(len(X)))
+        assert model.predict(X) == y
+        assert np.isfinite(model.decision_function(X[:1] + 1.0)).all()
+
 
 def full_lexsort(X, y):
     return np.lexsort([np.asarray(y)] + [X[:, c] for c in range(X.shape[1] - 1, -1, -1)])
