@@ -8,6 +8,8 @@ runs on the portable RNG with per-tree substreams, so a seed reproduces the
 exact same model anywhere.
 """
 
+from functools import cmp_to_key
+
 import numpy as np
 
 from ..base import ClassifierMixin, check_feature_matrix, check_fitted
@@ -20,9 +22,8 @@ class DecisionTree:
 
     Nodes live in parallel arrays: feature[i] is -1 for leaves, whose class
     is label[i]; internal nodes route x[feature] <= threshold to children[i,0]
-    and the rest to children[i,1]. Tie-breaks are fixed: the split scan takes
-    the lowest feature index then the lowest threshold; leaf majorities take
-    the lowest class index.
+    and the rest to children[i,1]. Cuts of exactly equal Gini (_best_split) go
+    to the lowest feature, then threshold; leaf majorities to the lowest class.
     """
 
     def __init__(self, n_classes):
@@ -76,15 +77,15 @@ def _running(a):
 
 
 def _best_split(X, y_idx, n_classes):
-    """(feature, threshold) minimizing weighted Gini, or None if unsplittable.
+    """(feature, threshold) minimizing weighted Gini, or None if no cut lowers it.
 
-    Left class counts share int64 words: a field of bits = n.bit_length() per
-    class, 63 // bits classes per word, so one prefix sum counts all of a
-    word's classes. A row's own field is its rank, the rows of its class at
-    or before it, and it raises Σ l_k² by 2·rank − 1. The right side's
-    Σ (t_k - l_k)² is Σ t_k² - 2 Σ t_k l_k + Σ l_k², all exact integers.
-    Tied rows may sort in any order: only cuts between two distinct values
-    count, and the class counts there do not depend on the order of ties."""
+    Left class counts come from prefix sums over packed int64 words; a row
+    raises S_l = Σ l_k² by 2·rank − 1, rank being its count in its class so far.
+    A cut maximizes S_l/n_l + S_r/n_r = (n·S_l + n_l·(S_t − 2 Σ t_k l_k)) / (n_l·n_r),
+    an exact int64 numerator up to about 1.6 million rows. Below about 330,000
+    rows one correctly rounded division keeps exact ties tied; from about 2,300,
+    distinct scores can round alike and the cuts at the best float are compared
+    exactly. Only cuts between distinct values count, so ties sort freely."""
     n, d = X.shape
     order = np.argsort(X, axis=0)  # (n, d)
     sx = np.take(X, order * d + np.arange(d))  # each column sorted
@@ -98,22 +99,25 @@ def _best_split(X, y_idx, n_classes):
         packed >>= np.where(word == w, bits * field, 63)[y_idx][left]  # other words read 0
         packed &= (1 << bits) - 1
         rank += packed
-    rank *= 2
-    rank -= 1
-    sq_left = _running(rank)  # Σ_k left_k²
-    cross = _running(total[y_idx][left])  # Σ_k total_k · left_k
+    rank *= 2 * n  # S_l sums 2·rank − 1, so n·S_l is this prefix sum less n·n_l
+    num = _running(total[y_idx][left])  # Σ_k t_k l_k
     sq_total = int(total @ total)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = n - nl
-    gini_l = 1.0 - sq_left / (nl * nl)
-    gini_r = 1.0 - (sq_total - 2 * cross + sq_left) / (nr * nr)
-    weighted = np.where(sx[1:] > sx[:-1], (nl * gini_l + nr * gini_r) / n, np.inf)  # (n-1, d)
-    # scan feature-major so ties resolve to the lowest feature, then threshold
-    f, cut = divmod(int(np.argmin(weighted.T)), n - 1)
-    if weighted[cut, f] >= 1.0 - sq_total / (n * n) - 1e-15:
+    nl = np.arange(1, n, dtype=np.int64)[:, None]
+    num *= -2 * nl
+    num += (sq_total - n) * nl
+    num += _running(rank)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
+    num[sx[1:] == sx[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
+    score = num / (nl * (n - nl))
+    best = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
+    f = int(np.argmax(best))
+    cuts = [(f, int(np.argmax(score[:, f])))]
+    if n ** 5 >= 1 << 56 and best[f] > 0:  # distinct scores may share the best float
+        cuts = np.argwhere(score.T == best[f]).tolist()
+    scored = [(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts]  # exact: p / q
+    p, q, f, cut = max(scored, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    if not p * n > sq_total * q:  # no gain over the parent's S_t/n
         return None
-    thr = (sx[cut, f] + sx[cut + 1, f]) / 2.0
-    return f, float(thr)
+    return f, float((sx[cut, f] + sx[cut + 1, f]) / 2.0)
 
 
 class BaggedTreeEnsemble(ClassifierMixin):
@@ -138,17 +142,11 @@ class BaggedTreeEnsemble(ClassifierMixin):
             raise InvalidBootstrapError(self.bootstrap_fraction, n_samples)
 
     def fit(self, X, y):
-        X, classes, y_idx = self._fit_inputs(X, y)
-        n = X.shape[0]
+        X, self.classes_, y_idx = self._fit_inputs(X, y)
+        n, self.n_features_ = X.shape
         size = int(np.ceil(self.bootstrap_fraction * n))
-        root = PortableRNG(self.seed)
-        self.classes_ = classes
-        self.trees_ = []
-        for t in range(self.n_trees):
-            idx = self._draw_indices(root.spawn(t), n, size)
-            tree = DecisionTree(len(classes)).fit(X[idx], y_idx[idx])
-            self.trees_.append(tree)
-        self.n_features_ = X.shape[1]
+        draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
+        self.trees_ = [DecisionTree(len(self.classes_)).fit(X[idx], y_idx[idx]) for idx in draws]
         return self
 
     def vote_counts(self, X):

@@ -59,9 +59,11 @@ def _jitter(clean, std, seeds, rows):
     noise = normal_rows(seeds, clean.size, pairs).reshape(len(seeds), len(clean), cols.size)
     noise *= std
     noise += values[:, cols]
-    out = np.repeat(values[None], len(seeds), axis=0)  # after the draws, so the peak stays theirs
-    out[..., cols] = noise
-    return out.reshape((len(seeds),) + clean.shape)
+    if cols.size < FLOATS_PER_FRAME:  # else every value is drawn and the noise is the output
+        out = np.repeat(values[None], len(seeds), axis=0)  # after the draws, so the peak stays theirs
+        out[..., cols] = noise
+        noise = out
+    return noise.reshape((len(seeds),) + clean.shape)
 
 
 def generate_sequence(template, n_frames, seed, noise_std=None):

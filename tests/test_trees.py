@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,14 +64,15 @@ def depth(tree):
 
 
 def reference_split(X, y_idx, n_classes):
-    """_best_split in plain Python: class counts tallied row by row, the same
-    float Gini formula, cuts scanned feature-major and then left to right,
-    the first strict minimum kept."""
+    """_best_split in plain Python: class counts tallied row by row, each
+    cut's weighted Gini an exact Fraction, cuts scanned feature-major and
+    then left to right, the first strict minimum kept, and None unless it
+    is below the parent's Gini."""
     n, d = len(X), len(X[0])
     total = [0] * n_classes
     for c in y_idx:
         total[c] += 1
-    parent = 1.0 - sum(t * t for t in total) / (n * n)
+    parent = 1 - Fraction(sum(t * t for t in total), n * n)
     best = None
     for f in range(d):
         rows = sorted(range(n), key=lambda i: X[i][f])
@@ -80,16 +82,28 @@ def reference_split(X, y_idx, n_classes):
             lo, hi = X[rows[cut]][f], X[rows[cut + 1]][f]
             if not hi > lo:
                 continue
-            nl = float(cut + 1)
+            nl = cut + 1
             nr = n - nl
-            gini_l = 1.0 - sum(c * c for c in left) / (nl * nl)
-            gini_r = 1.0 - sum((t - c) ** 2 for t, c in zip(total, left)) / (nr * nr)
+            gini_l = 1 - Fraction(sum(c * c for c in left), nl * nl)
+            gini_r = 1 - Fraction(sum((t - c) ** 2 for t, c in zip(total, left)), nr * nr)
             weighted = (nl * gini_l + nr * gini_r) / n
             if best is None or weighted < best[0]:
                 best = (weighted, f, (lo + hi) / 2.0)
-    if best is None or best[0] >= parent - 1e-15:
+    if best is None or best[0] >= parent:
         return None
     return best[1], best[2]
+
+
+def node_from_columns(*columns):
+    """A node whose sorted column f reads the classes columns[f]; the values
+    are ranks, so every cut lies between two distinct values."""
+    y_idx = np.array(columns[0])
+    X = np.zeros((len(y_idx), len(columns)))
+    for f, column in enumerate(columns):
+        free = {c: list(np.flatnonzero(y_idx == c)) for c in set(columns[0])}
+        for rank, c in enumerate(column):
+            X[free[c].pop(0), f] = rank
+    return X, y_idx
 
 
 def random_node(rng):
@@ -200,6 +214,41 @@ class TestBestSplitOracle:
                 seen["2+ words"] += words
                 seen["split" if expected else "none"] += 1
         assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("columns, expected", [
+        (([7, 7, 7, 0, 3, 5, 5, 3, 3, 0, 5, 0], [0, 3, 0, 3, 0, 3, 5, 5, 7, 7, 5, 7]), (0, 2.5)),
+        (([0, 4, 4, 4, 0, 6, 6, 6, 0, 5, 5, 5], [5, 4, 4, 4, 5, 5, 0, 6, 6, 0, 0, 6]), (0, 8.5)),
+    ], ids=["node-1", "node-2"])
+    def test_exact_tie_takes_the_lowest_feature(self, columns, expected):
+        # two 12-row nodes of a seed-11 interaction-wide ensemble, reduced to
+        # their tied columns: both cuts score exactly the same, and a float
+        # Gini rounded the tie toward feature 1
+        X, y_idx = node_from_columns(*columns)
+        assert reference_split(X.tolist(), y_idx.tolist(), 8) == expected
+        assert _best_split(X, y_idx, 8) == expected
+
+    def test_large_node_compares_float_tied_cuts_exactly(self):
+        # 7,098 rows of 12 classes; each column holds 0s and 1s, so its one cut
+        # leaves these class counts on the left. Column 1's score is exactly
+        # higher, but both round to the same float, as distinct scores can
+        # from about 2,300 rows on. Column 2, a copy of column 1, ties it exactly.
+        totals = 300 + 53 * np.arange(12)
+        lefts = [[142, 257, 185, 308, 306, 270, 196, 194, 200, 231, 234, 478],
+                 [253, 268, 227, 358, 371, 216, 283, 267, 286, 362, 288, 320]]
+        lefts.append(lefts[1])
+        n = int(totals.sum())
+
+        def score(left):  # S_l/n_l + S_r/n_r
+            nl = sum(left)
+            right = (totals - left).tolist()
+            return Fraction(sum(c * c for c in left), nl) + Fraction(sum(c * c for c in right), n - nl)
+
+        assert score(lefts[0]) < score(lefts[1]) and float(score(lefts[0])) == float(score(lefts[1]))
+        y_idx = np.repeat(np.arange(12), totals)
+        X = np.column_stack([np.concatenate([np.arange(t) >= c for t, c in zip(totals, left)])
+                             for left in lefts]) * 1.0
+        assert reference_split(X.tolist(), y_idx.tolist(), 12) == (1, 0.5)
+        assert _best_split(X, y_idx, 12) == (1, 0.5)
 
     @pytest.mark.parametrize("n", [32767, 32768], ids=["int32-counts", "int64-counts"])
     def test_largest_counts_match_reference(self, n):
@@ -351,7 +400,7 @@ PINNED_ENSEMBLES = [
     ),
     (
         ExperimentConfig(**PINNED_MACHINES[1][0], classifier="edt"),
-        "2f4e5ce9516c89e987528f0bcb07ca825e6a553b6b8b8933de2ff8e3e1fea1e9",
+        "94aaa14bc48d1bfa9e01df7dd864992591c5a5c6861d8d476e41f7db58585bd2",
     ),
 ]
 
