@@ -11,8 +11,9 @@ from .errors import DimensionMismatchError, TrainingDegenerateError
 
 class ClassifierMixin:
     """The classifiers' base: the keyword arguments of __init__ are the
-    parameter list, fit() starts with _fit_inputs, and predict() takes the
-    best of _class_scores(X), one (n_samples, n_classes) array."""
+    parameter list; fit() checks the inputs and sets what the kind's
+    _fit(X, codes, n_classes) returns, the attributes model_io stores; and
+    predict() takes the best of _class_scores(X), one (n_samples, n_classes) array."""
 
     @classmethod
     def _defaults(cls):
@@ -31,10 +32,12 @@ class ClassifierMixin:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
-    def _fit_inputs(self, X, y):
-        """Checked X, sorted classes and int64 label codes; params checked for
-        X's rows, and each for its default's type as the model file reads it:
-        an int default takes integers, a float one real numbers, neither a bool."""
+    def fit(self, X, y):
+        """Fit to rows X and labels y, after checking them, each parameter for its
+        default's type as the model file reads it (an int default takes integers,
+        a float one real numbers, neither a bool) and _check_params(n_samples).
+        classes_, n_features_ and _fit's attributes are set together once _fit
+        returns, so a fit that raises leaves the model as it was."""
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
         for name, default in self._defaults().items():
@@ -43,7 +46,15 @@ class ClassifierMixin:
                 raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
         self._check_params(X.shape[0])
         classes, codes = encode_labels(y)
-        return X, classes, codes
+        fitted = self._fit(X, codes, len(classes))
+        vars(self).update(classes_=classes, n_features_=X.shape[1], **fitted)
+        return self
+
+    def _checked(self, X):
+        """X checked as a feature matrix as wide as the training rows."""
+        if not hasattr(self, "n_features_"):
+            raise RuntimeError(f"{type(self).__name__} is not fitted yet")
+        return check_feature_matrix(X, n_features=self.n_features_)
 
     def predict(self, X):
         """Label with the highest class score; ties at the lowest label."""
@@ -102,8 +113,3 @@ def encode_labels(y):
         raise TrainingDegenerateError(f"need at least 2 classes, got {classes}")
     index = {c: i for i, c in enumerate(classes)}
     return classes, np.array([index[c] for c in y], dtype=np.int64)
-
-
-def check_fitted(estimator, attribute):
-    if not hasattr(estimator, attribute):
-        raise RuntimeError(f"{type(estimator).__name__} is not fitted yet")

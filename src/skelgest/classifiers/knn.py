@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..base import ClassifierMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin
 from ..errors import TrainingDegenerateError
 
 
@@ -26,16 +26,13 @@ class KNearestNeighbors(ClassifierMixin):
         if self.k > n_samples:
             raise TrainingDegenerateError(f"k={self.k} exceeds training size {n_samples}")
 
-    def fit(self, X, y):
-        self.X_, self.classes_, self.y_ = self._fit_inputs(X, y)
-        self.n_features_ = self.X_.shape[1]
-        return self
+    def _fit(self, X, codes, n_classes):
+        return {"X_": X, "y_": codes}
 
     def _class_scores(self, X):
         """Per class, minus its summed neighbor distance if it holds the most
         of the k nearest neighbors, else -inf: the argmax is the vote above."""
-        check_fitted(self, "X_")
-        X = check_feature_matrix(X, n_features=self.n_features_)
+        X = self._checked(X)
         # the dot-product expansion (shifted by a stored row, so it does not cancel
         # far from 0) picks every row that may be as near as the k-th: the shift, the
         # expansion and the exact measure round by less than (4d + 16) eps (|q|^2 + |t|^2)

@@ -20,7 +20,7 @@ predictions are exactly invariant under any reordering of the training set.
 
 import numpy as np
 
-from ..base import ClassifierMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin
 from ..errors import ConvergenceFailureError, TrainingDegenerateError
 
 # optimization steps allowed per sample and machine before giving up
@@ -154,24 +154,18 @@ class GaussianKernelSVM(ClassifierMixin):
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
-    def fit(self, X, y):
-        X, classes, codes = self._fit_inputs(X, y)
+    def _fit(self, X, codes, n_classes):
         if X.shape[0] >= 2 and np.all(X == X[0]):
             raise TrainingDegenerateError("all training vectors identical but labels differ")
         order = _canonical_order(X, codes)
-        self.classes_ = classes
-        self.X_ = X[order]
-        Y = np.where(codes[order] == np.arange(len(classes))[:, None], 1.0, -1.0)
-        alpha, self.bias_ = _smo(gaussian_kernel(self.X_, sigma=self.sigma), Y, self.C, self.tol)
-        self.dual_coef_ = alpha * Y
-        self.n_features_ = X.shape[1]
-        return self
+        X = X[order]
+        Y = np.where(codes[order] == np.arange(n_classes)[:, None], 1.0, -1.0)
+        alpha, bias = _smo(gaussian_kernel(X, sigma=self.sigma), Y, self.C, self.tol)
+        return {"X_": X, "dual_coef_": alpha * Y, "bias_": bias}
 
     def decision_function(self, X):
         """Per-class decision values, shape (n_samples, n_classes)."""
-        check_fitted(self, "classes_")
-        X = check_feature_matrix(X, n_features=self.n_features_)
-        K = gaussian_kernel(X, self.X_, self.sigma)  # (n, m)
+        K = gaussian_kernel(self._checked(X), self.X_, self.sigma)  # (n, m)
         return K @ self.dual_coef_.T + self.bias_[None, :]
 
     _class_scores = decision_function  # predict takes the largest decision value

@@ -12,7 +12,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from ..base import ClassifierMixin, check_feature_matrix, check_fitted
+from ..base import ClassifierMixin
 from ..errors import InvalidBootstrapError
 from ..rng import PortableRNG
 
@@ -141,18 +141,15 @@ class BaggedTreeEnsemble(ClassifierMixin):
         if n_samples is not None and self.bootstrap_fraction * n_samples < 1.0:
             raise InvalidBootstrapError(self.bootstrap_fraction, n_samples)
 
-    def fit(self, X, y):
-        X, self.classes_, y_idx = self._fit_inputs(X, y)
-        n, self.n_features_ = X.shape
+    def _fit(self, X, codes, n_classes):
+        n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
         draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
-        self.trees_ = [DecisionTree(len(self.classes_)).fit(X[idx], y_idx[idx]) for idx in draws]
-        return self
+        return {"trees_": [DecisionTree(n_classes).fit(X[idx], codes[idx]) for idx in draws]}
 
     def vote_counts(self, X):
         """(n_samples, n_classes) tally of tree votes; rows sum to n_trees."""
-        check_fitted(self, "trees_")
-        X = check_feature_matrix(X, n_features=self.n_features_)
+        X = self._checked(X)
         votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
         for tree in self.trees_:
             votes[np.arange(X.shape[0]), tree.predict(X)] += 1

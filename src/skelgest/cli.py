@@ -81,9 +81,10 @@ def _is_number(field):
 
 def _split_header(lines):
     """(header fields or None, iterator of data lines) of a numeric CSV's lines:
-    the first line is a header exactly when none of its fields parses as a float."""
+    the first line is a header exactly when none of its fields parses as a float
+    or starts as a number does, so a corrupt first data row stays data."""
     first = next(lines, None)
-    if first and not any(map(_is_number, first[1])):
+    if first and not any(_is_number(f) or f.startswith(tuple("0123456789+-.")) for f in first[1]):
         return first[1], lines
     return None, itertools.chain([first] if first else [], lines)
 

@@ -23,7 +23,7 @@ class ExperimentConfig:
     samples_per_class: int = 30
     frames: int = 90
     seed: int = 7
-    noise_std: float | None = None  # None: use each template's own std
+    noise_std: float = 0.01
     feature_kind: str = "single"
     classifier: str = "svm"
     split_fraction: float = 0.8
@@ -46,8 +46,7 @@ class ExperimentConfig:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.noise_std is not None:
-            check_noise_std(self.noise_std)
+        self.noise_std = check_noise_std(self.noise_std)
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.feature_kind not in FEATURE_KINDS:

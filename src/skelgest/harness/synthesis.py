@@ -31,11 +31,10 @@ def check_noise_std(std):
     return std
 
 
-def _clean(template, n_frames, noise_std=None):
-    """(depth-checked noiseless trajectory at n_frames uniform times, effective std)."""
+def _clean(template, n_frames):
+    """Depth-checked noiseless trajectory at n_frames uniform times."""
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
-    std = check_noise_std(template.noise_std if noise_std is None else noise_std)
     ts = np.linspace(0.0, 1.0, n_frames) if n_frames > 1 else np.array([0.0])
     clean = template.trajectory(ts)
     lo, hi = DEPTH_RANGE
@@ -43,7 +42,7 @@ def _clean(template, n_frames, noise_std=None):
     if depths.min() < lo or depths.max() > hi:
         z = depths.min() if depths.min() < lo else depths.max()
         raise DepthRangeViolationError(template.name, float(z), lo, hi)
-    return clean, std
+    return clean
 
 
 def _jitter(clean, std, seeds, rows):
@@ -66,22 +65,21 @@ def _jitter(clean, std, seeds, rows):
     return noise.reshape((len(seeds),) + clean.shape)
 
 
-def generate_sequence(template, n_frames, seed, noise_std=None):
+def generate_sequence(template, n_frames, seed, noise_std=0.01):
     """One sample of a template at n_frames uniform times, jittered by
-    PortableRNG(seed) normals.
+    noise_std times PortableRNG(seed) normals.
 
     The noiseless trajectory must stay inside the sensor depth range;
-    leaving it raises DepthRangeViolationError. noise_std overrides the
-    template's own value when given.
+    leaving it raises DepthRangeViolationError.
     """
-    return SkeletonSequence(_jitter(*_clean(template, n_frames, noise_std), [seed], range(N_JOINTS))[0])
+    clean = _clean(template, n_frames)
+    return SkeletonSequence(_jitter(clean, check_noise_std(noise_std), [seed], range(N_JOINTS))[0])
 
 
 def _clean_classes(config):
-    """(checked noiseless trajectory, effective std) per class of config."""
+    """Checked noiseless trajectory per class of config."""
     templates = config.templates or {}
-    return [_clean(templates.get(name) or get_template(name), config.frames, config.noise_std)
-            for name in config.classes]
+    return [_clean(templates.get(name) or get_template(name), config.frames) for name in config.classes]
 
 
 def _class_blocks(config, cleans, rows):
@@ -92,8 +90,8 @@ def _class_blocks(config, cleans, rows):
     """
     base = PortableRNG(config.seed)
     n = config.samples_per_class
-    for c, (clean, std) in enumerate(cleans):
-        yield _jitter(clean, std, [base.spawn(c * n + i).seed for i in range(n)], rows)
+    for c, clean in enumerate(cleans):
+        yield _jitter(clean, config.noise_std, [base.spawn(c * n + i).seed for i in range(n)], rows)
 
 
 def _labels(config):
@@ -126,12 +124,12 @@ _last = None
 
 def reuse_or_build(config):
     """build_dataset(config), or the last one this built if its key matches: the
-    classes, sizes, seed, feature kind, and per class the effective std and
-    the digest of its trajectory (templates are mutable, so not their identity)."""
+    classes, sizes, seed, feature kind, noise std, and per class the digest of
+    its trajectory (templates are mutable, so not their identity)."""
     global _last
     cleans = _clean_classes(config)
     key = (config.classes, config.feature_kind, config.frames, config.seed, config.samples_per_class,
-           [(std, clean.shape, hashlib.sha256(clean.tobytes()).hexdigest()) for clean, std in cleans])
+           config.noise_std, [(clean.shape, hashlib.sha256(clean.tobytes()).hexdigest()) for clean in cleans])
     last_key, data = _last or (None, None)
     if last_key != key:
         _last = data = None  # free the old dataset before building the next

@@ -42,8 +42,6 @@ BASE_POSE = np.array([
 ])
 BASE_POSE.setflags(write=False)
 
-DEFAULT_NOISE_STD = 0.01
-
 
 @dataclass
 class GestureTemplate:
@@ -57,7 +55,6 @@ class GestureTemplate:
     name: str
     moves: dict = field(default_factory=dict)
     base_pose: np.ndarray = field(default_factory=lambda: BASE_POSE)
-    noise_std: float = DEFAULT_NOISE_STD
 
     def trajectory(self, ts):
         """(len(ts), 20, 3) noiseless joint positions at the given times; joints

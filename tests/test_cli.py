@@ -582,11 +582,15 @@ class TestLineNumbers:
         scores.write_text("\n\nalgorithm,d1,d2\nSVM,0.9,0.8\n\nkNN,0.5,0.4\n")
         assert main(["friedman", "--scores", str(scores)]) == 0
 
-    # a first line holding a number is data, so its bad field is reported, not dropped as a header
-    @pytest.mark.parametrize("text", ["0.5x,1.0\n0.2,0.3\n", "x,1.0\n0.2,0.3\n"])
+    # a first line holding or starting a number is data, so its bad field is
+    # reported, not dropped as a header
+    @pytest.mark.parametrize("text", ["0.5x,1.0\n0.2,0.3\n", "x,1.0\n0.2,0.3\n", "0.5x\n0.2\n"])
     def test_corrupt_first_feature_row(self, tmp_path, capsys, text):
+        # a model as wide as the rows after the first, which a wrongly dropped header would pass
+        width = len(text.splitlines()[-1].split(","))
         model = tmp_path / "m.model"
-        model.write_text(GOLDEN_KNN)
+        X = np.arange(2.0 * width).reshape(2, width)
+        model.write_text(dumps_model(CLASSIFIERS["knn"]().fit(X, ["a", "b"])))
         features = tmp_path / "f.csv"
         features.write_text(text)
         assert main(["predict", "--model", str(model), "--features", str(features)]) == 2
@@ -596,11 +600,13 @@ class TestLineNumbers:
 
     def test_corrupt_first_score_row(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_text("svm,0.9x,0.8\nedt,0.5,0.6\nknn,0.8,0.7\n")
-        assert main(["friedman", "--scores", str(scores)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "scores.csv line 1: non-numeric score" in captured.err
+        # the second grid's first row has no field that parses as a float
+        for text in ["svm,0.9x,0.8\nedt,0.5,0.6\nknn,0.8,0.7\n", "svm,0.9x\nedt,0.5\nknn,0.8\n"]:
+            scores.write_text(text)
+            assert main(["friedman", "--scores", str(scores)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "scores.csv line 1: non-numeric score" in captured.err
 
 
 class TestNonAsciiInput:

@@ -30,8 +30,8 @@ from skelgest.harness.templates import BASE_POSE, DEPTH_RANGE, get_template
 from skelgest.rng import PortableRNG
 
 
-def static_template(noise_std=0.0):
-    return GestureTemplate("static", moves={}, noise_std=noise_std)
+def static_template():
+    return GestureTemplate("static", moves={})
 
 
 class TestTemplates:
@@ -56,7 +56,7 @@ class TestTemplates:
 
 class TestGenerateSequence:
     def test_zero_noise_static_template_gives_identical_frames(self):
-        seq = generate_sequence(static_template(), 10, seed=1)
+        seq = generate_sequence(static_template(), 10, seed=1, noise_std=0.0)
         assert np.array_equal(seq.joints, np.tile(BASE_POSE, (10, 1, 1)))
 
     def test_same_seed_same_sequence(self):
@@ -91,8 +91,6 @@ class TestGenerateSequence:
     def test_bad_noise_std_rejected(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
             generate_sequence(static_template(), 5, seed=0, noise_std=noise_std)
-        with pytest.raises(ValueError, match="noise_std"):
-            generate_sequence(static_template(noise_std), 5, seed=0)
 
     def test_single_frame_uses_t_zero(self):
         t = get_template("move_down")  # starts away from the base pose
@@ -104,7 +102,7 @@ class TestGenerateSequence:
         again = parse_skeleton_stream(serialize_skeleton_stream(seq))
         assert np.array_equal(seq.joints, again.joints)
 
-    @pytest.mark.parametrize("noise_std", [None, 0.0, 0.2])
+    @pytest.mark.parametrize("noise_std", [0.01, 0.0, 0.2])
     def test_each_row_of_a_block_is_its_seeds_sequence(self, noise_std):
         config = ExperimentConfig(classes=("clap",), samples_per_class=3, frames=13, seed=5,
                                   noise_std=noise_std)
@@ -285,10 +283,6 @@ def _moved_hand(t):
     t.moves[Joint.HAND_LEFT] = ((0.0, (0.0, 0.1, 0.0)),)
 
 
-def _noisier(t):
-    t.noise_std = 0.05
-
-
 def _shifted_pose(t):
     t.base_pose[Joint.HIP_CENTER.row, 0] += 0.01
 
@@ -297,8 +291,8 @@ class TestRunExperiment:
     def test_two_distinct_templates_zero_noise_perfect(self):
         arms = (Joint.ELBOW_LEFT, Joint.WRIST_LEFT, Joint.HAND_LEFT,
                 Joint.ELBOW_RIGHT, Joint.WRIST_RIGHT, Joint.HAND_RIGHT)
-        up = GestureTemplate("arms_up", {j: ((0.0, (0, 0.5, 0)),) for j in arms}, noise_std=0.0)
-        down = GestureTemplate("arms_down", {j: ((0.0, (0, -0.2, 0)),) for j in arms}, noise_std=0.0)
+        up = GestureTemplate("arms_up", {j: ((0.0, (0, 0.5, 0)),) for j in arms})
+        down = GestureTemplate("arms_down", {j: ((0.0, (0, -0.2, 0)),) for j in arms})
         cfg = ExperimentConfig(
             classes=("arms_up", "arms_down"), samples_per_class=5, frames=10,
             seed=2, classifier="knn", params={"k": 1}, split_fraction=0.6,
@@ -363,10 +357,10 @@ class TestRunExperiment:
         monkeypatch.setattr(synthesis, "_last", None)
         assert run_experiment(changed).summary() == rebuilt
 
-    @pytest.mark.parametrize("edit", [_moved_hand, _noisier, _shifted_pose])
+    @pytest.mark.parametrize("edit", [_moved_hand, _shifted_pose])
     def test_an_edited_template_rebuilds(self, builds, monkeypatch, edit):
         templates = {"waving": editable_template("waving")}
-        config = dataclasses.replace(SMALL, classes=("waving", "clap"), noise_std=None, templates=templates)
+        config = dataclasses.replace(SMALL, classes=("waving", "clap"), templates=templates)
         run_experiment(config)
         edit(templates["waving"])
         rebuilt = run_experiment(config).summary()

@@ -11,7 +11,9 @@ from skelgest.classifiers import (
     loads_model,
     save_model,
 )
-from skelgest.errors import ModelFormatError
+from skelgest.classifiers import svm
+from skelgest.classifiers.model_io import _FIELDS, CLASSIFIERS
+from skelgest.errors import ConvergenceFailureError, ModelFormatError
 
 from test_svm import THREE_BLOBS, blobs
 
@@ -93,6 +95,42 @@ class TestRoundTrip:
         loaded = loads_model(dumps_model(model.fit(X, y)))
         assert loaded.get_params() == model.get_params()
         assert loaded.predict(probe) == model.predict(probe)
+
+
+class TestFitContract:
+    """fit sets the fitted state in one step, after the kind's _fit returns."""
+
+    def test_failed_refit_leaves_the_model(self, training, monkeypatch):
+        X, y, probe = training
+        model = GaussianKernelSVM().fit(X, y)
+        classes, scores = model.classes_, model.decision_function(probe)
+        monkeypatch.setattr(svm, "_MAX_STEPS_PER_SAMPLE", 0)
+        with pytest.raises(ConvergenceFailureError):
+            model.fit(X, [f"new_{label}" for label in y])
+        assert model.classes_ == classes
+        assert np.array_equal(model.decision_function(probe), scores)
+
+    def test_failed_first_fit_leaves_the_model_unfitted(self, training, monkeypatch):
+        X, y, probe = training
+        model = GaussianKernelSVM()
+        monkeypatch.setattr(svm, "_MAX_STEPS_PER_SAMPLE", 0)
+        with pytest.raises(ConvergenceFailureError):
+            model.fit(X, y)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            model.predict(probe)
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    def test_unfitted_predict_raises(self, training, kind):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            CLASSIFIERS[kind]().predict(training[2])
+
+    # the fitted state is what the model file stores, so a loaded model is whole
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    def test_fitted_attributes_are_the_model_files(self, training, kind):
+        X, y, _ = training
+        model = CLASSIFIERS[kind]().fit(X, y)
+        fitted = vars(model).keys() - model.get_params().keys()
+        assert fitted == {"classes_", "n_features_", *(attr for _, attr, _ in _FIELDS[kind])}
 
 
 class TestCorruptFiles:
