@@ -50,11 +50,12 @@ class ClassifierMixin:
         vars(self).update(classes_=classes, n_features_=X.shape[1], **fitted)
         return self
 
-    def _checked(self, X):
-        """X checked as a feature matrix as wide as the training rows."""
+    def _checked(self, X=None):
+        """X checked as a feature matrix as wide as the training rows; with
+        no X, only that the model is fitted."""
         if not hasattr(self, "n_features_"):
             raise RuntimeError(f"{type(self).__name__} is not fitted yet")
-        return check_feature_matrix(X, n_features=self.n_features_)
+        return None if X is None else check_feature_matrix(X, n_features=self.n_features_)
 
     def predict(self, X):
         """Label with the highest class score; ties at the lowest label."""

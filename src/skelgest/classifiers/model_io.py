@@ -201,6 +201,7 @@ def dumps_model(model):
     kind = next((kind for kind, cls in CLASSIFIERS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    model._checked()  # a model never fitted raises "not fitted yet"
     lines = [f"{_MAGIC} {_VERSION}", f"kind {kind}"]
     lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
     lines += [f"scalar {name} {getattr(model, name)}" for name in CLASSIFIERS[kind]._defaults()]

@@ -24,25 +24,32 @@ class DecisionTree:
     is label[i]; internal nodes route x[feature] <= threshold to children[i,0]
     and the rest to children[i,1]. Cuts of exactly equal Gini (_best_split) go
     to the lowest feature, then threshold; leaf majorities to the lowest class.
+    A split depends only on the order of each column's values, so the tree
+    grows on their ranks (_rank_keys) and gets the splits the values give.
     """
 
     def __init__(self, n_classes):
         self.n_classes = n_classes
 
     def fit(self, X, y_idx):
+        X = np.asarray(X, dtype=np.float64)
+        return self._grow(X, np.arange(len(X)), *_rank_keys(X, y_idx, self.n_classes))
+
+    def _grow(self, X, rows, keys, class_bits):
+        """Grow on the rows X[rows]; keys and class_bits are _rank_keys of all of X."""
         nodes = []  # [feature, threshold, left, right, label] in pre-order
         # a stack, not recursion, so depth is unlimited; entries fill parent slot 2 or 3
-        stack = [(np.asarray(X, dtype=np.float64), np.asarray(y_idx, dtype=np.int64), [0] * 4, 2)]
+        stack = [(rows, keys[rows], [0] * 4, 2)]
         while stack:
-            X, y_idx, parent, slot = stack.pop()
+            rows, keys, parent, slot = stack.pop()
             parent[slot] = len(nodes)
-            counts = np.bincount(y_idx, minlength=self.n_classes)
-            split = None if np.max(counts) == len(y_idx) else _best_split(X, y_idx, self.n_classes)
-            nodes.append([*split, -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
+            counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1, minlength=self.n_classes)
+            split = None if np.max(counts) == len(rows) else _best_split(X, rows, keys, class_bits, counts)
+            nodes.append([*split[:2], -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
             if split:
-                mask = X[:, split[0]] <= split[1]
+                mask = split[2]
                 # right below left on the stack: the left subtree is numbered first
-                stack += [(X[~mask], y_idx[~mask], nodes[-1], 3), (X[mask], y_idx[mask], nodes[-1], 2)]
+                stack += [(rows[~mask], keys[~mask], nodes[-1], 3), (rows[mask], keys[mask], nodes[-1], 2)]
         return self.set_nodes(nodes)
 
     def set_nodes(self, table):
@@ -76,37 +83,62 @@ def _running(a):
     return a
 
 
-def _best_split(X, y_idx, n_classes):
-    """(feature, threshold) minimizing weighted Gini, or None if no cut lowers it.
+def _rank_keys(X, codes, n_classes):
+    """(keys, class_bits): each cell as rank << class_bits | codes[row] in the
+    smallest signed dtype that holds it, rank being its dense rank in its column
+    (equal values share one, -0.0 and 0.0 too). Ranking 24 columns at a time
+    keeps its temporaries below the split search's, so it does not raise
+    glibc's mmap threshold (which would move the page faults of later code)."""
+    n, d = X.shape
+    class_bits = (n_classes - 1).bit_length()
+    keys = np.empty((n, d), dtype=np.min_scalar_type(-((n - 1) << class_bits | (n_classes - 1))))
+    for j in range(0, d, 24):
+        order = np.argsort(X[:, j:j + 24], axis=0)
+        sx = np.take_along_axis(X[:, j:j + 24], order, axis=0)
+        rank = np.zeros(order.shape, dtype=keys.dtype)
+        np.cumsum(sx[1:] != sx[:-1], axis=0, dtype=keys.dtype, out=rank[1:])
+        np.put_along_axis(keys[:, j:j + 24], order, rank, axis=0)
+    keys <<= class_bits
+    keys |= np.asarray(codes, dtype=keys.dtype)[:, None]
+    return keys, class_bits
 
+
+def _best_split(X, rows, keys, class_bits, total):
+    """(feature, threshold, left) minimizing weighted Gini, or None if no cut
+    lowers it, for the rows X[rows] whose keys (_rank_keys) and class counts
+    are keys and total; left marks the rows at or below the threshold.
+
+    A column's sorted keys hold its rows in value order, labels in the low bits.
     Left class counts come from prefix sums over packed int64 words; a row
-    raises S_l = Σ l_k² by 2·rank − 1, rank being its count in its class so far.
+    raises S_l = Σ l_k² by 2·seen − 1, seen being its count in its class so far.
     A cut maximizes S_l/n_l + S_r/n_r = (n·S_l + n_l·(S_t − 2 Σ t_k l_k)) / (n_l·n_r),
     an exact int64 numerator up to about 1.6 million rows. Below about 330,000
     rows one correctly rounded division keeps exact ties tied; from about 2,300,
     distinct scores can round alike and the cuts at the best float are compared
-    exactly. Only cuts between distinct values count, so ties sort freely."""
-    n, d = X.shape
-    order = np.argsort(X, axis=0)  # (n, d)
-    sx = np.take(X, order * d + np.arange(d))  # each column sorted
-    left = order[:-1]  # rows left of each cut: cut i follows sorted row i
-    total = np.bincount(y_idx, minlength=n_classes)  # (K,)
+    exactly. Cuts fall only between distinct ranks, so ties sort freely. The
+    threshold is the midpoint of the values either side of the cut, or the lower
+    value if the midpoint rounds out of [lower, upper) (then x <= midpoint
+    would send every row left, or none)."""
+    n, d = keys.shape
+    sk = np.sort(keys, axis=0)
+    y = (sk[:-1] & (1 << class_bits) - 1).astype(np.intp)  # cut i follows row i; intp gathers fast
     bits = n.bit_length()
-    word, field = np.divmod(np.arange(n_classes), 63 // bits)
-    rank = np.zeros((n - 1, d), dtype=np.int64)
+    word, field = np.divmod(np.arange(len(total)), 63 // bits)
+    seen = np.zeros((n - 1, d), dtype=np.int64)
     for w in range(word[-1] + 1):
-        packed = _running(np.where(word == w, 1 << bits * field, 0)[y_idx][left])
-        packed >>= np.where(word == w, bits * field, 63)[y_idx][left]  # other words read 0
+        packed = _running(np.where(word == w, 1 << bits * field, 0)[y])
+        packed >>= np.where(word == w, bits * field, 63)[y]  # other words read 0
         packed &= (1 << bits) - 1
-        rank += packed
-    rank *= 2 * n  # S_l sums 2·rank − 1, so n·S_l is this prefix sum less n·n_l
-    num = _running(total[y_idx][left])  # Σ_k t_k l_k
+        seen += packed
+    seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
+    num = _running(total[y])  # Σ_k t_k l_k
     sq_total = int(total @ total)
     nl = np.arange(1, n, dtype=np.int64)[:, None]
     num *= -2 * nl
     num += (sq_total - n) * nl
-    num += _running(rank)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
-    num[sx[1:] == sx[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
+    num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
+    sk >>= class_bits  # ranks
+    num[sk[1:] == sk[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
     score = num / (nl * (n - nl))
     best = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
     f = int(np.argmax(best))
@@ -117,7 +149,10 @@ def _best_split(X, y_idx, n_classes):
     p, q, f, cut = max(scored, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
     if not p * n > sq_total * q:  # no gain over the parent's S_t/n
         return None
-    return f, float((sx[cut, f] + sx[cut + 1, f]) / 2.0)
+    left = keys[:, f] >> class_bits <= sk[cut, f]
+    lo, hi = float(X[rows[left], f].max()), float(X[rows[~left], f].min())
+    mid = (lo + hi) / 2.0  # Python floats: an overflow to inf does not warn
+    return f, mid if lo <= mid < hi else lo, left
 
 
 class BaggedTreeEnsemble(ClassifierMixin):
@@ -145,7 +180,8 @@ class BaggedTreeEnsemble(ClassifierMixin):
         n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
         draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
-        return {"trees_": [DecisionTree(n_classes).fit(X[idx], codes[idx]) for idx in draws]}
+        keys, class_bits = _rank_keys(X, codes, n_classes)  # once for every tree
+        return {"trees_": [DecisionTree(n_classes)._grow(X, idx, keys, class_bits) for idx in draws]}
 
     def vote_counts(self, X):
         """(n_samples, n_classes) tally of tree votes; rows sum to n_trees."""

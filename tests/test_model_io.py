@@ -55,7 +55,7 @@ class TestRoundTrip:
     def test_model_that_cannot_be_written_leaves_the_file(self, tmp_path):
         path = tmp_path / "old.model"
         path.write_text("old model\n")
-        with pytest.raises(AttributeError):
+        with pytest.raises(RuntimeError, match="not fitted yet"):
             save_model(GaussianKernelSVM(), path)  # not fitted
         assert path.read_text() == "old model\n"
 
@@ -123,6 +123,11 @@ class TestFitContract:
     def test_unfitted_predict_raises(self, training, kind):
         with pytest.raises(RuntimeError, match="not fitted"):
             CLASSIFIERS[kind]().predict(training[2])
+
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    def test_unfitted_model_is_not_written(self, kind):
+        with pytest.raises(RuntimeError, match="not fitted yet"):
+            dumps_model(CLASSIFIERS[kind]())
 
     # the fitted state is what the model file stores, so a loaded model is whole
     @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))

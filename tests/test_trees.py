@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model
-from skelgest.classifiers.trees import _best_split
+from skelgest.classifiers.trees import _best_split, _rank_keys
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 
@@ -63,11 +63,26 @@ def depth(tree):
     return int(level.max())
 
 
+def best_split(X, y_idx, n_classes):
+    """_best_split's (feature, threshold) for a node of rows X, reached as
+    DecisionTree.fit reaches it: through the rank keys of X. Its left mask
+    must route the rows as their values and the threshold do."""
+    X, y_idx = np.asarray(X, dtype=np.float64), np.asarray(y_idx)
+    keys, class_bits = _rank_keys(X, y_idx, n_classes)
+    split = _best_split(X, np.arange(len(X)), keys, class_bits, np.bincount(y_idx, minlength=n_classes))
+    if split is None:
+        return None
+    f, threshold, left = split
+    assert np.array_equal(left, X[:, f] <= threshold), (X, y_idx, split)
+    return f, threshold
+
+
 def reference_split(X, y_idx, n_classes):
     """_best_split in plain Python: class counts tallied row by row, each
     cut's weighted Gini an exact Fraction, cuts scanned feature-major and
     then left to right, the first strict minimum kept, and None unless it
-    is below the parent's Gini."""
+    is below the parent's Gini. The threshold is the midpoint of the values
+    either side of the cut, or the lower value where it rounds outside."""
     n, d = len(X), len(X[0])
     total = [0] * n_classes
     for c in y_idx:
@@ -88,7 +103,8 @@ def reference_split(X, y_idx, n_classes):
             gini_r = 1 - Fraction(sum((t - c) ** 2 for t, c in zip(total, left)), nr * nr)
             weighted = (nl * gini_l + nr * gini_r) / n
             if best is None or weighted < best[0]:
-                best = (weighted, f, (lo + hi) / 2.0)
+                mid = (lo + hi) / 2.0
+                best = (weighted, f, mid if lo <= mid < hi else lo)
     if best is None or best[0] >= parent:
         return None
     return best[1], best[2]
@@ -154,13 +170,17 @@ def many_class_node(rng):
     return X, rng.choice(present, size=n), n_classes
 
 
+# two values whose midpoint rounds out of [lo, hi)
+ROUNDING_PAIRS = [(1 + 2 ** -52, 1 + 2 ** -51), (1e308, 1.7e308), (-1.7e308, -1e308), (-5e-324, 0.0)]
+
+
 class TestBestSplitOracle:
     def test_matches_plain_python_reference(self):
         rng = np.random.default_rng(60)
         seen = {"split": 0, "none": 0, "n=2": 0, "absent class": 0}
         for _ in range(600):
             X, y_idx, n_classes = random_node(rng)
-            got = _best_split(X, y_idx, n_classes)
+            got = best_split(X, y_idx, n_classes)
             assert got == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
             seen["split" if got else "none"] += 1
             seen["n=2"] += len(y_idx) == 2
@@ -173,7 +193,7 @@ class TestBestSplitOracle:
             X, y_idx, n_classes = balanced_node(rng)
             if len(set(y_idx.tolist())) > 1:
                 assert reference_split(X.tolist(), y_idx.tolist(), n_classes) is None
-                assert _best_split(X, y_idx, n_classes) is None
+                assert best_split(X, y_idx, n_classes) is None
 
     def test_continuous_features_match_reference(self):
         rng = np.random.default_rng(62)
@@ -182,17 +202,17 @@ class TestBestSplitOracle:
         for _ in range(100):
             rows = rng.integers(len(y_idx), size=int(rng.integers(2, 36)))
             Xn, yn = np.round(X[rows], 1), y_idx[rows]
-            assert _best_split(Xn, yn, 3) == reference_split(Xn.tolist(), yn.tolist(), 3)
+            assert best_split(Xn, yn, 3) == reference_split(Xn.tolist(), yn.tolist(), 3)
 
     def test_row_order_cannot_change_a_split(self):
         # the sort need not be stable: tied rows may come in any order
         rng = np.random.default_rng(64)
         for _ in range(300):
             X, y_idx, n_classes = random_node(rng)
-            expected = _best_split(X, y_idx, n_classes)
+            expected = best_split(X, y_idx, n_classes)
             for _ in range(3):
                 p = rng.permutation(len(y_idx))
-                assert _best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+                assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
 
     def test_row_at_a_time_and_multi_word_paths_match_reference(self):
         # the prefix sums go a row at a time when 10 (n - 1) <= d; a count
@@ -204,16 +224,55 @@ class TestBestSplitOracle:
                 X, y_idx, n_classes = make(rng)
                 n, d = X.shape
                 expected = reference_split(X.tolist(), y_idx.tolist(), n_classes)
-                assert _best_split(X, y_idx, n_classes) == expected, (X, y_idx)
+                assert best_split(X, y_idx, n_classes) == expected, (X, y_idx)
                 for _ in range(3):
                     p = rng.permutation(n)
-                    assert _best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+                    assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
                 words = n_classes > 63 // n.bit_length()
                 seen["row loop, n > 4"] += 10 * (n - 1) <= d and n > 4
                 seen["row loop, 2+ words"] += 10 * (n - 1) <= d and words
                 seen["2+ words"] += words
                 seen["split" if expected else "none"] += 1
         assert min(seen.values()) >= 10, seen
+
+    def test_signed_zeros_are_one_value(self):
+        # -0.0 == 0.0: they share a rank, and no cut falls between them even
+        # where their labels differ
+        X = np.array([[-0.0], [0.0], [-0.0], [0.0], [2.0], [2.0]])
+        y_idx = np.array([0, 1, 0, 1, 1, 1])
+        keys, class_bits = _rank_keys(X, y_idx, 2)
+        assert (keys[:4, 0] >> class_bits).tolist() == [0] * 4
+        assert reference_split(X.tolist(), y_idx.tolist(), 2) == (0, 1.0)
+        assert best_split(X, y_idx, 2) == (0, 1.0)
+
+    def test_signed_zeros_match_reference(self):
+        rng = np.random.default_rng(66)
+        both = 0
+        for _ in range(300):
+            X, y_idx, n_classes = random_node(rng)
+            X = np.where(X == 0, rng.choice([-0.0, 0.0], size=X.shape), X)
+            expected = reference_split(X.tolist(), y_idx.tolist(), n_classes)
+            assert best_split(X, y_idx, n_classes) == expected, (X, y_idx)
+            p = rng.permutation(len(y_idx))
+            assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+            signs = np.signbit(X)[X == 0]
+            both += bool(expected) and signs.any() and not signs.all()
+        assert both >= 20, both
+
+    @pytest.mark.parametrize("lo, hi", ROUNDING_PAIRS,
+                             ids=["adjacent", "overflow", "negative-overflow", "to-minus-zero"])
+    def test_midpoint_off_the_gap_takes_the_lower_value(self, lo, hi):
+        # (lo + hi) / 2 rounds onto hi, to +-inf or to -0.0 (which 0.0 is <=),
+        # so it would send both rows left; the lower value splits them
+        mid = (lo + hi) / 2.0
+        assert not lo <= mid < hi
+        X, y_idx = np.array([[lo], [hi]]), np.array([0, 1])
+        assert reference_split(X.tolist(), y_idx.tolist(), 2) == (0, lo)
+        f, threshold = best_split(X, y_idx, 2)
+        assert (X[:, f] <= threshold).tolist() == [True, False]
+        assert DecisionTree(2).fit(X, y_idx).predict(X).tolist() == [0, 1]
+        model = IdentitySampled(n_trees=1, bootstrap_fraction=1.0).fit(X, ["a", "b"])
+        assert model.predict(X) == ["a", "b"]
 
     @pytest.mark.parametrize("columns, expected", [
         (([7, 7, 7, 0, 3, 5, 5, 3, 3, 0, 5, 0], [0, 3, 0, 3, 0, 3, 5, 5, 7, 7, 5, 7]), (0, 2.5)),
@@ -225,7 +284,7 @@ class TestBestSplitOracle:
         # Gini rounded the tie toward feature 1
         X, y_idx = node_from_columns(*columns)
         assert reference_split(X.tolist(), y_idx.tolist(), 8) == expected
-        assert _best_split(X, y_idx, 8) == expected
+        assert best_split(X, y_idx, 8) == expected
 
     def test_large_node_compares_float_tied_cuts_exactly(self):
         # 7,098 rows of 12 classes; each column holds 0s and 1s, so its one cut
@@ -248,7 +307,7 @@ class TestBestSplitOracle:
         X = np.column_stack([np.concatenate([np.arange(t) >= c for t, c in zip(totals, left)])
                              for left in lefts]) * 1.0
         assert reference_split(X.tolist(), y_idx.tolist(), 12) == (1, 0.5)
-        assert _best_split(X, y_idx, 12) == (1, 0.5)
+        assert best_split(X, y_idx, 12) == (1, 0.5)
 
     @pytest.mark.parametrize("n", [32767, 32768], ids=["int32-counts", "int64-counts"])
     def test_largest_counts_match_reference(self, n):
@@ -256,7 +315,7 @@ class TestBestSplitOracle:
         rng = np.random.default_rng(n)
         X = rng.permutation(np.arange(n) // 2)[:, None] * 1.0
         y_idx = (X[:, 0] == X.max()).astype(np.int64)
-        got = _best_split(X, y_idx, 2)
+        got = best_split(X, y_idx, 2)
         assert got == reference_split(X.tolist(), y_idx.tolist(), 2)
         assert got == (0, float(X.max()) - 0.5)
 
@@ -277,6 +336,28 @@ class TestEnsembleFit:
         m1 = BaggedTreeEnsemble(n_trees=10, seed=1).fit(X, y)
         m2 = BaggedTreeEnsemble(n_trees=10, seed=2).fit(X, y)
         assert dumps_model(m1) != dumps_model(m2)
+
+    def test_pre_ranked_trees_match_trees_fit_on_their_rows(self):
+        # the ensemble ranks X once; DecisionTree.fit ranks only a tree's rows
+        rng = np.random.default_rng(67)
+        X, y = blobs(rng, THREE_BLOBS, 12, std=3.0)
+        X = np.round(X)  # ties, and zeros of either sign
+        X = np.where(X == 0, rng.choice([-0.0, 0.0], size=X.shape), X)
+        drawn = []
+
+        class Recording(BaggedTreeEnsemble):
+            def _draw_indices(self, rng, n_samples, size):
+                drawn.append(super()._draw_indices(rng, n_samples, size))
+                return drawn[-1]
+
+        model = Recording(n_trees=15, bootstrap_fraction=0.6, seed=9).fit(X, y)
+        codes = np.array([model.classes_.index(v) for v in y])
+        assert len(drawn) == len(model.trees_) == 15
+        for tree, idx in zip(model.trees_, drawn):
+            alone = DecisionTree(3).fit(X[idx], codes[idx])
+            for name in ("feature", "threshold", "children", "label"):
+                assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert max(len(tree.feature) for tree in model.trees_) > 5
 
     def test_identity_hook_single_tree_matches_tree_accuracy(self):
         rng = np.random.default_rng(53)
