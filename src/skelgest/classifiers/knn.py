@@ -33,20 +33,21 @@ class KNearestNeighbors(ClassifierMixin):
         """Per class, minus its summed neighbor distance if it holds the most
         of the k nearest neighbors, else -inf: the argmax is the vote above."""
         X = self._checked(X)
-        # the dot-product expansion (shifted by a stored row, so it does not cancel
-        # far from 0) picks every row that may be as near as the k-th: the shift, the
-        # expansion and the exact measure round by less than (4d + 16) eps (|q|^2 + |t|^2)
-        q, train = X - self.X_[0], self.X_ - self.X_[0]
-        nq, nt = np.einsum("ij,ij->i", q, q)[:, None], np.einsum("ij,ij->i", train, train)
-        sq = nq + nt - 2.0 * (q @ train.T)
-        slack = (4 * X.shape[1] + 16) * np.finfo(np.float64).eps * (nq + nt)
-        kth = np.partition(sq + slack, self.k - 1, axis=1)[:, self.k - 1, None]
-        dist = np.full(sq.shape, np.inf)
-        for i, maybe in enumerate(sq - slack <= kth):
-            cand = np.flatnonzero(maybe)
-            diff = self.X_[cand] - X[i]
-            # cumsum adds the squared differences left to right
-            dist[i, cand] = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
+        # the dot-product expansion (shifted by a stored row, so it does not cancel far
+        # from 0) keeps every row it cannot rule out as near as the k-th, its rounding
+        # being below (4d + 16) eps (|q|^2 + |t|^2); where it overflows to nan it rules out none
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, train = X - self.X_[0], self.X_ - self.X_[0]
+            nq, nt = np.einsum("ij,ij->i", q, q)[:, None], np.einsum("ij,ij->i", train, train)
+            sq = nq + nt - 2.0 * (q @ train.T)
+            slack = (4 * X.shape[1] + 16) * np.finfo(np.float64).eps * (nq + nt)
+            kth = np.partition(sq + slack, self.k - 1, axis=1)[:, self.k - 1, None]
+            dist = np.full(sq.shape, np.inf)
+            for i, maybe in enumerate(~(sq - slack > kth)):
+                cand = np.flatnonzero(maybe)
+                diff = self.X_[cand] - X[i]
+                # cumsum adds the squared differences left to right
+                dist[i, cand] = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
         near = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
         rows = np.arange(len(X))[:, None]
         counts = np.zeros((len(X), len(self.classes_)), dtype=np.int64)

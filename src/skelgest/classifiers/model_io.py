@@ -23,7 +23,7 @@ import numpy as np
 
 from ..base import check_labels
 from ..errors import ComputationError, ModelFormatError
-from ..skeleton import format_floats, read_ascii
+from ..skeleton import read_ascii
 from .knn import KNearestNeighbors
 from .svm import GaussianKernelSVM
 from .trees import BaggedTreeEnsemble, DecisionTree
@@ -64,9 +64,10 @@ def _read_scalar(lines, name, cast):
     return _parse(fields[2], cast, f"scalar {name!r}")
 
 
-def _fmt_array(name, rows, fmt=format_floats):
-    rows = np.atleast_2d(rows)
-    return [f"array {name} {rows.shape[0]} {rows.shape[1]}"] + [fmt(row) for row in rows]
+def _fmt_array(name, rows):
+    rows = np.atleast_2d(rows)  # repr of a Python int or float round-trips it
+    header = f"array {name} {rows.shape[0]} {rows.shape[1]}"
+    return [header] + [" ".join(map(repr, row.tolist())) for row in rows]
 
 
 def _read_array(lines, name, cast, dims, sizes):
@@ -107,8 +108,7 @@ class _Floats:
     def __init__(self, dims):
         self.dims = dims
 
-    def dump(self, name, value):
-        return _fmt_array(name, value)
+    dump = staticmethod(_fmt_array)
 
     def load(self, lines, name, model, sizes):
         arr = _read_array(lines, name, float, self.dims, sizes)
@@ -118,8 +118,7 @@ class _Floats:
 class _LabelIndices:
     """One label code per stored row: its index into the labels record."""
 
-    def dump(self, name, codes):
-        return _fmt_array(name, codes, lambda row: " ".join(map(str, row)))
+    dump = staticmethod(_fmt_array)
 
     def load(self, lines, name, model, sizes):
         codes = _read_array(lines, name, np.int64, "1n", sizes).reshape(-1)
@@ -164,7 +163,7 @@ def _checked_tree(t, nodes, n_features, n_classes):
     if not nodes:
         raise ModelFormatError(f"tree {t} has no nodes")
     try:
-        tree = DecisionTree(n_classes).set_nodes(nodes)
+        tree = DecisionTree().set_nodes(nodes)
     except (ValueError, OverflowError):
         raise ModelFormatError(f"tree {t} holds a bad node record") from None
     leaf = tree.feature < 0

@@ -61,7 +61,7 @@ def gaussian_kernel(X, Y=None, sigma=1.0):
 def _canonical_order(X, y):
     """Indices sorting rows lexicographically by features, then label."""
     order = np.argsort(X[:, 0], kind="stable")
-    if np.all(np.diff(X[order, 0]) > 0.0):  # distinct first features decide alone
+    if np.all(X[order[1:], 0] > X[order[:-1], 0]):  # distinct first features decide alone
         return order
     keys = [np.asarray(y)] + [X[:, c] for c in range(X.shape[1] - 1, -1, -1)]
     return np.lexsort(keys)

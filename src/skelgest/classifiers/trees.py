@@ -28,12 +28,9 @@ class DecisionTree:
     grows on their ranks (_rank_keys) and gets the splits the values give.
     """
 
-    def __init__(self, n_classes):
-        self.n_classes = n_classes
-
     def fit(self, X, y_idx):
         X = np.asarray(X, dtype=np.float64)
-        return self._grow(X, np.arange(len(X)), *_rank_keys(X, y_idx, self.n_classes))
+        return self._grow(X, np.arange(len(X)), *_rank_keys(X, y_idx))
 
     def _grow(self, X, rows, keys, class_bits):
         """Grow on the rows X[rows]; keys and class_bits are _rank_keys of all of X."""
@@ -43,7 +40,7 @@ class DecisionTree:
         while stack:
             rows, keys, parent, slot = stack.pop()
             parent[slot] = len(nodes)
-            counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1, minlength=self.n_classes)
+            counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1)
             split = None if np.max(counts) == len(rows) else _best_split(X, rows, keys, class_bits, counts)
             nodes.append([*split[:2], -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
             if split:
@@ -83,15 +80,16 @@ def _running(a):
     return a
 
 
-def _rank_keys(X, codes, n_classes):
+def _rank_keys(X, codes):
     """(keys, class_bits): each cell as rank << class_bits | codes[row] in the
     smallest signed dtype that holds it, rank being its dense rank in its column
     (equal values share one, -0.0 and 0.0 too). Ranking 24 columns at a time
     keeps its temporaries below the split search's, so it does not raise
     glibc's mmap threshold (which would move the page faults of later code)."""
     n, d = X.shape
-    class_bits = (n_classes - 1).bit_length()
-    keys = np.empty((n, d), dtype=np.min_scalar_type(-((n - 1) << class_bits | (n_classes - 1))))
+    top = int(np.max(codes))
+    class_bits = top.bit_length()
+    keys = np.empty((n, d), dtype=np.min_scalar_type(-((n - 1) << class_bits | top)))
     for j in range(0, d, 24):
         order = np.argsort(X[:, j:j + 24], axis=0)
         sx = np.take_along_axis(X[:, j:j + 24], order, axis=0)
@@ -180,8 +178,8 @@ class BaggedTreeEnsemble(ClassifierMixin):
         n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
         draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
-        keys, class_bits = _rank_keys(X, codes, n_classes)  # once for every tree
-        return {"trees_": [DecisionTree(n_classes)._grow(X, idx, keys, class_bits) for idx in draws]}
+        keys, class_bits = _rank_keys(X, codes)  # once for every tree
+        return {"trees_": [DecisionTree()._grow(X, idx, keys, class_bits) for idx in draws]}
 
     def vote_counts(self, X):
         """(n_samples, n_classes) tally of tree votes; rows sum to n_trees."""

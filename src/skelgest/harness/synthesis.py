@@ -35,8 +35,7 @@ def _clean(template, n_frames):
     """Depth-checked noiseless trajectory at n_frames uniform times."""
     if n_frames < 1:
         raise ValueError(f"need at least 1 frame, got {n_frames}")
-    ts = np.linspace(0.0, 1.0, n_frames) if n_frames > 1 else np.array([0.0])
-    clean = template.trajectory(ts)
+    clean = template.trajectory(np.linspace(0.0, 1.0, n_frames))
     lo, hi = DEPTH_RANGE
     depths = clean[:, :, 2]
     if depths.min() < lo or depths.max() > hi:
@@ -49,13 +48,11 @@ def _jitter(clean, std, seeds, rows):
     """clean plus std times the PortableRNG(seeds[i]) normals, per sample i, on the
     given joint rows; other rows stay clean. A frame is 30 whole Box-Muller pairs, so
     only the pairs p covering rows are drawn, the same in every frame f: 30 f + p."""
-    if std == 0.0:
-        return np.broadcast_to(clean, (len(seeds),) + clean.shape)
     values = clean.reshape(len(clean), FLOATS_PER_FRAME)
     per_frame = np.array(sorted({(3 * row + axis) // 2 for row in rows for axis in range(3)}))
     cols = (2 * per_frame[:, None] + np.arange(2)).ravel()
     pairs = (FLOATS_PER_FRAME // 2 * np.arange(len(clean))[:, None] + per_frame).ravel()
-    noise = normal_rows(seeds, clean.size, pairs).reshape(len(seeds), len(clean), cols.size)
+    noise = normal_rows(seeds, pairs).reshape(len(seeds), len(clean), cols.size)
     noise *= std
     noise += values[:, cols]
     if cols.size < FLOATS_PER_FRAME:  # else every value is drawn and the noise is the output

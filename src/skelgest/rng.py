@@ -73,16 +73,15 @@ def _box_muller(bits):
     return out
 
 
-def normal_rows(seeds, n, pairs=None):
-    """(len(seeds), n) normals drawn as one uint64 array of counter outputs;
-    row i equals PortableRNG(seeds[i]).normal_array(n). Given distinct pairs p
-    with 2p + 2 <= n, only those are drawn (counters 2p+1, 2p+2): columns 2p
-    and 2p+1 of the full draw, pair by pair, as (len(seeds), 2 len(pairs))."""
-    pairs = np.arange((n + 1) // 2) if pairs is None else pairs
+def normal_rows(seeds, pairs):
+    """(len(seeds), 2 len(pairs)) normals drawn as one uint64 array of counter
+    outputs: Box-Muller pair p (counters 2p+1, 2p+2) of each seed's stream, pair
+    by pair. Row i is columns 2p and 2p+1 of PortableRNG(seeds[i]).normal_array;
+    pairs 0, 1, ..., m-1 give its first 2m values."""
     ks = 2 * np.asarray(pairs, dtype=np.uint64)[:, None] + np.array([1, 2], dtype=np.uint64)
     seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _box_muller(_mix_array(seeds[:, None] + ks.ravel() * np.uint64(_GAMMA)))[:, :n]
+        return _box_muller(_mix_array(seeds[:, None] + ks.ravel() * np.uint64(_GAMMA)))
 
 
 class PortableRNG:

@@ -107,8 +107,6 @@ def parse_skeleton_stream(text):
     tokens = text.split()
     if len(tokens) % FLOATS_PER_FRAME != 0:
         raise MalformedStreamError(len(tokens))
-    if not tokens:
-        raise EmptyStreamError()
     try:
         values = np.array(tokens, dtype=np.float64)
     except ValueError:

@@ -336,6 +336,19 @@ class TestTrainPredictEvaluate:
         assert "labels.csv line 4: expected 'filename,label' or 'label'" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_more_labels_than_feature_rows_exits_2(self, tmp_path, capsys, command):
+        features, labels = write_blob_csvs(tmp_path, np.random.default_rng(98))
+        labels.write_text(labels.read_text() + "row30,a\n")
+        model = tmp_path / "m.model"
+        if command == "evaluate":
+            model.write_text(GOLDEN_KNN)
+        argv = [command, "--features", str(features), "--labels", str(labels), "--model"]
+        argv += [str(model)] if command == "evaluate" else ["knn", "--out", str(model)]
+        assert main(argv) == 2
+        assert "30 feature rows but 31 labels" in capsys.readouterr().err
+        assert model.exists() == (command == "evaluate")
+
     def test_evaluate_rejects_a_label_that_is_not_one_token(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         features.write_text("0.5,0.5\n0.1,0.1\n")

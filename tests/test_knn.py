@@ -73,6 +73,15 @@ class TestBasics:
         with pytest.raises(TrainingDegenerateError):
             KNearestNeighbors(k=1).fit(np.zeros((3, 2)), ["a", "a", "a"])
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+    def test_huge_values_predict_their_own_labels(self, scale):
+        # the dot-product expansion overflows to nan, so it rules out no row, and
+        # the exact distances to the other rows overflow to inf; pytest makes
+        # the overflow warnings errors
+        X = scale * np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        y = ["a", "b", "a", "b"]
+        assert KNearestNeighbors(k=1).fit(X, y).predict(X) == y
+
     def test_dimension_mismatch(self):
         model = KNearestNeighbors(k=1).fit(np.zeros((2, 3)), ["a", "b"])
         with pytest.raises(DimensionMismatchError):

@@ -150,8 +150,8 @@ class TestCorruptFiles:
     def test_missing_end_sentinel(self, training):
         X, y, _ = training
         model = KNearestNeighbors(k=1).fit(X, y)
-        text = dumps_model(model).replace("\nend\n", "\n")
-        with pytest.raises(ModelFormatError):
+        text = dumps_model(model).replace("\nend\n", "\nfin\n")
+        with pytest.raises(ModelFormatError, match="missing end sentinel"):
             loads_model(text)
 
     def test_wrong_magic(self):
@@ -189,7 +189,7 @@ def _svm_by_hand():
 
 
 def _tree_by_hand(feature, threshold, children, label):
-    tree = DecisionTree(2)
+    tree = DecisionTree()
     tree.feature = np.array(feature, dtype=np.int64)
     tree.threshold = np.array(threshold, dtype=np.float64)
     tree.children = np.array(children, dtype=np.int64).reshape(-1, 2)
@@ -325,6 +325,15 @@ class TestStructureChecks:
             (GOLDEN_KNN, "labels 2 left right", "labels 2 right right", "repeats a label"),
             (GOLDEN_SVM, "labels 2 left right", "labels 2 a,b right", "single comma-free token"),
             (GOLDEN_KNN, "labels 2 left right", "labels 2 left caf\u00e9", "single comma-free token"),
+            (GOLDEN_SVM, "kind svm", "kinds svm", "expected 'kind' record"),
+            (GOLDEN_KNN, "kind knn", "kind knn knn", "'kind' record has 3 fields"),
+            (GOLDEN_KNN, "scalar k 1", "scalar j 1", "expected scalar 'k'"),
+            (GOLDEN_SVM, "array X 2 2", "array Y 2 2", "expected array 'X'"),
+            (GOLDEN_SVM, "1.0 -0.25", "1.0 x", "array 'X' row 1 holds a bad value"),
+            (GOLDEN_EDT, "tree 1 1", "tree 2 1", "tree 2 out of order"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 0.5 1 2", "tree node record needs 5 fields"),
+            (GOLDEN_SVM, "labels 2 left right", "labels 3 left right", "labels record lists 2 labels, declared 3"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 2", "bad model parameter"),
         ],
         ids=[
             "self-loop", "child-past-end", "leaf-with-child", "feature-past-n_features",
@@ -334,7 +343,9 @@ class TestStructureChecks:
             "negative-array-rows", "huge-array-rows", "non-integer-label-count",
             "svm-nan-in-X", "svm-inf-bias", "knn-negative-inf-in-X", "edt-nan-threshold",
             "edt-inf-threshold", "svm-repeated-label", "knn-repeated-label",
-            "svm-label-with-comma", "knn-non-ascii-label",
+            "svm-label-with-comma", "knn-non-ascii-label", "misspelt-record-keyword",
+            "record-field-count", "misnamed-scalar", "misnamed-array", "unparsable-array-value",
+            "tree-out-of-order", "short-tree-node", "label-count-mismatch", "even-k",
         ],
     )
     def test_rejected(self, golden, old, new, message):

@@ -92,6 +92,14 @@ class TestCanonicalOrder:
         X = np.array([[0.0, 2.0], [-0.0, 1.0], [1.0, 0.0]])
         assert _canonical_order(X, np.zeros(3, dtype=np.int64)).tolist() == [1, 0, 2]
 
+    def test_first_column_spanning_the_float_range(self):
+        # the gap between the two first features overflows a difference;
+        # pytest makes the overflow warning an error
+        X = np.array([[1e308, 0.0], [-1e308, 1.0]])
+        y = ["a", "b"]
+        assert _canonical_order(X, np.zeros(2, dtype=np.int64)).tolist() == [1, 0]
+        assert GaussianKernelSVM().fit(X, y).predict(X) == y
+
 
 class TestFit:
     def test_separable_toy_set(self):

@@ -32,25 +32,25 @@ class TestDecisionTree:
         X, y = blobs(rng, THREE_BLOBS, 15)
         classes = sorted(set(y))
         y_idx = np.array([classes.index(v) for v in y])
-        tree = DecisionTree(3).fit(X, y_idx)
+        tree = DecisionTree().fit(X, y_idx)
         assert np.array_equal(tree.predict(X), y_idx)
 
     def test_unsplittable_node_becomes_majority_leaf(self):
         X = np.ones((5, 2))
         y_idx = np.array([0, 0, 0, 1, 1])
-        tree = DecisionTree(2).fit(X, y_idx)
+        tree = DecisionTree().fit(X, y_idx)
         assert tree.predict(X).tolist() == [0] * 5
 
     def test_majority_tie_takes_lowest_class(self):
         X = np.ones((4, 2))
         y_idx = np.array([1, 0, 1, 0])
-        tree = DecisionTree(2).fit(X, y_idx)
+        tree = DecisionTree().fit(X, y_idx)
         assert tree.predict(X).tolist() == [0] * 4
 
     def test_deeper_than_the_recursion_limit(self):
         # alternating labels on a line: every split peels off one end row
         X, y_idx = np.arange(1500.0)[:, None], np.arange(1500) % 2
-        tree = DecisionTree(2).fit(X, y_idx)
+        tree = DecisionTree().fit(X, y_idx)
         assert depth(tree) == 1499
         assert np.array_equal(tree.predict(X), y_idx)
 
@@ -63,13 +63,13 @@ def depth(tree):
     return int(level.max())
 
 
-def best_split(X, y_idx, n_classes):
+def best_split(X, y_idx):
     """_best_split's (feature, threshold) for a node of rows X, reached as
     DecisionTree.fit reaches it: through the rank keys of X. Its left mask
     must route the rows as their values and the threshold do."""
     X, y_idx = np.asarray(X, dtype=np.float64), np.asarray(y_idx)
-    keys, class_bits = _rank_keys(X, y_idx, n_classes)
-    split = _best_split(X, np.arange(len(X)), keys, class_bits, np.bincount(y_idx, minlength=n_classes))
+    keys, class_bits = _rank_keys(X, y_idx)
+    split = _best_split(X, np.arange(len(X)), keys, class_bits, np.bincount(y_idx))
     if split is None:
         return None
     f, threshold, left = split
@@ -180,7 +180,7 @@ class TestBestSplitOracle:
         seen = {"split": 0, "none": 0, "n=2": 0, "absent class": 0}
         for _ in range(600):
             X, y_idx, n_classes = random_node(rng)
-            got = best_split(X, y_idx, n_classes)
+            got = best_split(X, y_idx)
             assert got == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
             seen["split" if got else "none"] += 1
             seen["n=2"] += len(y_idx) == 2
@@ -193,7 +193,7 @@ class TestBestSplitOracle:
             X, y_idx, n_classes = balanced_node(rng)
             if len(set(y_idx.tolist())) > 1:
                 assert reference_split(X.tolist(), y_idx.tolist(), n_classes) is None
-                assert best_split(X, y_idx, n_classes) is None
+                assert best_split(X, y_idx) is None
 
     def test_continuous_features_match_reference(self):
         rng = np.random.default_rng(62)
@@ -202,17 +202,17 @@ class TestBestSplitOracle:
         for _ in range(100):
             rows = rng.integers(len(y_idx), size=int(rng.integers(2, 36)))
             Xn, yn = np.round(X[rows], 1), y_idx[rows]
-            assert best_split(Xn, yn, 3) == reference_split(Xn.tolist(), yn.tolist(), 3)
+            assert best_split(Xn, yn) == reference_split(Xn.tolist(), yn.tolist(), 3)
 
     def test_row_order_cannot_change_a_split(self):
         # the sort need not be stable: tied rows may come in any order
         rng = np.random.default_rng(64)
         for _ in range(300):
             X, y_idx, n_classes = random_node(rng)
-            expected = best_split(X, y_idx, n_classes)
+            expected = best_split(X, y_idx)
             for _ in range(3):
                 p = rng.permutation(len(y_idx))
-                assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+                assert best_split(X[p], y_idx[p]) == expected, (X, y_idx, p)
 
     def test_row_at_a_time_and_multi_word_paths_match_reference(self):
         # the prefix sums go a row at a time when 10 (n - 1) <= d; a count
@@ -224,10 +224,10 @@ class TestBestSplitOracle:
                 X, y_idx, n_classes = make(rng)
                 n, d = X.shape
                 expected = reference_split(X.tolist(), y_idx.tolist(), n_classes)
-                assert best_split(X, y_idx, n_classes) == expected, (X, y_idx)
+                assert best_split(X, y_idx) == expected, (X, y_idx)
                 for _ in range(3):
                     p = rng.permutation(n)
-                    assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+                    assert best_split(X[p], y_idx[p]) == expected, (X, y_idx, p)
                 words = n_classes > 63 // n.bit_length()
                 seen["row loop, n > 4"] += 10 * (n - 1) <= d and n > 4
                 seen["row loop, 2+ words"] += 10 * (n - 1) <= d and words
@@ -240,10 +240,10 @@ class TestBestSplitOracle:
         # where their labels differ
         X = np.array([[-0.0], [0.0], [-0.0], [0.0], [2.0], [2.0]])
         y_idx = np.array([0, 1, 0, 1, 1, 1])
-        keys, class_bits = _rank_keys(X, y_idx, 2)
+        keys, class_bits = _rank_keys(X, y_idx)
         assert (keys[:4, 0] >> class_bits).tolist() == [0] * 4
         assert reference_split(X.tolist(), y_idx.tolist(), 2) == (0, 1.0)
-        assert best_split(X, y_idx, 2) == (0, 1.0)
+        assert best_split(X, y_idx) == (0, 1.0)
 
     def test_signed_zeros_match_reference(self):
         rng = np.random.default_rng(66)
@@ -252,9 +252,9 @@ class TestBestSplitOracle:
             X, y_idx, n_classes = random_node(rng)
             X = np.where(X == 0, rng.choice([-0.0, 0.0], size=X.shape), X)
             expected = reference_split(X.tolist(), y_idx.tolist(), n_classes)
-            assert best_split(X, y_idx, n_classes) == expected, (X, y_idx)
+            assert best_split(X, y_idx) == expected, (X, y_idx)
             p = rng.permutation(len(y_idx))
-            assert best_split(X[p], y_idx[p], n_classes) == expected, (X, y_idx, p)
+            assert best_split(X[p], y_idx[p]) == expected, (X, y_idx, p)
             signs = np.signbit(X)[X == 0]
             both += bool(expected) and signs.any() and not signs.all()
         assert both >= 20, both
@@ -268,9 +268,9 @@ class TestBestSplitOracle:
         assert not lo <= mid < hi
         X, y_idx = np.array([[lo], [hi]]), np.array([0, 1])
         assert reference_split(X.tolist(), y_idx.tolist(), 2) == (0, lo)
-        f, threshold = best_split(X, y_idx, 2)
+        f, threshold = best_split(X, y_idx)
         assert (X[:, f] <= threshold).tolist() == [True, False]
-        assert DecisionTree(2).fit(X, y_idx).predict(X).tolist() == [0, 1]
+        assert DecisionTree().fit(X, y_idx).predict(X).tolist() == [0, 1]
         model = IdentitySampled(n_trees=1, bootstrap_fraction=1.0).fit(X, ["a", "b"])
         assert model.predict(X) == ["a", "b"]
 
@@ -284,7 +284,7 @@ class TestBestSplitOracle:
         # Gini rounded the tie toward feature 1
         X, y_idx = node_from_columns(*columns)
         assert reference_split(X.tolist(), y_idx.tolist(), 8) == expected
-        assert best_split(X, y_idx, 8) == expected
+        assert best_split(X, y_idx) == expected
 
     def test_large_node_compares_float_tied_cuts_exactly(self):
         # 7,098 rows of 12 classes; each column holds 0s and 1s, so its one cut
@@ -307,7 +307,7 @@ class TestBestSplitOracle:
         X = np.column_stack([np.concatenate([np.arange(t) >= c for t, c in zip(totals, left)])
                              for left in lefts]) * 1.0
         assert reference_split(X.tolist(), y_idx.tolist(), 12) == (1, 0.5)
-        assert best_split(X, y_idx, 12) == (1, 0.5)
+        assert best_split(X, y_idx) == (1, 0.5)
 
     @pytest.mark.parametrize("n", [32767, 32768], ids=["int32-counts", "int64-counts"])
     def test_largest_counts_match_reference(self, n):
@@ -315,7 +315,7 @@ class TestBestSplitOracle:
         rng = np.random.default_rng(n)
         X = rng.permutation(np.arange(n) // 2)[:, None] * 1.0
         y_idx = (X[:, 0] == X.max()).astype(np.int64)
-        got = best_split(X, y_idx, 2)
+        got = best_split(X, y_idx)
         assert got == reference_split(X.tolist(), y_idx.tolist(), 2)
         assert got == (0, float(X.max()) - 0.5)
 
@@ -354,7 +354,7 @@ class TestEnsembleFit:
         codes = np.array([model.classes_.index(v) for v in y])
         assert len(drawn) == len(model.trees_) == 15
         for tree, idx in zip(model.trees_, drawn):
-            alone = DecisionTree(3).fit(X[idx], codes[idx])
+            alone = DecisionTree().fit(X[idx], codes[idx])
             for name in ("feature", "threshold", "children", "label"):
                 assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
         assert max(len(tree.feature) for tree in model.trees_) > 5
