@@ -8,7 +8,7 @@ runs on the portable RNG with per-tree substreams, so a seed reproduces the
 exact same model anywhere.
 """
 
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
@@ -29,24 +29,23 @@ class DecisionTree:
     """
 
     def fit(self, X, y_idx):
-        X = np.asarray(X, dtype=np.float64)
-        return self._grow(X, np.arange(len(X)), *_rank_keys(X, y_idx))
+        return self._grow(*_rank_keys(np.asarray(X, dtype=np.float64), y_idx))
 
-    def _grow(self, X, rows, keys, class_bits):
-        """Grow on the rows X[rows]; keys and class_bits are _rank_keys of all of X."""
+    def _grow(self, keys, class_bits, vals):
+        """Grow on these rows' keys; class_bits and vals are _rank_keys's for all of X."""
         nodes = []  # [feature, threshold, left, right, label] in pre-order
-        # a stack, not recursion, so depth is unlimited; entries fill parent slot 2 or 3
-        stack = [(rows, keys[rows], [0] * 4, 2)]
+        counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1)
+        # a stack (unlimited depth) of (keys, or None for a pure node, counts, parent, slot 2 or 3)
+        stack = [(keys if np.count_nonzero(counts) > 1 else None, counts, [0] * 4, 2)]
         while stack:
-            rows, keys, parent, slot = stack.pop()
+            keys, counts, parent, slot = stack.pop()
             parent[slot] = len(nodes)
-            counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1)
-            split = None if np.max(counts) == len(rows) else _best_split(X, rows, keys, class_bits, counts)
+            split = None if keys is None else _best_split(keys, class_bits, counts, vals)
             nodes.append([*split[:2], -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
             if split:
-                mask = split[2]
-                # right below left on the stack: the left subtree is numbered first
-                stack += [(rows[~mask], keys[~mask], nodes[-1], 3), (rows[mask], keys[mask], nodes[-1], 2)]
+                mask, left = split[2:]  # the left rows and their class counts
+                for side, part, at in ((~mask, counts - left, 3), (mask, left, 2)):  # left subtree numbered first
+                    stack.append((keys[side] if np.count_nonzero(part) > 1 else None, part, nodes[-1], at))
         return self.set_nodes(nodes)
 
     def set_nodes(self, table):
@@ -81,61 +80,64 @@ def _running(a):
 
 
 def _rank_keys(X, codes):
-    """(keys, class_bits): each cell as rank << class_bits | codes[row] in the
+    """(keys, class_bits, vals): each cell as rank << class_bits | codes[row] in the
     smallest signed dtype that holds it, rank being its dense rank in its column
-    (equal values share one, -0.0 and 0.0 too). Ranking 24 columns at a time
-    keeps its temporaries below the split search's, so it does not raise
-    glibc's mmap threshold (which would move the page faults of later code)."""
+    (equal values share one, -0.0 and 0.0 too), and vals[rank, column] that rank's
+    value (unset past a column's last rank). Ranking 24 columns at a time keeps its
+    temporaries below the split search's, so glibc's mmap threshold stays put."""
     n, d = X.shape
     top = int(np.max(codes))
     class_bits = top.bit_length()
     keys = np.empty((n, d), dtype=np.min_scalar_type(-((n - 1) << class_bits | top)))
+    vals = np.empty((n, d))
     for j in range(0, d, 24):
         order = np.argsort(X[:, j:j + 24], axis=0)
         sx = np.take_along_axis(X[:, j:j + 24], order, axis=0)
         rank = np.zeros(order.shape, dtype=keys.dtype)
         np.cumsum(sx[1:] != sx[:-1], axis=0, dtype=keys.dtype, out=rank[1:])
         np.put_along_axis(keys[:, j:j + 24], order, rank, axis=0)
+        np.put_along_axis(vals[:, j:j + 24], rank, sx, axis=0)
     keys <<= class_bits
     keys |= np.asarray(codes, dtype=keys.dtype)[:, None]
-    return keys, class_bits
+    return keys, class_bits, vals
 
 
-def _best_split(X, rows, keys, class_bits, total):
-    """(feature, threshold, left) minimizing weighted Gini, or None if no cut
-    lowers it, for the rows X[rows] whose keys (_rank_keys) and class counts
-    are keys and total; left marks the rows at or below the threshold.
+@lru_cache(maxsize=256)  # shared by every caller: read them, never write
+def _word_tables(n_classes, per_word, bits):
+    """Per count word, 1 << field and the field's shift (63 in other words) by class code."""
+    word, field = np.divmod(np.arange(n_classes), per_word)
+    return [(np.where(word == w, 1 << bits * field, 0), np.where(word == w, bits * field, 63))
+            for w in range(word[-1] + 1)]
 
-    A column's sorted keys hold its rows in value order, labels in the low bits.
-    Left class counts come from prefix sums over packed int64 words; a row
-    raises S_l = Σ l_k² by 2·seen − 1, seen being its count in its class so far.
-    A cut maximizes S_l/n_l + S_r/n_r = (n·S_l + n_l·(S_t − 2 Σ t_k l_k)) / (n_l·n_r),
-    an exact int64 numerator up to about 1.6 million rows. Below about 330,000
-    rows one correctly rounded division keeps exact ties tied; from about 2,300,
-    distinct scores can round alike and the cuts at the best float are compared
-    exactly. Cuts fall only between distinct ranks, so ties sort freely. The
-    threshold is the midpoint of the values either side of the cut, or the lower
-    value if the midpoint rounds out of [lower, upper) (then x <= midpoint
-    would send every row left, or none)."""
-    n, d = keys.shape
+
+def _best_split(keys, class_bits, total, vals):
+    """(feature, threshold, left, counts) minimizing weighted Gini, or None if
+    no cut lowers it, for the node whose keys (rows of _rank_keys) and class
+    counts are keys and total; left marks the rows at or below the threshold,
+    and counts are their class counts. README derives the arithmetic: one
+    prefix sum per packed int64 word counts the classes left of every cut, in
+    fields of t_max.bit_length() bits below bit high = 63 − S_t.bit_length(),
+    and sums Σ t_k l_k ≤ S_t = Σ t_k² from bit high up. A cut between distinct
+    ranks scores n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up
+    to about 1.6 million rows; the threshold is the midpoint of the values either
+    side (vals), or the lower one if the midpoint rounds out of [lower, upper)."""
+    n = len(keys)
     sk = np.sort(keys, axis=0)
-    y = (sk[:-1] & (1 << class_bits) - 1).astype(np.intp)  # cut i follows row i; intp gathers fast
-    bits = n.bit_length()
-    word, field = np.divmod(np.arange(len(total)), 63 // bits)
-    seen = np.zeros((n - 1, d), dtype=np.int64)
-    for w in range(word[-1] + 1):
-        packed = _running(np.where(word == w, 1 << bits * field, 0)[y])
-        packed >>= np.where(word == w, bits * field, 63)[y]  # other words read 0
-        packed &= (1 << bits) - 1
-        seen += packed
-    seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
-    num = _running(total[y])  # Σ_k t_k l_k
+    y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # cut i follows row i; intp gathers fast
     sq_total = int(total @ total)
+    bits, high = int(total.max()).bit_length(), 63 - sq_total.bit_length()
+    for w, (table, shift) in enumerate(_word_tables(len(total), high // bits, bits)):
+        packed = _running((table + (total << high))[y])
+        num = packed >> high  # Σ_k t_k l_k, summed by every word from bit high up
+        packed >>= shift[y]  # the fields of other words, and bit high up, read 0
+        packed &= (1 << bits) - 1
+        seen = seen + packed if w else packed
+    seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
     nl = np.arange(1, n, dtype=np.int64)[:, None]
     num *= -2 * nl
     num += (sq_total - n) * nl
     num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
-    sk >>= class_bits  # ranks
+    sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
     num[sk[1:] == sk[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
     score = num / (nl * (n - nl))
     best = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
@@ -147,10 +149,10 @@ def _best_split(X, rows, keys, class_bits, total):
     p, q, f, cut = max(scored, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
     if not p * n > sq_total * q:  # no gain over the parent's S_t/n
         return None
-    left = keys[:, f] >> class_bits <= sk[cut, f]
-    lo, hi = float(X[rows[left], f].max()), float(X[rows[~left], f].min())
+    lo, hi = (float(vals[int(k) >> class_bits, f]) for k in sk[cut:cut + 2, f])
     mid = (lo + hi) / 2.0  # Python floats: an overflow to inf does not warn
-    return f, mid if lo <= mid < hi else lo, left
+    left = keys[:, f] <= sk[cut, f]
+    return f, mid if lo <= mid < hi else lo, left, np.bincount(y[:cut + 1, f], minlength=len(total))
 
 
 class BaggedTreeEnsemble(ClassifierMixin):
@@ -178,8 +180,8 @@ class BaggedTreeEnsemble(ClassifierMixin):
         n = X.shape[0]
         size = int(np.ceil(self.bootstrap_fraction * n))
         draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
-        keys, class_bits = _rank_keys(X, codes)  # once for every tree
-        return {"trees_": [DecisionTree()._grow(X, idx, keys, class_bits) for idx in draws]}
+        keys, class_bits, vals = _rank_keys(X, codes)  # once for every tree
+        return {"trees_": [DecisionTree()._grow(keys[idx], class_bits, vals) for idx in draws]}
 
     def vote_counts(self, X):
         """(n_samples, n_classes) tally of tree votes; rows sum to n_trees."""

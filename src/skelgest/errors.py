@@ -65,6 +65,15 @@ class DegenerateDirectionError(ComputationError):
         super().__init__(f"zero-length vector has no direction{where}")
 
 
+class FeatureOverflowError(ComputationError):
+    """A length or depth sum overflows float64 (coordinates from about 1e154)."""
+
+    def __init__(self, frame=None, **part):
+        self.frame, self.part = frame, part  # triangle=k or mean_joint="Jk"
+        where = "".join(f" ({k.replace('_', ' ')} {v}, frame {frame})" for k, v in part.items())
+        super().__init__(f"coordinates too large: a vector length overflows float64{where}")
+
+
 # --- classifiers ---
 
 class DimensionMismatchError(ComputationError):

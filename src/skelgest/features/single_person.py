@@ -8,7 +8,7 @@ dimensionless and independent of how far the subject stands from the sensor.
 
 import numpy as np
 
-from ..errors import DegenerateDepthError
+from ..errors import DegenerateDepthError, FeatureOverflowError
 from ..skeleton import Frame, Joint
 
 # Fixed feature order: shoulder-level, forearm-level, hand-level, left before
@@ -46,18 +46,22 @@ def normalized_distance(centroid, spine):
     Computed as 2 * ||c - s|| / (c_z + s_z) over (..., 3) points that
     broadcast together. Raises DegenerateDepthError when a mean depth is
     not positive; a real sensor reports depths well above zero, so that
-    indicates corrupt capture. With two or more leading axes the error names
-    the frame (second-to-last axis) and the triangle (last axis, 1-based).
+    indicates corrupt capture, and FeatureOverflowError when a distance or
+    depth sum overflows. With two or more leading axes the errors name the
+    frame (second-to-last axis) and the triangle (last axis, 1-based).
     """
     c = np.asarray(centroid, dtype=np.float64)
     s = np.asarray(spine, dtype=np.float64)
-    depth_sums = c[..., 2] + s[..., 2]
-    bad = depth_sums <= 0.0
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        where = dict(frame=int(at[-2]), triangle=int(at[-1]) + 1) if bad.ndim >= 2 else {}
-        raise DegenerateDepthError(depth_sums[at] / 2.0, **where)
-    return 2.0 * np.linalg.norm(c - s, axis=-1) / depth_sums
+    with np.errstate(all="ignore"):  # a bad depth or an overflow is rejected below
+        depth_sums = c[..., 2] + s[..., 2]
+        distances = 2.0 * np.linalg.norm(c - s, axis=-1) / depth_sums
+    for bad in (depth_sums <= 0.0, np.isinf(depth_sums) | ~np.isfinite(distances)):
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            where = dict(frame=int(at[-2]), triangle=int(at[-1]) + 1) if bad.ndim >= 2 else {}
+            depth = depth_sums[at] / 2.0
+            raise DegenerateDepthError(depth, **where) if depth <= 0.0 else FeatureOverflowError(**where)
+    return distances
 
 
 def sequence_features(seq):
@@ -66,7 +70,8 @@ def sequence_features(seq):
     seq may also be a (..., T, 20, 3) joint array, giving (..., T, 6).
     """
     joints = getattr(seq, "joints", seq)
-    centroids = triangle_centroid(*(joints[..., rows, :] for rows in _VERTEX_ROWS))
+    with np.errstate(over="ignore"):  # an infinite centroid gives a distance that is rejected
+        centroids = triangle_centroid(*(joints[..., rows, :] for rows in _VERTEX_ROWS))
     return normalized_distance(centroids, joints[..., _SPINE_ROW, None, :])
 
 

@@ -9,7 +9,7 @@ one per person; each person's gesture is classified on its own.
 
 import numpy as np
 
-from ..errors import DegenerateDirectionError
+from ..errors import DegenerateDirectionError, FeatureOverflowError
 from ..skeleton import Frame, Joint
 
 # Anthropometric weights, fixed across frames. Each group sums to 1.
@@ -52,16 +52,16 @@ def mean_joint(p1, p2, p3, p4, w1, w2, w3, w4):
 
 def direction_cosines(v):
     """(v_x, v_y, v_z) / ||v|| over (..., 3) vectors; cosines of the angles
-    against +x, +y, +z. Raises DegenerateDirectionError on a zero vector;
-    with two or more leading axes the error names the frame (second-to-last
-    axis) and the mean joint J1..J4 (last axis)."""
+    against +x, +y, +z. Raises DegenerateDirectionError on a zero vector, and
+    FeatureOverflowError on an overflowing length; with two or more leading axes
+    the errors name the frame (second-to-last axis) and the mean joint J1..J4."""
     v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1)
-    bad = norms == 0.0
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        where = dict(frame=int(at[-2]), mean_joint=f"J{int(at[-1]) + 1}") if bad.ndim >= 2 else {}
-        raise DegenerateDirectionError(**where)
+    with np.errstate(over="ignore"):  # an infinite length is rejected below
+        norms = np.linalg.norm(v, axis=-1)
+    for bad, error in ((norms == 0.0, DegenerateDirectionError), (~np.isfinite(norms), FeatureOverflowError)):
+        if bad.any():
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            raise error(**dict(frame=int(at[-2]), mean_joint=f"J{int(at[-1]) + 1}") if bad.ndim >= 2 else {})
     return v / norms[..., None]
 
 
@@ -77,7 +77,8 @@ def sequence_features(seq):
     seq may also be a (..., T, 20, 3) joint array, giving (..., T, 12).
     """
     joints = getattr(seq, "joints", seq)
-    mj = mean_joint(*(joints[..., rows, :] for rows in _MEMBER_ROWS), *_MEMBER_WEIGHTS)
+    with np.errstate(over="ignore"):  # an infinite mean joint has a length that is rejected
+        mj = mean_joint(*(joints[..., rows, :] for rows in _MEMBER_ROWS), *_MEMBER_WEIGHTS)
     angles = direction_angles(mj)  # (..., T, 4, 3)
     return angles.reshape(angles.shape[:-2] + (N_FEATURES,))
 

@@ -115,6 +115,18 @@ class TestExtractFeatures:
         assert code == 2
         assert "3" in capsys.readouterr().err  # token count named
 
+    @pytest.mark.parametrize("mode, part", [("single", "triangle 1"), ("two-person", "mean joint J1")])
+    @pytest.mark.parametrize("flatten", [[], ["--flatten"]], ids=["per-frame", "flatten"])
+    def test_overflowing_coordinates_exit_3(self, tmp_path, capsys, mode, part, flatten):
+        # squared lengths overflow from about 1e154 on: the features would read
+        # inf (single) or every angle 90.0 (two-person)
+        path = tmp_path / "huge.txt"
+        path.write_text(" ".join(repr(float(v)) for v in np.linspace(1e200, 2.2e201, 120)))
+        code = main(["extract-features", "--input", str(path), "--mode", mode, *flatten])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"({part}, frame 0)" in captured.err and captured.out == ""
+
     def test_bad_token_position_reported(self, tmp_path, capsys):
         tokens = ["1.0"] * 60
         tokens[32] = "oops"

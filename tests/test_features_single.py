@@ -5,7 +5,7 @@ import pytest
 
 from skelgest import Frame, Joint, SkeletonSequence
 from skelgest.base import feature_matrix
-from skelgest.errors import DegenerateDepthError
+from skelgest.errors import DegenerateDepthError, FeatureOverflowError
 from skelgest.features.single_person import (
     CSV_COLUMNS,
     TRIANGLES,
@@ -120,6 +120,27 @@ class TestBatchedHelpers:
             normalized_distance(centroids, np.array([[0.0, 0.0, 2.0]]))
         assert (exc.value.frame, exc.value.triangle, exc.value.mean_depth) == (3, 5, -0.5)
         assert "(triangle 5, frame 3)" in str(exc.value)
+
+    @pytest.mark.parametrize("centroid, spine", [
+        ([1e200, 2e200, 3e200], [0.0, 0.0, 2.0]),  # the squared distance overflows
+        ([0.1, 0.0, 1e308], [0.0, 0.0, 1e308]),  # the depth sum overflows; the distance would be 0
+    ], ids=["distance", "depth-sum"])
+    def test_overflow_names_frame_and_triangle(self, centroid, spine):
+        centroids = np.tile([0.1, 0.0, 2.0], (5, 6, 1))
+        spines = np.tile([0.0, 0.0, 2.0], (5, 6, 1))
+        centroids[3, 1], spines[3, 1] = centroid, spine
+        with pytest.raises(FeatureOverflowError) as exc:
+            normalized_distance(centroids, spines)
+        assert (exc.value.frame, exc.value.part) == (3, {"triangle": 2})
+        assert "(triangle 2, frame 3)" in str(exc.value)
+
+    def test_overflowing_centroid_is_rejected(self):
+        # the vertex sum of triangle 5 overflows; triangle 3 (wrist) comes first
+        joints = np.tile([0.1, 0.2, 2.0], (3, 20, 1))
+        joints[1, [Joint.WRIST_LEFT.row, Joint.HAND_LEFT.row]] = 1.7e308
+        with pytest.raises(FeatureOverflowError) as exc:
+            sequence_features(joints)
+        assert (exc.value.frame, exc.value.part) == (1, {"triangle": 3})
 
     def test_single_point_error_has_no_location(self):
         with pytest.raises(DegenerateDepthError) as exc:

@@ -5,7 +5,7 @@ import pytest
 
 from skelgest import Frame, SkeletonSequence
 from skelgest.base import feature_matrix
-from skelgest.errors import DegenerateDirectionError
+from skelgest.errors import DegenerateDirectionError, FeatureOverflowError
 from skelgest.features.two_person import (
     ARM_WEIGHTS,
     LEG_WEIGHTS,
@@ -188,6 +188,25 @@ class TestBatchedHelpers:
             direction_cosines(v)
         assert (exc.value.frame, exc.value.mean_joint) == (2, "J4")
         assert "(mean joint J4, frame 2)" in str(exc.value)
+
+    def test_overflowing_length_names_frame_and_mean_joint(self):
+        # the squared length overflows, so every cosine would read 0 (90 degrees)
+        v = np.ones((5, 4, 3))
+        v[1, 2] = [1e200, -2e200, 3e200]
+        with pytest.raises(FeatureOverflowError) as exc:
+            direction_cosines(v)
+        assert (exc.value.frame, exc.value.part) == (1, {"mean_joint": "J3"})
+        assert "(mean joint J3, frame 1)" in str(exc.value)
+        with pytest.raises(FeatureOverflowError) as exc:
+            direction_angles(v[1, 2])
+        assert (exc.value.frame, exc.value.part) == (None, {})
+
+    def test_overflowing_mean_joint_is_rejected(self):
+        # at the largest double the weighted sum itself rounds up to inf
+        block = np.full((2, 20, 3), np.finfo(np.float64).max)
+        with pytest.raises(FeatureOverflowError) as exc:
+            sequence_features(block)
+        assert (exc.value.frame, exc.value.part) == (0, {"mean_joint": "J1"})
 
     def test_single_vector_error_has_no_location(self):
         with pytest.raises(DegenerateDirectionError) as exc:

@@ -18,12 +18,17 @@ class IdentitySampled(BaggedTreeEnsemble):
         return np.arange(n_samples)
 
 
-def walk(tree, x):
-    """One row's leaf label, following the nodes one at a time."""
+def leaf_of(tree, x):
+    """The leaf one row reaches, following the nodes one at a time."""
     i = 0
     while tree.feature[i] >= 0:
         i = tree.children[i, 0] if x[tree.feature[i]] <= tree.threshold[i] else tree.children[i, 1]
-    return int(tree.label[i])
+    return int(i)
+
+
+def walk(tree, x):
+    """One row's leaf label, following the nodes one at a time."""
+    return int(tree.label[leaf_of(tree, x)])
 
 
 class TestDecisionTree:
@@ -66,14 +71,16 @@ def depth(tree):
 def best_split(X, y_idx):
     """_best_split's (feature, threshold) for a node of rows X, reached as
     DecisionTree.fit reaches it: through the rank keys of X. Its left mask
-    must route the rows as their values and the threshold do."""
+    must route the rows as their values and the threshold do, and its left
+    class counts must be those of the rows it routes left."""
     X, y_idx = np.asarray(X, dtype=np.float64), np.asarray(y_idx)
-    keys, class_bits = _rank_keys(X, y_idx)
-    split = _best_split(X, np.arange(len(X)), keys, class_bits, np.bincount(y_idx))
+    keys, class_bits, vals = _rank_keys(X, y_idx)
+    split = _best_split(keys, class_bits, np.bincount(y_idx), vals)
     if split is None:
         return None
-    f, threshold, left = split
+    f, threshold, left, counts = split
     assert np.array_equal(left, X[:, f] <= threshold), (X, y_idx, split)
+    assert np.array_equal(counts, np.bincount(y_idx[left], minlength=y_idx.max() + 1)), (X, y_idx, split)
     return f, threshold
 
 
@@ -149,8 +156,8 @@ def balanced_node(rng):
 
 def wide_node(rng):
     """A tie-heavy node at least ten times wider than tall, so its prefix sums
-    run a row at a time; from 16 rows on, 13 or more classes need two count
-    words (11 or more from 32 rows on)."""
+    run a row at a time; more classes than a count word holds (see
+    count_words) need two words."""
     n = int(rng.integers(2, 41))
     d = int(rng.integers(10 * (n - 1), 12 * (n - 1) + 1))
     n_classes = int(rng.integers(2, 17))
@@ -160,14 +167,40 @@ def wide_node(rng):
 
 
 def many_class_node(rng):
-    """A tall, tie-heavy node with more classes than one count word holds;
-    sometimes only some classes are present, so whole words can be empty."""
-    n = int(rng.integers(64, 201))
-    d = int(rng.integers(1, 4))
+    """A tie-heavy node with more classes than one count word holds;
+    sometimes only some classes are present, so whole words can be empty.
+    Two in three are tall; the others are short and as wide as wide_node's,
+    with half their rows in one class, whose count widens every field."""
+    wide = rng.random() < 1 / 3
+    n = int(rng.integers(6, 17) if wide else rng.integers(64, 201))
+    d = int(rng.integers(10 * (n - 1), 12 * (n - 1) + 1) if wide else rng.integers(1, 4))
     n_classes = int(rng.integers(10, 61))
     X = rng.integers(0, int(rng.integers(2, 12)), size=(n, d)) * 0.5
     present = rng.choice(n_classes, size=int(rng.integers(2, n_classes + 1)), replace=False)
-    return X, rng.choice(present, size=n), n_classes
+    y_idx = rng.choice(present, size=n)
+    if wide:
+        y_idx[:n // 2] = present[0]
+    return X, y_idx, n_classes
+
+
+def signed_zero_node(rng):
+    """random_node with each zero given a random sign."""
+    X, y_idx, n_classes = random_node(rng)
+    return np.where(X == 0, rng.choice([-0.0, 0.0], size=X.shape), X), y_idx, n_classes
+
+
+def count_words(y_idx):
+    """How many count words _best_split packs a node's classes into. A class's
+    field has as many bits as the largest class count, and a word holds the
+    fields that fit below bit 63 - S_t.bit_length(), from which each word also
+    sums Σ t_k l_k."""
+    total = np.bincount(y_idx)
+    per_word = (63 - int(total @ total).bit_length()) // int(total.max()).bit_length()
+    return -(-len(total) // per_word)
+
+
+NODE_MAKERS = [random_node, signed_zero_node, balanced_node, wide_node, many_class_node]
+NODE_IDS = ["random", "signed-zeros", "balanced", "wide", "many-class"]
 
 
 # two values whose midpoint rounds out of [lo, hi)
@@ -215,8 +248,8 @@ class TestBestSplitOracle:
                 assert best_split(X[p], y_idx[p]) == expected, (X, y_idx, p)
 
     def test_row_at_a_time_and_multi_word_paths_match_reference(self):
-        # the prefix sums go a row at a time when 10 (n - 1) <= d; a count
-        # word holds 63 // n.bit_length() classes
+        # the prefix sums go a row at a time when 10 (n - 1) <= d; count_words
+        # says how many count words the classes take
         rng = np.random.default_rng(65)
         seen = {"row loop, n > 4": 0, "row loop, 2+ words": 0, "2+ words": 0, "split": 0, "none": 0}
         for make, count in ((wide_node, 80), (many_class_node, 60)):
@@ -228,7 +261,7 @@ class TestBestSplitOracle:
                 for _ in range(3):
                     p = rng.permutation(n)
                     assert best_split(X[p], y_idx[p]) == expected, (X, y_idx, p)
-                words = n_classes > 63 // n.bit_length()
+                words = count_words(y_idx) > 1
                 seen["row loop, n > 4"] += 10 * (n - 1) <= d and n > 4
                 seen["row loop, 2+ words"] += 10 * (n - 1) <= d and words
                 seen["2+ words"] += words
@@ -240,7 +273,7 @@ class TestBestSplitOracle:
         # where their labels differ
         X = np.array([[-0.0], [0.0], [-0.0], [0.0], [2.0], [2.0]])
         y_idx = np.array([0, 1, 0, 1, 1, 1])
-        keys, class_bits = _rank_keys(X, y_idx)
+        keys, class_bits, _ = _rank_keys(X, y_idx)
         assert (keys[:4, 0] >> class_bits).tolist() == [0] * 4
         assert reference_split(X.tolist(), y_idx.tolist(), 2) == (0, 1.0)
         assert best_split(X, y_idx) == (0, 1.0)
@@ -318,6 +351,51 @@ class TestBestSplitOracle:
         got = best_split(X, y_idx)
         assert got == reference_split(X.tolist(), y_idx.tolist(), 2)
         assert got == (0, float(X.max()) - 0.5)
+
+
+class TestNodeInvariants:
+    """What the per-node path carries instead of recomputing: the class counts
+    a split gives its left child, the value of each rank, and leaf labels from
+    the counts pushed down the tree."""
+
+    @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
+    def test_left_counts_are_those_of_the_rows_routed_left(self, make):
+        rng = np.random.default_rng(70)
+        splits = 0
+        for _ in range(40):
+            X, y_idx, _ = make(rng)
+            keys, class_bits, vals = _rank_keys(X, y_idx)
+            split = _best_split(keys, class_bits, np.bincount(y_idx), vals)
+            if split is not None:
+                f, threshold, left, counts = split
+                assert np.array_equal(left, X[:, f] <= threshold)
+                assert np.array_equal(counts, np.bincount(y_idx[left], minlength=y_idx.max() + 1))
+                splits += 1
+        assert splits >= (0 if make is balanced_node else 10), splits
+
+    @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
+    def test_each_rank_has_its_value(self, make):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            X, y_idx, _ = make(rng)
+            keys, class_bits, vals = _rank_keys(X, y_idx)
+            ranks = keys >> class_bits
+            assert (vals[ranks, np.arange(X.shape[1])] == X).all(), (X, ranks, vals)
+            # dense ranks: equal values share one, and the next value takes the next
+            for j in range(X.shape[1]):
+                assert sorted(set(ranks[:, j].tolist())) == list(range(len(set(X[:, j].tolist()))))
+
+    @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
+    def test_leaf_labels_are_the_lowest_majority_of_their_rows(self, make):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            X, y_idx, _ = make(rng)
+            tree = DecisionTree().fit(X, y_idx)
+            leaves = np.array([leaf_of(tree, x) for x in X])
+            # every leaf holds a training row
+            assert set(leaves.tolist()) == set(np.flatnonzero(tree.feature < 0).tolist())
+            for leaf in set(leaves.tolist()):
+                assert tree.label[leaf] == np.argmax(np.bincount(y_idx[leaves == leaf])), (X, y_idx, leaf)
 
 
 class TestEnsembleFit:
