@@ -88,7 +88,7 @@ def _rank_keys(X, codes):
     n, d = X.shape
     top = int(np.max(codes))
     class_bits = top.bit_length()
-    keys = np.empty((n, d), dtype=np.min_scalar_type(-((n - 1) << class_bits | top)))
+    keys = np.empty((n, d), dtype=np.min_scalar_type(~((n - 1) << class_bits | top)))
     vals = np.empty((n, d))
     for j in range(0, d, 24):
         order = np.argsort(X[:, j:j + 24], axis=0)
@@ -110,6 +110,24 @@ def _word_tables(n_classes, per_word, bits):
             for w in range(word[-1] + 1)]
 
 
+_BLOCKS = (32, 128)  # the split search's column blocks start here; see README
+_BOUND_CLASSES = 8  # above this many classes a node's bound (2^(k-1) - 1 splits) is not sought
+_by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
+
+
+@lru_cache(maxsize=256)
+def _partition_bound(counts):
+    """The highest (S_L·n_R + S_R·n_L, n_L·n_R), exact as p / q, over the splits of
+    whole classes whose sorted positive counts are counts: no cut scores above it
+    (README). One class has no such split, and every cut scores the parent's S_t/n."""
+    n, sq = sum(counts), sum(t * t for t in counts)
+    sides = {(0, 0)}  # (n_L, S_L) of each left side
+    for t in counts[:-1]:  # the last class stays right: each split once
+        sides |= {(nl + t, sl + t * t) for nl, sl in sides}
+    splits = ((sl * (n - nl) + (sq - sl) * nl, nl * (n - nl)) for nl, sl in sides if nl)
+    return max(splits, key=_by_score, default=(sq, n))
+
+
 def _best_split(keys, class_bits, total, vals):
     """(feature, threshold, left, counts) minimizing weighted Gini, or None if
     no cut lowers it, for the node whose keys (rows of _rank_keys) and class
@@ -120,39 +138,50 @@ def _best_split(keys, class_bits, total, vals):
     and sums Σ t_k l_k ≤ S_t = Σ t_k² from bit high up. A cut between distinct
     ranks scores n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up
     to about 1.6 million rows; the threshold is the midpoint of the values either
-    side (vals), or the lower one if the midpoint rounds out of [lower, upper)."""
-    n = len(keys)
-    sk = np.sort(keys, axis=0)
-    y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # cut i follows row i; intp gathers fast
+    side (vals), or the lower one if the midpoint rounds out of [lower, upper).
+    The columns are scanned in blocks (_BLOCKS), and the scan stops after a block
+    whose best cut reaches _partition_bound; README says why no split changes."""
+    n, d = keys.shape
     sq_total = int(total @ total)
     bits, high = int(total.max()).bit_length(), 63 - sq_total.bit_length()
-    for w, (table, shift) in enumerate(_word_tables(len(total), high // bits, bits)):
-        packed = _running((table + (total << high))[y])
-        num = packed >> high  # Σ_k t_k l_k, summed by every word from bit high up
-        packed >>= shift[y]  # the fields of other words, and bit high up, read 0
-        packed &= (1 << bits) - 1
-        seen = seen + packed if w else packed
-    seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
     nl = np.arange(1, n, dtype=np.int64)[:, None]
-    num *= -2 * nl
-    num += (sq_total - n) * nl
-    num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
-    sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
-    num[sk[1:] == sk[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
-    score = num / (nl * (n - nl))
-    best = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
-    f = int(np.argmax(best))
-    cuts = [(f, int(np.argmax(score[:, f])))]
-    if n ** 5 >= 1 << 56 and best[f] > 0:  # distinct scores may share the best float
-        cuts = np.argwhere(score.T == best[f]).tolist()
-    scored = [(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts]  # exact: p / q
-    p, q, f, cut = max(scored, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    if not p * n > sq_total * q:  # no gain over the parent's S_t/n
+    present = total[total > 0]
+    bound = _partition_bound(tuple(sorted(present.tolist()))) if len(present) <= _BOUND_CLASSES else None
+    edges = [0, *(e for e in _BLOCKS if bound and e < d), d]
+    best, split = (sq_total, n), None  # a cut must beat the parent's S_t/n
+    for start, stop in zip(edges, edges[1:]):
+        sk = np.sort(keys[:, start:stop], axis=0)
+        y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # cut i follows row i; intp gathers fast
+        for w, (table, shift) in enumerate(_word_tables(len(total), high // bits, bits)):
+            packed = _running((table + (total << high))[y])
+            num = packed >> high  # Σ_k t_k l_k, summed by every word from bit high up
+            packed >>= shift[y]  # the fields of other words, and bit high up, read 0
+            packed &= (1 << bits) - 1
+            seen = seen + packed if w else packed
+        seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
+        num *= -2 * nl
+        num += (sq_total - n) * nl
+        num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
+        sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
+        num[sk[1:] == sk[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
+        score = num / (nl * (n - nl))
+        top = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
+        f = int(np.argmax(top))
+        cuts = [(f, int(np.argmax(score[:, f])))]
+        if n ** 5 >= 1 << 56 and top[f] > 0:  # distinct scores may share the best float
+            cuts = np.argwhere(score.T == top[f]).tolist()
+        p, q, f, cut = max([(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts], key=_by_score)
+        if p * best[1] > best[0] * q:  # only a better block's cut: ties stay with the lower feature
+            best, split = (p, q), (start + f, cut, sk[:, f], y[:, f])
+        if bound and p * bound[1] == bound[0] * q:  # no later cut can score higher
+            break
+    if split is None:
         return None
-    lo, hi = (float(vals[int(k) >> class_bits, f]) for k in sk[cut:cut + 2, f])
+    f, cut, column, labels = split
+    lo, hi = (float(vals[int(k) >> class_bits, f]) for k in column[cut:cut + 2])
     mid = (lo + hi) / 2.0  # Python floats: an overflow to inf does not warn
-    left = keys[:, f] <= sk[cut, f]
-    return f, mid if lo <= mid < hi else lo, left, np.bincount(y[:cut + 1, f], minlength=len(total))
+    left = keys[:, f] <= column[cut]
+    return f, mid if lo <= mid < hi else lo, left, np.bincount(labels[:cut + 1], minlength=len(total))
 
 
 class BaggedTreeEnsemble(ClassifierMixin):

@@ -1,11 +1,12 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model
-from skelgest.classifiers.trees import _best_split, _rank_keys
+from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 
@@ -385,6 +386,15 @@ class TestNodeInvariants:
             for j in range(X.shape[1]):
                 assert sorted(set(ranks[:, j].tolist())) == list(range(len(set(X[:, j].tolist()))))
 
+    @pytest.mark.parametrize("n", [129, 32769], ids=["int16-keys", "int32-keys"])
+    def test_one_class_ranks_fit_their_dtype(self, n):
+        # one class takes no class bit, so the last key is the last rank, n - 1:
+        # 2**7 or 2**15, one more than int8 or int16 holds
+        keys, class_bits, vals = _rank_keys(np.arange(n * 1.0)[:, None], np.zeros(n, dtype=np.int64))
+        assert class_bits == 0
+        assert keys[:, 0].tolist() == list(range(n))
+        assert vals[n - 1, 0] == n - 1.0
+
     @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
     def test_leaf_labels_are_the_lowest_majority_of_their_rows(self, make):
         rng = np.random.default_rng(72)
@@ -396,6 +406,101 @@ class TestNodeInvariants:
             assert set(leaves.tolist()) == set(np.flatnonzero(tree.feature < 0).tolist())
             for leaf in set(leaves.tolist()):
                 assert tree.label[leaf] == np.argmax(np.bincount(y_idx[leaves == leaf])), (X, y_idx, leaf)
+
+
+class TestPartitionBound:
+    def test_is_the_best_score_of_any_left_counts(self):
+        # every node of 2-5 classes of 1-6 rows: S_l·n_r + S_r·n_l over n_l·n_r
+        # for every integer left-count vector 0 <= l <= t but l = 0 and l = t
+        for k in range(2, 6):
+            for counts in itertools.combinations_with_replacement(range(1, 7), k):
+                t, n = np.array(counts), sum(counts)
+                grid = np.meshgrid(*(np.arange(c + 1) for c in counts), indexing="ij")
+                left = np.stack(grid, axis=-1).reshape(-1, k)
+                nl = left.sum(axis=1)
+                left, nl = left[(nl > 0) & (nl < n)], nl[(nl > 0) & (nl < n)]
+                p = (left ** 2).sum(axis=1) * (n - nl) + ((t - left) ** 2).sum(axis=1) * nl
+                q = nl * (n - nl)
+                bound_p, bound_q = _partition_bound(counts)
+                assert (p * bound_q <= bound_p * q).all(), counts  # no left counts score above it
+                assert (p * bound_q == bound_p * q).any(), counts  # and some score it
+
+    def test_one_class_is_the_parent_score(self):
+        assert _partition_bound((5,)) == (25, 5)
+
+
+def column_score(column, total):
+    """The best exact S_l/n_l + S_r/n_r over the cuts of a column whose values,
+    all distinct, read the classes column in ascending order."""
+    n, left, best = len(column), [0] * len(total), 0
+    for nl, label in enumerate(column[:-1], 1):
+        left[label] += 1
+        best = max(best, Fraction(sum(x * x for x in left), nl)
+                   + Fraction(sum((t - x) ** 2 for t, x in zip(total, left)), n - nl))
+    return best
+
+
+def block_node(rng, total, d, below, placed):
+    """A node of d columns (node_from_columns): column f reads placed[f] where
+    given, and otherwise a random order of the classes scoring below `below`."""
+    labels = np.repeat(np.arange(len(total)), total)
+    columns = []
+    for f in range(d):
+        column = placed.get(f)
+        while column is None:
+            column = rng.permutation(labels).tolist()
+            column = column if column_score(column, total) < below else None
+        columns.append(column)
+    return node_from_columns(*columns)
+
+
+# classes of 3, 4 and 5 rows: only a cut that parts the class of 5 from the
+# others reaches the bound, 60/7; parting the class of 4 scores 33/4
+BOUND_FIRST = [2] * 5 + [0, 1, 0, 1, 1, 0, 1]
+BOUND_LAST = [0, 1, 1, 0, 1, 1, 0] + [2] * 5
+PARTS_FOUR = [1] * 4 + [0, 2, 0, 2, 2, 0, 2, 2]
+PARTS_FOUR_LAST = [2, 2, 0, 2, 2, 0, 0, 2] + [1] * 4
+SCORES_23_3 = [1, 1, 1, 0, 1, 0, 2, 2, 2, 0, 2, 2]
+
+
+class TestBlockScan:
+    """Nodes of 160 columns, wider than the last block edge (128), whose best
+    cuts sit either side of the edges; every other column scores below 7."""
+
+    def test_placed_columns_score_as_named(self):
+        assert Fraction(*_partition_bound((3, 4, 5))) == Fraction(60, 7)
+        for column, score in ((BOUND_FIRST, Fraction(60, 7)), (BOUND_LAST, Fraction(60, 7)),
+                              (PARTS_FOUR, Fraction(33, 4)), (PARTS_FOUR_LAST, Fraction(33, 4)),
+                              (SCORES_23_3, Fraction(23, 3))):
+            assert column_score(column, [3, 4, 5]) == score
+
+    @pytest.mark.parametrize("placed, feature", [
+        ({31: BOUND_FIRST}, 31),
+        ({32: BOUND_LAST, 100: BOUND_FIRST}, 32),
+        ({127: BOUND_LAST}, 127),
+        ({128: BOUND_FIRST}, 128),
+        ({60: SCORES_23_3, 140: PARTS_FOUR}, 140),
+        ({31: BOUND_LAST, 32: BOUND_FIRST}, 31),
+        ({100: PARTS_FOUR_LAST, 130: PARTS_FOUR}, 100),
+    ], ids=["bound-at-31", "bound-at-32", "bound-at-127", "bound-at-128", "later-block-wins",
+            "tie-at-bound-across-blocks", "tie-below-bound-across-blocks"])
+    def test_matches_reference(self, placed, feature):
+        rng = np.random.default_rng(feature)
+        X, y_idx = block_node(rng, [3, 4, 5], 160, Fraction(7), placed)
+        expected = reference_split(X.tolist(), y_idx.tolist(), 3)
+        assert expected[0] == feature
+        assert best_split(X, y_idx) == expected
+        p = rng.permutation(len(y_idx))
+        assert best_split(X[p], y_idx[p]) == expected
+
+    def test_more_classes_than_the_cap_match_reference(self):
+        # 14 classes of 2 rows: whole classes either side of a cut score 4, which
+        # only column 150, sorted by class, reaches
+        rng = np.random.default_rng(68)
+        X, y_idx = block_node(rng, [2] * 14, 160, Fraction(4), {150: np.repeat(np.arange(14), 2).tolist()})
+        expected = reference_split(X.tolist(), y_idx.tolist(), 14)
+        assert expected[0] == 150
+        assert best_split(X, y_idx) == expected
 
 
 class TestEnsembleFit:
