@@ -111,21 +111,16 @@ def _word_tables(n_classes, per_word, bits):
 
 
 _BLOCKS = (32, 128)  # the split search's column blocks start here; see README
-_BOUND_CLASSES = 8  # above this many classes a node's bound (2^(k-1) - 1 splits) is not sought
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
 
-@lru_cache(maxsize=256)
 def _partition_bound(counts):
-    """The highest (S_L·n_R + S_R·n_L, n_L·n_R), exact as p / q, over the splits of
-    whole classes whose sorted positive counts are counts: no cut scores above it
-    (README). One class has no such split, and every cut scores the parent's S_t/n."""
-    n, sq = sum(counts), sum(t * t for t in counts)
-    sides = {(0, 0)}  # (n_L, S_L) of each left side
-    for t in counts[:-1]:  # the last class stays right: each split once
-        sides |= {(nl + t, sl + t * t) for nl, sl in sides}
-    splits = ((sl * (n - nl) + (sq - sl) * nl, nl * (n - nl)) for nl, sl in sides if nl)
-    return max(splits, key=_by_score, default=(sq, n))
+    """The best split of whole classes for these class counts, the largest class (t rows)
+    against the rest: its (S_L·n_R + S_R·n_L, n_L·n_R) over t, exact as p / q. No cut
+    scores above it (README). With one class, every cut scores the parent's S_t/n."""
+    counts = np.asarray(counts).tolist()
+    n, sq, t = sum(counts), sum(c * c for c in counts), max(counts)
+    return (sq + t * (n - 2 * t), n - t) if t < n else (sq, n)
 
 
 def _best_split(keys, class_bits, total, vals):
@@ -145,9 +140,8 @@ def _best_split(keys, class_bits, total, vals):
     sq_total = int(total @ total)
     bits, high = int(total.max()).bit_length(), 63 - sq_total.bit_length()
     nl = np.arange(1, n, dtype=np.int64)[:, None]
-    present = total[total > 0]
-    bound = _partition_bound(tuple(sorted(present.tolist()))) if len(present) <= _BOUND_CLASSES else None
-    edges = [0, *(e for e in _BLOCKS if bound and e < d), d]
+    bound = _partition_bound(total)
+    edges = [0, *(e for e in _BLOCKS if e < d), d]
     best, split = (sq_total, n), None  # a cut must beat the parent's S_t/n
     for start, stop in zip(edges, edges[1:]):
         sk = np.sort(keys[:, start:stop], axis=0)
@@ -173,7 +167,7 @@ def _best_split(keys, class_bits, total, vals):
         p, q, f, cut = max([(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts], key=_by_score)
         if p * best[1] > best[0] * q:  # only a better block's cut: ties stay with the lower feature
             best, split = (p, q), (start + f, cut, sk[:, f], y[:, f])
-        if bound and p * bound[1] == bound[0] * q:  # no later cut can score higher
+        if p * bound[1] == bound[0] * q:  # no later cut can score higher
             break
     if split is None:
         return None

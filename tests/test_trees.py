@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
-from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model
+from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, trees
 from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
@@ -429,6 +430,42 @@ class TestPartitionBound:
         assert _partition_bound((5,)) == (25, 5)
 
 
+def subset_bound(counts):
+    """_partition_bound by search: the highest (S_L·n_R + S_R·n_L, n_L·n_R) over
+    every split of whole classes, keeping each (n_L, S_L) of a left side once;
+    the last class stays right, so each split is seen once."""
+    n, sq = sum(counts), sum(t * t for t in counts)
+    sides = {(0, 0)}
+    for t in counts[:-1]:
+        sides |= {(nl + t, sl + t * t) for nl, sl in sides}
+    splits = [(sl * (n - nl) + (sq - sl) * nl, nl * (n - nl)) for nl, sl in sides if nl]
+    return max(splits, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]), default=(sq, n))
+
+
+class TestLargestClassBound:
+    """The largest class against the rest scores as the best split of whole classes."""
+
+    @staticmethod
+    def assert_is_subset_bound(counts, bound):
+        p, q = subset_bound(counts)
+        assert bound[0] * q == p * bound[1], counts
+
+    def test_every_small_node(self):
+        # every multiset of 1-9 classes of 1-5 rows: 2,001 of them
+        for k in range(1, 10):
+            for counts in itertools.combinations_with_replacement(range(1, 6), k):
+                self.assert_is_subset_bound(counts, _partition_bound(counts))
+
+    def test_random_nodes_in_any_order_with_absent_classes(self):
+        # 2-16 classes of up to 1,000 rows in all, often with ties for the largest
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            k = int(rng.integers(2, 17))
+            counts = rng.integers(1, int(rng.integers(1, 1000 // k + 1)) + 1, size=k)
+            total = rng.permutation(np.concatenate([counts, np.zeros(int(rng.integers(0, 4)), int)]))
+            self.assert_is_subset_bound(tuple(counts.tolist()), _partition_bound(total))
+
+
 def column_score(column, total):
     """The best exact S_l/n_l + S_r/n_r over the cuts of a column whose values,
     all distinct, read the classes column in ascending order."""
@@ -501,6 +538,44 @@ class TestBlockScan:
         expected = reference_split(X.tolist(), y_idx.tolist(), 14)
         assert expected[0] == 150
         assert best_split(X, y_idx) == expected
+
+
+def many_class_columns(k):
+    """Columns of k classes, class 3 of 5 rows and the others of 2, in class order
+    but for class 3: first ("lead") or last ("trail"), whose cuts reach the bound,
+    7, or after class 1 ("near"), whose best cut parts classes 1 and 3 from the
+    rest and scores 43/7."""
+    rest = [c for c in range(k) if c != 3 for _ in range(2)]
+    return {"lead": [3] * 5 + rest, "trail": rest + [3] * 5, "near": rest[2:4] + [3] * 5 + rest[:2] + rest[4:]}
+
+
+class TestManyClassBlockScan:
+    """Nodes of 160 columns and 10-20 classes, one of them largest: only a cut that
+    parts it from the rest reaches the bound, so the scan stops after the first
+    block holding a column that sorts it first or last. Every other column scores
+    below 5. A block's prefix sums, as wide as the block, run once per count word
+    and once for S_l; the blocks are [0, 32), [32, 128) and [128, 160)."""
+
+    @pytest.mark.parametrize("k, placed, feature, blocks", [
+        (10, {20: "lead"}, 20, 1),
+        (15, {31: "lead", 32: "trail"}, 31, 1),
+        (20, {140: "near"}, 140, 3),
+    ], ids=["bound-at-20", "tie-at-bound-across-blocks", "no-bound-last-block-wins"])
+    def test_stops_early_and_matches_reference(self, monkeypatch, k, placed, feature, blocks):
+        total = [5 if c == 3 else 2 for c in range(k)]
+        columns = many_class_columns(k)
+        assert Fraction(*_partition_bound(total)) == column_score(columns["lead"], total) == 7
+        assert column_score(columns["trail"], total) == 7 and column_score(columns["near"], total) == Fraction(43, 7)
+        rng = np.random.default_rng(k)
+        X, y_idx = block_node(rng, total, 160, Fraction(5), {f: columns[name] for f, name in placed.items()})
+        expected = reference_split(X.tolist(), y_idx.tolist(), k)
+        assert expected[0] == feature
+        running, widths = trees._running, []
+        monkeypatch.setattr(trees, "_running", lambda a: widths.append(a.shape[1]) or running(a))
+        for p in (np.arange(len(y_idx)), rng.permutation(len(y_idx))):
+            widths.clear()
+            assert best_split(X[p], y_idx[p]) == expected
+            assert widths == [w for w in (32, 96, 32)[:blocks] for _ in range(count_words(y_idx) + 1)]
 
 
 class TestEnsembleFit:
