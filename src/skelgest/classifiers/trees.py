@@ -14,7 +14,7 @@ import numpy as np
 
 from ..base import ClassifierMixin
 from ..errors import InvalidBootstrapError
-from ..rng import PortableRNG
+from ..rng import PortableRNG, integer_rows
 
 
 class DecisionTree:
@@ -57,16 +57,25 @@ class DecisionTree:
         return self
 
     def predict(self, X):
-        """Leaf labels; all rows descend a level per step, at most n_nodes steps."""
+        """Leaf labels: the forest's descent (_leaves) from this tree's root alone."""
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.int64)
-        rows = np.flatnonzero(self.feature[node] >= 0)  # rows still at a split
-        while rows.size:
-            at = node[rows]
-            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(goes_left, self.children[at, 0], self.children[at, 1])
-            rows = rows[self.feature[node[rows]] >= 0]
-        return self.label[node]
+        return self.label[_leaves(X, self.feature, self.threshold, self.children, [0])[:, 0]]
+
+
+def _leaves(X, feature, threshold, children, roots):
+    """(len(X), len(roots)) nodes: the leaf each row reaches from each root, all
+    (row, root) pairs descending a level per step. Node i routes x[feature[i]] <=
+    threshold[i] to children[i, 0] and the rest to children[i, 1]."""
+    flat, goes = np.ascontiguousarray(X).ravel(), children[:, ::-1].ravel()  # goes[2i + (x <= t)]
+    node = np.tile(roots, len(X))  # pair (row i, root r) at i·len(roots) + r
+    pairs = np.flatnonzero(feature[node] >= 0)  # the pairs still at a split
+    at, cell = node[pairs], pairs // len(roots) * X.shape[1]  # their nodes, their rows' first cells
+    while pairs.size:
+        at = goes[2 * at + (flat[cell + feature[at]] <= threshold[at])]
+        node[pairs] = at
+        inner = feature[at] >= 0
+        pairs, at, cell = pairs[inner], at[inner], cell[inner]
+    return node.reshape(len(X), len(roots))
 
 
 def _running(a):
@@ -110,6 +119,7 @@ def _word_tables(n_classes, per_word, bits):
             for w in range(word[-1] + 1)]
 
 
+_PAIRS = 1 << 15  # (row, tree) pairs vote_counts descends at once, which bounds its memory; see README
 _BLOCKS = (32, 128)  # the split search's column blocks start here; see README
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
@@ -186,9 +196,9 @@ class BaggedTreeEnsemble(ClassifierMixin):
         self.bootstrap_fraction = bootstrap_fraction
         self.seed = seed
 
-    def _draw_indices(self, rng, n_samples, size):
-        # overridable hook: tests swap in an identity sample
-        return rng.integers(n_samples, size=size)
+    def _draw_indices(self, n_samples, size):
+        """(n_trees, size) bootstrap rows, row t on the seed's substream t; tests override it."""
+        return integer_rows([PortableRNG(self.seed).spawn(t).seed for t in range(self.n_trees)], n_samples, size)
 
     def _check_params(self, n_samples=None):
         """Reject bad parameters; given n_samples, a bootstrap of no rows too."""
@@ -201,17 +211,25 @@ class BaggedTreeEnsemble(ClassifierMixin):
 
     def _fit(self, X, codes, n_classes):
         n = X.shape[0]
-        size = int(np.ceil(self.bootstrap_fraction * n))
-        draws = (self._draw_indices(PortableRNG(self.seed).spawn(t), n, size) for t in range(self.n_trees))
+        draws = self._draw_indices(n, int(np.ceil(self.bootstrap_fraction * n)))
         keys, class_bits, vals = _rank_keys(X, codes)  # once for every tree
         return {"trees_": [DecisionTree()._grow(keys[idx], class_bits, vals) for idx in draws]}
 
     def vote_counts(self, X):
-        """(n_samples, n_classes) tally of tree votes; rows sum to n_trees."""
-        X = self._checked(X)
-        votes = np.zeros((X.shape[0], len(self.classes_)), dtype=np.int64)
-        for tree in self.trees_:
-            votes[np.arange(X.shape[0]), tree.predict(X)] += 1
+        """(n_samples, n_classes) tally of tree votes; rows sum to n_trees. All (row, tree)
+        pairs of a chunk of rows, at most _PAIRS, descend the joined trees at once (_leaves)."""
+        X, trees, n_classes = self._checked(X), self.trees_, len(self.classes_)
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0, *sizes[:-1]])
+        feature, threshold, label, children = (np.concatenate([getattr(t, name) for t in trees])
+                                               for name in ("feature", "threshold", "label", "children"))
+        children += np.repeat(roots, sizes)[:, None]  # each tree's children offset by its first node
+        votes, step = np.empty((len(X), n_classes), dtype=np.int64), max(1, _PAIRS // len(trees))
+        for start in range(0, len(X), step):
+            chunk = votes[start:start + step]
+            voted = label[_leaves(X[start:start + step], feature, threshold, children, roots)]
+            voted += np.arange(len(chunk))[:, None] * n_classes  # row i's class k counts at i·n_classes + k
+            chunk[:] = np.bincount(voted.ravel(), minlength=chunk.size).reshape(chunk.shape)
         return votes
 
     _class_scores = vote_counts  # predict takes the class with the most votes

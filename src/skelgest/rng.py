@@ -28,6 +28,9 @@ Derived quantities are also frozen:
 Counter-based form means array draws vectorize with numpy uint64 arithmetic
 while staying identical to the scalar path, and that any subset of the
 Box-Muller pairs can be drawn alone, with the bits it has in the whole stream.
+normal_rows and integer_rows draw many streams as one array, row i being what
+PortableRNG(seeds[i]).normal_array or .integers gives; Box-Muller draws the u1
+and u2 outputs as two arrays, which keeps every normal's bits and saves memory.
 """
 
 import math
@@ -49,8 +52,7 @@ def _mix(z):
 
 
 def _mix_array(z):
-    # uint64 array ops wrap modulo 2**64, matching the scalar path
-    z = z.astype(np.uint64, copy=True)
+    """mix64 of a uint64 array, in place; its ops wrap modulo 2**64, as the scalar path."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_M1)
     z ^= z >> np.uint64(27)
@@ -59,29 +61,40 @@ def _mix_array(z):
     return z
 
 
-def _box_muller(bits):
-    """Standard normals from uint64 outputs paired along the last axis."""
-    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    u1[u1 == 0.0] = 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    out = np.empty(u.shape)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out
+def _outputs(seeds, ks):
+    """(len(seeds), len(ks)) uint64: outputs ks (counters) of each seed's stream."""
+    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    return _mix_array(seeds[:, None] + np.asarray(ks, dtype=np.uint64) * np.uint64(_GAMMA))
+
+
+def _uniforms(seeds, ks):
+    """Outputs ks of each seed's stream as doubles in [0, 1): the top 53 bits."""
+    return (_outputs(seeds, ks) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _box_muller(seeds, ks):
+    """Each seed's normals from counter pairs (ks, ks + 1): column 2j is sqrt(-2 ln u1)
+    cos(2 pi u2) of pair j, 2j+1 the sin twin; u1 and u2 come as two arrays, to save memory."""
+    r = _uniforms(seeds, ks)
+    r[r == 0.0] = 2.0 ** -53
+    r = np.sqrt(np.log(r, out=r) * -2.0)
+    theta = _uniforms(seeds, ks + 1) * (2.0 * math.pi)
+    cos = np.cos(theta) * r
+    r *= np.sin(theta, out=theta)
+    del theta  # freed before the result is allocated: the peak is two result sizes
+    return np.stack((cos, r), axis=-1).reshape(len(r), -1)
 
 
 def normal_rows(seeds, pairs):
-    """(len(seeds), 2 len(pairs)) normals drawn as one uint64 array of counter
-    outputs: Box-Muller pair p (counters 2p+1, 2p+2) of each seed's stream, pair
-    by pair. Row i is columns 2p and 2p+1 of PortableRNG(seeds[i]).normal_array;
-    pairs 0, 1, ..., m-1 give its first 2m values."""
-    ks = 2 * np.asarray(pairs, dtype=np.uint64)[:, None] + np.array([1, 2], dtype=np.uint64)
-    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _box_muller(_mix_array(seeds[:, None] + ks.ravel() * np.uint64(_GAMMA)))
+    """(len(seeds), 2 len(pairs)) normals: Box-Muller pair p (counters 2p+1, 2p+2)
+    of each seed's stream, pair by pair. Row i is columns 2p and 2p+1 of
+    PortableRNG(seeds[i]).normal_array; pairs 0, 1, ..., m-1 give its first 2m values."""
+    return _box_muller(seeds, 2 * np.asarray(pairs, dtype=np.uint64) + np.uint64(1))
+
+
+def integer_rows(seeds, n, size):
+    """(len(seeds), size) integers in [0, n): row i is PortableRNG(seeds[i]).integers(n, size=size)."""
+    return (_outputs(seeds, np.arange(1, size + 1)) % np.uint64(n)).astype(np.int64)
 
 
 class PortableRNG:
@@ -105,10 +118,8 @@ class PortableRNG:
         return _mix((self._seed + self._count * _GAMMA) & _MASK)
 
     def u64_array(self, n):
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            return _mix_array(np.uint64(self._seed) + ks * np.uint64(_GAMMA))
+        return _outputs([self._seed], np.arange(self._count - n + 1, self._count + 1))[0]
 
     def integers(self, n, size=None):
         """Uniform integer(s) in [0, n)."""
@@ -118,7 +129,8 @@ class PortableRNG:
 
     def normal_array(self, n):
         """Standard normals via Box-Muller on consecutive uniform pairs."""
-        return _box_muller(self.u64_array(2 * ((n + 1) // 2)))[:n]
+        first, self._count = self._count + 1, self._count + 2 * ((n + 1) // 2)
+        return _box_muller([self._seed], np.arange(first, self._count, 2, dtype=np.uint64))[0, :n]
 
     def shuffle(self, items):
         """In-place Fisher-Yates shuffle of a list or 1-D array."""

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelgest.rng import PortableRNG, _mix, normal_rows
+from skelgest.rng import PortableRNG, _mix, integer_rows, normal_rows
 
 
 class TestGeneratorContract:
@@ -95,3 +97,27 @@ class TestNormalRows:
         for seed, row in zip(seeds, full):
             assert np.array_equal(row, PortableRNG(seed).normal_array(n))
         assert np.array_equal(normal_rows(seeds, np.array(pairs)), full[:, cols])
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        # 48 streams of 60 frames of 60 values, as synthesis draws them, and one long stream
+        seeds = [PortableRNG(3).spawn(i).seed for i in range(48)]
+        for draw in (lambda: normal_rows(seeds, np.arange(1800)), lambda: PortableRNG(4).normal_array(100_001)):
+            tracemalloc.start()
+            try:
+                out = draw()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * out.nbytes
+
+
+class TestIntegerRows:
+    SEEDS = [0, 2**64 - 1, -1, np.int64(5), np.uint64(7)]
+
+    @pytest.mark.parametrize("n", [1, 7, 2**40])
+    @pytest.mark.parametrize("size", [1, 15, 1000])
+    def test_each_row_is_its_seeds_integers(self, n, size):
+        rows = integer_rows(self.SEEDS, n, size)
+        assert rows.shape == (len(self.SEEDS), size) and rows.dtype == np.int64
+        for seed, row in zip(self.SEEDS, rows):
+            assert np.array_equal(row, PortableRNG(seed).integers(n, size=size))

@@ -1,23 +1,25 @@
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
 import pytest
 
-from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, trees
+from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, loads_model, trees
 from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
+from skelgest.rng import PortableRNG
 
 from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
 
 
 class IdentitySampled(BaggedTreeEnsemble):
     # test hook: every "bootstrap" is the full training set in order
-    def _draw_indices(self, rng, n_samples, size):
-        return np.arange(n_samples)
+    def _draw_indices(self, n_samples, size):
+        return np.tile(np.arange(n_samples), (self.n_trees, 1))
 
 
 def leaf_of(tree, x):
@@ -604,9 +606,9 @@ class TestEnsembleFit:
         drawn = []
 
         class Recording(BaggedTreeEnsemble):
-            def _draw_indices(self, rng, n_samples, size):
-                drawn.append(super()._draw_indices(rng, n_samples, size))
-                return drawn[-1]
+            def _draw_indices(self, n_samples, size):
+                drawn.extend(super()._draw_indices(n_samples, size))
+                return drawn
 
         model = Recording(n_trees=15, bootstrap_fraction=0.6, seed=9).fit(X, y)
         codes = np.array([model.classes_.index(v) for v in y])
@@ -616,6 +618,14 @@ class TestEnsembleFit:
             for name in ("feature", "threshold", "children", "label"):
                 assert getattr(tree, name).tobytes() == getattr(alone, name).tobytes(), name
         assert max(len(tree.feature) for tree in model.trees_) > 5
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_draws_are_each_trees_own_stream(self, seed):
+        # one array for every tree, each row the draw a per-tree generator made
+        draws = BaggedTreeEnsemble(n_trees=7, seed=seed)._draw_indices(50, 15)
+        assert draws.shape == (7, 15) and draws.dtype == np.int64
+        for t, row in enumerate(draws):
+            assert np.array_equal(row, PortableRNG(seed).spawn(t).integers(50, size=15))
 
     def test_identity_hook_single_tree_matches_tree_accuracy(self):
         rng = np.random.default_rng(53)
@@ -644,6 +654,14 @@ class TestEnsembleFit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             BaggedTreeEnsemble(bootstrap_fraction=1.5).fit(np.zeros((4, 1)), ["A", "A", "B", "B"])
+
+
+def per_tree_tally(model, X):
+    """vote_counts a tree at a time: each tree's predict adds one vote per row."""
+    tally = np.zeros((len(X), len(model.classes_)), dtype=np.int64)
+    for tree in model.trees_:
+        tally[np.arange(len(X)), tree.predict(X)] += 1
+    return tally
 
 
 class TestEnsemblePredict:
@@ -692,6 +710,60 @@ class TestEnsemblePredict:
             assert np.array_equal(tree.predict(probe), walked)
             tally[np.arange(len(probe)), walked] += 1
         assert np.array_equal(model.vote_counts(probe), tally)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_votes_match_per_tree_tally_at_a_chunk_edge(self, extra):
+        # chunk - 1, chunk and chunk + 1 rows, some of them set at thresholds
+        rng = np.random.default_rng(64)
+        X, y = blobs(rng, THREE_BLOBS, 10, std=3.0)
+        model = BaggedTreeEnsemble(seed=10).fit(X, y)
+        probe = rng.normal(size=(trees._PAIRS // 100 + extra, 2)) * 5.0
+        thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees_])
+        probe[:len(thresholds), 1] = thresholds[:len(probe)]
+        assert np.array_equal(model.vote_counts(probe), per_tree_tally(model, probe))
+
+    def test_one_leaf_trees_vote_their_label(self):
+        rng = np.random.default_rng(65)
+        X, y = blobs(rng, THREE_BLOBS, 10, std=3.0)
+        model = BaggedTreeEnsemble(n_trees=10, seed=11).fit(X, y)
+        for at, label in ((0, 2), (5, 1), (12, 0)):  # first, inside, last
+            model.trees_.insert(at, DecisionTree().set_nodes([[-1, 0.0, -1, -1, label]]))
+        probe = rng.normal(size=(25, 2)) * 5.0
+        votes = model.vote_counts(probe)
+        assert np.array_equal(votes, per_tree_tally(model, probe))
+        assert (votes.sum(axis=1) == 13).all() and (votes >= 1).all()
+
+    def test_no_rows(self):
+        rng = np.random.default_rng(66)
+        X, y = blobs(rng, THREE_BLOBS, 10)
+        model = BaggedTreeEnsemble(n_trees=10, seed=12).fit(X, y)
+        assert model.vote_counts(np.empty((0, 2))).shape == (0, 3)
+        assert model.predict(np.empty((0, 2))) == []
+
+    def test_loaded_model_votes_match_per_tree_tally(self):
+        rng = np.random.default_rng(67)
+        X, y = blobs(rng, THREE_BLOBS, 10, std=3.0)
+        model = BaggedTreeEnsemble(n_trees=30, seed=13).fit(X, y)
+        loaded = loads_model(dumps_model(model))
+        probe = np.vstack([X, rng.normal(size=(40, 2)) * 5.0])
+        votes = loaded.vote_counts(probe)
+        assert np.array_equal(votes, per_tree_tally(loaded, probe))
+        assert np.array_equal(votes, model.vote_counts(probe))
+
+    def test_vote_memory_is_bounded(self):
+        # 2,000,000 (row, tree) pairs, descended a chunk at a time
+        rng = np.random.default_rng(68)
+        X, y = rng.normal(size=(300, 4)), rng.choice(["a", "b", "c"], size=300)
+        model = BaggedTreeEnsemble(seed=14).fit(X, y)
+        probe = rng.normal(size=(20_000, 4))
+        tracemalloc.start()
+        try:
+            votes = model.vote_counts(probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (votes.sum(axis=1) == 100).all()
+        assert peak <= 4 * 2**20
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(58)
