@@ -1,11 +1,36 @@
-"""Shared fixtures: worked table values and frame builders."""
+"""Shared fixtures: worked table values, frame builders and a per-test time limit."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
 
 from skelgest import Frame, Joint
+
+# No test here takes more than a few seconds; one that runs past this limit
+# (a descent that loops, say) fails instead of hanging the run.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S. Not an Exception, so
+    Hypothesis fails the test at once instead of running it again to shrink."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Printed precision of the worked fixtures, in decimal places.
 NORMALIZATION_DECIMALS = 4   # every column of WORKED_NORMALIZATION_ROWS

@@ -13,6 +13,7 @@ from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, Train
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 from skelgest.rng import PortableRNG
 
+from test_rng import output
 from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
 
 
@@ -625,7 +626,8 @@ class TestEnsembleFit:
         draws = BaggedTreeEnsemble(n_trees=7, seed=seed)._draw_indices(50, 15)
         assert draws.shape == (7, 15) and draws.dtype == np.int64
         for t, row in enumerate(draws):
-            assert np.array_equal(row, PortableRNG(seed).spawn(t).integers(50, size=15))
+            tree_seed = PortableRNG(seed).spawn(t).seed
+            assert row.tolist() == [output(tree_seed, k) % 50 for k in range(1, 16)]
 
     def test_identity_hook_single_tree_matches_tree_accuracy(self):
         rng = np.random.default_rng(53)
