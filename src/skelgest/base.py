@@ -1,7 +1,7 @@
 """Classifier plumbing: the parameter list and fit/predict contract, and
 input validation."""
 
-import inspect
+import dataclasses
 import numbers
 
 import numpy as np
@@ -10,27 +10,18 @@ from .errors import DimensionMismatchError, TrainingDegenerateError
 
 
 class ClassifierMixin:
-    """The classifiers' base: the keyword arguments of __init__ are the
-    parameter list; fit() checks the inputs and sets what the kind's
+    """The classifiers' base: a dataclass kind's fields are its parameter
+    list; fit() checks the inputs and sets what the kind's
     _fit(X, codes, n_classes) returns, the attributes model_io stores; and
     predict() takes the best of _class_scores(X), one (n_samples, n_classes) array."""
 
     @classmethod
     def _defaults(cls):
-        """Each keyword parameter of __init__ and its default, in signature order."""
-        sig = inspect.signature(cls.__init__)
-        return {
-            name: p.default
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        }
+        """Each parameter field and its default, in declaration order."""
+        return {f.name: f.default for f in dataclasses.fields(cls)}
 
     def get_params(self):
         return {name: getattr(self, name) for name in self._defaults()}
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def fit(self, X, y):
         """Fit to rows X and labels y, after checking them, each parameter for its

@@ -1,11 +1,14 @@
 """k-nearest-neighbor classification by exhaustive Euclidean scan."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..base import ClassifierMixin
 from ..errors import TrainingDegenerateError
 
 
+@dataclass(eq=False)
 class KNearestNeighbors(ClassifierMixin):
     """Majority label among the k nearest stored samples.
 
@@ -16,8 +19,7 @@ class KNearestNeighbors(ClassifierMixin):
     distance, then by label order.
     """
 
-    def __init__(self, k=1):
-        self.k = k
+    k: int = 1
 
     def _check_params(self, n_samples):
         """Reject a k the model cannot use with n_samples stored rows."""

@@ -12,11 +12,12 @@ Layout (one record per line, whitespace separated):
     <n_nodes lines of: feature threshold left right label>
     end
 
-The scalar records are the kind's constructor parameters in signature order,
-each read as the type of its default, then the fitted n_features. Floats
-are written with repr, so a save/load round trip reproduces bit-equal
-predictions. The trailing `end` sentinel turns truncation into a
-ModelFormatError instead of a silently shorter model.
+The scalar records are the kind's parameters, its dataclass fields in
+declaration order, each read as the type of its default, then the fitted
+n_features; _FIELDS lists the array and tree records after them. Floats are
+written with repr, so a save/load round trip reproduces bit-equal predictions.
+The trailing `end` sentinel turns truncation into a ModelFormatError instead
+of a silently shorter model.
 """
 
 import numpy as np
@@ -70,8 +71,10 @@ def _fmt_array(name, rows):
     return [header] + [" ".join(map(repr, row.tolist())) for row in rows]
 
 
-def _read_array(lines, name, cast, dims, sizes):
-    """An array record whose shape matches dims, one letter per dimension.
+def _read_array(lines, name, dims, dtype, sizes):
+    """An array record of dtype whose shape matches dims, one letter per dimension: "n"
+    stored training rows, "d" features, "K" classes; a leading "1" marks a vector, stored
+    as one row and returned 1-D. An int64 array holds label indices, each in 0..K-1.
 
     A letter already in sizes must have that size; any other takes this
     array's size, so later arrays are checked against it.
@@ -93,67 +96,44 @@ def _read_array(lines, name, cast, dims, sizes):
                 f"array {name!r} row {r} has {len(values)} values, expected {shape[1]}"
             )
         try:
-            rows.append(np.array(values, dtype=cast))
+            rows.append(np.array(values, dtype=dtype))
         except (ValueError, OverflowError):
             raise ModelFormatError(f"array {name!r} row {r} holds a bad value") from None
         if not np.isfinite(rows[-1]).all():
             raise ModelFormatError(f"array {name!r} row {r} holds a non-finite value")
-    return np.stack(rows)
+    arr = np.stack(rows)
+    if dtype is np.int64 and ((arr < 0) | (arr >= sizes["K"])).any():
+        raise ModelFormatError(f"array {name!r} holds a label index outside 0..{sizes['K'] - 1}")
+    return arr.reshape(-1) if dims[0] == "1" else arr
 
 
-class _Floats:
-    """A float array whose dims name its shape: "n" stored training rows,
-    "d" features, "K" classes. A leading "1" marks a vector, stored as one row."""
-
-    def __init__(self, dims):
-        self.dims = dims
-
-    dump = staticmethod(_fmt_array)
-
-    def load(self, lines, name, model, sizes):
-        arr = _read_array(lines, name, float, self.dims, sizes)
-        return arr.reshape(-1) if self.dims[0] == "1" else arr
-
-
-class _LabelIndices:
-    """One label code per stored row: its index into the labels record."""
-
-    dump = staticmethod(_fmt_array)
-
-    def load(self, lines, name, model, sizes):
-        codes = _read_array(lines, name, np.int64, "1n", sizes).reshape(-1)
-        if ((codes < 0) | (codes >= sizes["K"])).any():
-            raise ModelFormatError(f"array {name!r} holds a label index outside 0..{sizes['K'] - 1}")
-        return codes
-
-
-class _Trees:
-    """n_trees records `tree <index> <n_nodes>`, each followed by its nodes,
+def _fmt_trees(name, trees):
+    """A `tree <index> <n_nodes>` record per tree, each followed by its nodes,
     one `feature threshold left right label` line per node."""
+    lines = []
+    for t, tree in enumerate(trees):
+        lines.append(f"{name} {t} {len(tree.feature)}")
+        rows = zip(tree.feature.tolist(), tree.threshold.tolist(),
+                   tree.children.tolist(), tree.label.tolist())
+        lines += [f"{f} {thr!r} {left} {right} {lab}" for f, thr, (left, right), lab in rows]
+    return lines
 
-    def dump(self, name, trees):
-        lines = []
-        for t, tree in enumerate(trees):
-            lines.append(f"{name} {t} {len(tree.feature)}")
-            rows = zip(tree.feature.tolist(), tree.threshold.tolist(),
-                       tree.children.tolist(), tree.label.tolist())
-            lines += [f"{f} {thr!r} {left} {right} {lab}" for f, thr, (left, right), lab in rows]
-        return lines
 
-    def load(self, lines, name, model, sizes):
-        trees = []
-        for t in range(model.n_trees):
-            fields = _expect(lines, name, 3)
-            index, n_nodes = (_parse(v, int, f"{name} record field") for v in fields[1:])
-            if index != t:
-                raise ModelFormatError(f"tree {index} out of order, expected {t}")
-            nodes = []
-            for _ in range(n_nodes):
-                nodes.append(next(lines).split())
-                if len(nodes[-1]) != 5:
-                    raise ModelFormatError("tree node record needs 5 fields")
-            trees.append(_checked_tree(t, nodes, sizes["d"], sizes["K"]))
-        return trees
+def _read_trees(lines, name, n_trees, sizes):
+    """The n_trees trees _fmt_trees wrote, each checked by _checked_tree."""
+    trees = []
+    for t in range(n_trees):
+        fields = _expect(lines, name, 3)
+        index, n_nodes = (_parse(v, int, f"{name} record field") for v in fields[1:])
+        if index != t:
+            raise ModelFormatError(f"tree {index} out of order, expected {t}")
+        nodes = []
+        for _ in range(n_nodes):
+            nodes.append(next(lines).split())
+            if len(nodes[-1]) != 5:
+                raise ModelFormatError("tree node record needs 5 fields")
+        trees.append(_checked_tree(t, nodes, sizes["d"], sizes["K"]))
+    return trees
 
 
 def _checked_tree(t, nodes, n_features, n_classes):
@@ -183,16 +163,14 @@ def _checked_tree(t, nodes, n_features, n_classes):
     return tree
 
 
-# Each kind's fitted records after its scalars, in file order: (record
-# name, attribute, codec).
+# Each kind's fitted records after its scalars, in file order: (record,
+# attribute, dims, dtype) of an array (see _read_array; an int64 array holds
+# label indices, each checked to be in 0..K-1). dims None marks the trees record.
 _FIELDS = {
-    "svm": [
-        ("X", "X_", _Floats("nd")),
-        ("dual_coef", "dual_coef_", _Floats("Kn")),
-        ("bias", "bias_", _Floats("1K")),
-    ],
-    "edt": [("tree", "trees_", _Trees())],
-    "knn": [("X", "X_", _Floats("nd")), ("y_idx", "y_", _LabelIndices())],
+    "svm": [("X", "X_", "nd", float), ("dual_coef", "dual_coef_", "Kn", float),
+            ("bias", "bias_", "1K", float)],
+    "edt": [("tree", "trees_", None, None)],
+    "knn": [("X", "X_", "nd", float), ("y_idx", "y_", "1n", np.int64)],
 }
 
 
@@ -205,8 +183,8 @@ def dumps_model(model):
     lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
     lines += [f"scalar {name} {getattr(model, name)}" for name in CLASSIFIERS[kind]._defaults()]
     lines.append(f"scalar n_features {model.n_features_}")
-    for name, attr, codec in _FIELDS[kind]:
-        lines += codec.dump(name, getattr(model, attr))
+    for name, attr, dims, _ in _FIELDS[kind]:
+        lines += (_fmt_array if dims else _fmt_trees)(name, getattr(model, attr))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -239,8 +217,9 @@ def loads_model(text):
     model.classes_ = classes
     model.n_features_ = _read_scalar(lines, "n_features", int)
     sizes = {"1": 1, "K": n_labels, "d": model.n_features_}
-    for name, attr, codec in _FIELDS[kind]:
-        setattr(model, attr, codec.load(lines, name, model, sizes))
+    for name, attr, dims, dtype in _FIELDS[kind]:
+        setattr(model, attr, _read_array(lines, name, dims, dtype, sizes) if dims
+                else _read_trees(lines, name, model.n_trees, sizes))
     try:
         model._check_params(sizes.get("n"))  # an edt file stores no training rows
     except (ValueError, ComputationError) as exc:

@@ -18,6 +18,8 @@ optimization, so the fitted machine, its decision values, and its
 predictions are exactly invariant under any reordering of the training set.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..base import ClassifierMixin
@@ -134,6 +136,7 @@ def _smo(K, Y, C, tol):
     return alpha, bias
 
 
+@dataclass(eq=False)
 class GaussianKernelSVM(ClassifierMixin):
     """Multi-class one-vs-all SVM with the Gaussian kernel.
 
@@ -142,10 +145,9 @@ class GaussianKernelSVM(ClassifierMixin):
     list) and one set of dual coefficients per class.
     """
 
-    def __init__(self, sigma=1.0, C=10.0, tol=1e-3):
-        self.sigma = sigma
-        self.C = C
-        self.tol = tol
+    sigma: float = 1.0
+    C: float = 10.0
+    tol: float = 1e-3
 
     def _check_params(self, n_samples=None):
         """Reject a sigma, C, tol or kernel divisor 2 sigma^2 that is not a

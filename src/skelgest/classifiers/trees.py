@@ -8,6 +8,7 @@ runs on the portable RNG with per-tree substreams, so a seed reproduces the
 exact same model anywhere.
 """
 
+from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
 import numpy as np
@@ -188,13 +189,13 @@ def _best_split(keys, class_bits, total, vals):
     return f, mid if lo <= mid < hi else lo, left, np.bincount(labels[:cut + 1], minlength=len(total))
 
 
+@dataclass(eq=False)
 class BaggedTreeEnsemble(ClassifierMixin):
     """Majority vote over n_trees bootstrap-trained decision trees."""
 
-    def __init__(self, n_trees=100, bootstrap_fraction=0.30, seed=0):
-        self.n_trees = n_trees
-        self.bootstrap_fraction = bootstrap_fraction
-        self.seed = seed
+    n_trees: int = 100
+    bootstrap_fraction: float = 0.30
+    seed: int = 0
 
     def _draw_indices(self, n_samples, size):
         """(n_trees, size) bootstrap rows, row t on the seed's substream t; tests override it."""

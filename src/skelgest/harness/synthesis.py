@@ -7,7 +7,6 @@ shuffles derive from the split seed and the class index. reuse_or_build
 keeps the last dataset it built and decides when a config may reuse it.
 """
 
-import hashlib
 import math
 import os
 
@@ -46,8 +45,9 @@ def _clean(template, n_frames):
 
 def _jitter(clean, std, seeds, rows):
     """clean plus std times the PortableRNG(seeds[i]) normals, per sample i, on the
-    given joint rows; other rows stay clean. A frame is 30 whole Box-Muller pairs, so
-    only the pairs p covering rows are drawn, the same in every frame f: 30 f + p."""
+    Box-Muller pairs covering the given joint rows, both values of each: rows=(1,) also
+    jitters row 0's z. Every other value stays clean. A frame is 30 whole pairs, so only
+    those pairs p are drawn, the same in every frame f: 30 f + p."""
     values = clean.reshape(len(clean), FLOATS_PER_FRAME)
     per_frame = np.array(sorted({(3 * row + axis) // 2 for row in rows for axis in range(3)}))
     cols = (2 * per_frame[:, None] + np.arange(2)).ravel()
@@ -121,18 +121,16 @@ _last = None
 
 def reuse_or_build(config):
     """build_dataset(config), or the last one this built if its key matches: the
-    classes, sizes, seed, feature kind, noise std, and per class the digest of
-    its trajectory (templates are mutable, so not their identity)."""
+    classes, sizes, seed, feature kind, noise std, and per class the shape and
+    bytes of its trajectory (templates are mutable, so not their identity)."""
     global _last
     cleans = _clean_classes(config)
     key = (config.classes, config.feature_kind, config.frames, config.seed, config.samples_per_class,
-           config.noise_std, [(clean.shape, hashlib.sha256(clean.tobytes()).hexdigest()) for clean in cleans])
-    last_key, data = _last or (None, None)
-    if last_key != key:
-        _last = data = None  # free the old dataset before building the next
-        data = _dataset_from(config, cleans)
-        _last = key, data
-    return data
+           config.noise_std, [(clean.shape, clean.tobytes()) for clean in cleans])
+    if _last is None or _last[0] != key:
+        _last = None  # free the old dataset and key before building the next
+        _last = key, _dataset_from(config, cleans)
+    return _last[1]
 
 
 def stratified_split(data, fraction, seed):

@@ -368,6 +368,18 @@ class TestRunExperiment:
         monkeypatch.setattr(synthesis, "_last", None)
         assert run_experiment(config).summary() == rebuilt
 
+    def test_a_trajectory_equal_in_value_but_not_in_bytes_rebuilds(self, builds):
+        # the key is the trajectory's bytes, so the sign of a zero counts
+        template = editable_template("waving")
+        config = dataclasses.replace(SMALL, classes=("waving", "clap"), templates={"waving": template})
+        before = synthesis._clean(template, config.frames)
+        run_experiment(config)
+        template.base_pose[template.base_pose == 0.0] = -0.0
+        after = synthesis._clean(template, config.frames)
+        assert np.array_equal(after, before) and after.tobytes() != before.tobytes()
+        run_experiment(config)
+        assert len(builds) == 2
+
 
 class TestExportDataset:
     def test_files_manifest_and_round_trip(self, tmp_path):

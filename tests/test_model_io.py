@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,48 @@ class TestFitContract:
         X, y, _ = training
         model = CLASSIFIERS[kind]().fit(X, y)
         fitted = vars(model).keys() - model.get_params().keys()
-        assert fitted == {"classes_", "n_features_", *(attr for _, attr, _ in _FIELDS[kind])}
+        assert fitted == {"classes_", "n_features_", *(attr for _, attr, _, _ in _FIELDS[kind])}
+
+
+# Each kind's parameters, in the order of its model file's scalar records, with
+# their defaults, and the repr of a model built from other values given positionally.
+CONSTRUCTORS = [
+    (GaussianKernelSVM, [("sigma", 1.0), ("C", 10.0), ("tol", 1e-3)], (0.5, 2.0, 1e-4),
+     "GaussianKernelSVM(sigma=0.5, C=2.0, tol=0.0001)"),
+    (BaggedTreeEnsemble, [("n_trees", 100), ("bootstrap_fraction", 0.30), ("seed", 0)], (7, 0.5, 2**64 - 1),
+     "BaggedTreeEnsemble(n_trees=7, bootstrap_fraction=0.5, seed=18446744073709551615)"),
+    (KNearestNeighbors, [("k", 1)], (3,), "KNearestNeighbors(k=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, params, given, text", CONSTRUCTORS, ids=["svm", "edt", "knn"])
+class TestConstructorContract:
+    """The constructor is the parameter list: the model file's scalars, the CLI's flags."""
+
+    def test_signature_is_the_parameter_list(self, cls, params, given, text):
+        signature = inspect.signature(cls)
+        assert [(p.name, p.default) for p in signature.parameters.values()] == params
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+        assert list(cls._defaults().items()) == params
+        for name, default in params:
+            assert type(cls._defaults()[name]) is type(default)
+
+    def test_positional_arguments_in_parameter_order(self, cls, params, given, text):
+        model = cls(*given)
+        assert model.get_params() == dict(zip((name for name, _ in params), given))
+        assert model.get_params() == cls(**model.get_params()).get_params()
+        assert repr(model) == text
+
+    def test_default_repr(self, cls, params, given, text):
+        args = ", ".join(f"{name}={default!r}" for name, default in params)
+        assert repr(cls()) == f"{cls.__name__}({args})"
+
+    def test_equality_is_identity(self, cls, params, given, text):
+        model = cls()
+        assert model == model
+        assert model != cls()
+        assert cls(*given) != cls(*given)
+        assert len({model, cls(), model}) == 2  # hashable, by identity
 
 
 class TestCorruptFiles:
