@@ -3,9 +3,9 @@
 Base learner: a binary CART-style tree split on Gini impurity, grown until
 nodes are pure or hold fewer than 2 samples, never pruned. The ensemble
 trains each tree on a bootstrap sample (drawn with replacement, sized as a
-fraction of the training set) and predicts by majority vote. All sampling
-runs on the portable RNG with per-tree substreams, so a seed reproduces the
-exact same model anywhere.
+fraction of the training set) and predicts by majority vote. Sampling runs on
+the portable RNG with per-tree substreams and splits are exact, so the same
+training matrix and seed give the same model anywhere.
 """
 
 from dataclasses import dataclass
@@ -121,7 +121,7 @@ def _word_tables(n_classes, per_word, bits):
 
 
 _PAIRS = 1 << 15  # (row, tree) pairs vote_counts descends at once, which bounds its memory; see README
-_BLOCKS = (32, 128)  # the split search's column blocks start here; see README
+_FIRST_BLOCK = 32  # columns the split search scores before it seeks a parting column; see README
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
 
@@ -132,6 +132,15 @@ def _partition_bound(counts):
     counts = np.asarray(counts).tolist()
     n, sq, t = sum(counts), sum(c * c for c in counts), max(counts)
     return (sq + t * (n - 2 * t), n - t) if t < n else (sq, n)
+
+
+def _parting_width(keys, class_bits, total):
+    """Columns of keys to score: through the first where every row of the largest class ranks
+    below, or every one above, all the others, so a cut there scores _partition_bound; else all."""
+    mine = keys[:, 0] & (1 << class_bits) - 1 == np.argmax(total)
+    ours, rest = keys[mine] >> class_bits, keys[~mine] >> class_bits  # ranks; a node has 2 classes or more
+    parts = (ours.max(0) < rest.min(0)) | (ours.min(0) > rest.max(0))
+    return int(np.argmax(parts)) + 1 if parts.any() else keys.shape[1]
 
 
 def _best_split(keys, class_bits, total, vals):
@@ -145,16 +154,17 @@ def _best_split(keys, class_bits, total, vals):
     ranks scores n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up
     to about 1.6 million rows; the threshold is the midpoint of the values either
     side (vals), or the lower one if the midpoint rounds out of [lower, upper).
-    The columns are scanned in blocks (_BLOCKS), and the scan stops after a block
-    whose best cut reaches _partition_bound; README says why no split changes."""
+    Columns [0, _FIRST_BLOCK) are scored first; unless a cut there reaches _partition_bound, then
+    those through the first that parts the largest class (_parting_width), where a cut reaches it,
+    or else all. No later cut scores higher, and ties go to the lowest feature (README)."""
     n, d = keys.shape
     sq_total = int(total @ total)
     bits, high = int(total.max()).bit_length(), 63 - sq_total.bit_length()
     nl = np.arange(1, n, dtype=np.int64)[:, None]
     bound = _partition_bound(total)
-    edges = [0, *(e for e in _BLOCKS if e < d), d]
+    start, stop = 0, min(_FIRST_BLOCK, d)
     best, split = (sq_total, n), None  # a cut must beat the parent's S_t/n
-    for start, stop in zip(edges, edges[1:]):
+    while True:
         sk = np.sort(keys[:, start:stop], axis=0)
         y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # cut i follows row i; intp gathers fast
         for w, (table, shift) in enumerate(_word_tables(len(total), high // bits, bits)):
@@ -168,7 +178,7 @@ def _best_split(keys, class_bits, total, vals):
         num += (sq_total - n) * nl
         num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
         sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
-        num[sk[1:] == sk[:-1]] = 0  # no cut between equal values; a real cut scores at least S_t/n > 0
+        num *= sk[1:] != sk[:-1]  # no cut between equal values; a real cut scores at least S_t/n > 0
         score = num / (nl * (n - nl))
         top = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
         f = int(np.argmax(top))
@@ -178,8 +188,9 @@ def _best_split(keys, class_bits, total, vals):
         p, q, f, cut = max([(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts], key=_by_score)
         if p * best[1] > best[0] * q:  # only a better block's cut: ties stay with the lower feature
             best, split = (p, q), (start + f, cut, sk[:, f], y[:, f])
-        if p * bound[1] == bound[0] * q:  # no later cut can score higher
+        if stop == d or p * bound[1] == bound[0] * q:  # no later cut can score higher
             break
+        start, stop = stop, stop + _parting_width(keys[:, stop:], class_bits, total)
     if split is None:
         return None
     f, cut, column, labels = split

@@ -14,7 +14,7 @@ from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, s
 from skelgest.rng import PortableRNG
 
 from test_rng import output
-from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs
+from test_svm import PINNED_MACHINES, THREE_BLOBS, blobs, harness_training_split
 
 
 class IdentitySampled(BaggedTreeEnsemble):
@@ -504,8 +504,8 @@ SCORES_23_3 = [1, 1, 1, 0, 1, 0, 2, 2, 2, 0, 2, 2]
 
 
 class TestBlockScan:
-    """Nodes of 160 columns, wider than the last block edge (128), whose best
-    cuts sit either side of the edges; every other column scores below 7."""
+    """Nodes of 160 columns whose best cuts sit in the first block, [0, 32), or
+    past it; every other column scores below 7."""
 
     def test_placed_columns_score_as_named(self):
         assert Fraction(*_partition_bound((3, 4, 5))) == Fraction(60, 7)
@@ -557,13 +557,15 @@ class TestManyClassBlockScan:
     parts it from the rest reaches the bound, so the scan stops after the first
     block holding a column that sorts it first or last. Every other column scores
     below 5. A block's prefix sums, as wide as the block, run once per count word
-    and once for S_l; the blocks are [0, 32), [32, 128) and [128, 160)."""
+    and once for S_l; the blocks are [0, 32), then through the first column that
+    sorts the largest class first or last, or else [32, 160)."""
 
     @pytest.mark.parametrize("k, placed, feature, blocks", [
-        (10, {20: "lead"}, 20, 1),
-        (15, {31: "lead", 32: "trail"}, 31, 1),
-        (20, {140: "near"}, 140, 3),
-    ], ids=["bound-at-20", "tie-at-bound-across-blocks", "no-bound-last-block-wins"])
+        (10, {20: "lead"}, 20, (32,)),
+        (15, {31: "lead", 32: "trail"}, 31, (32,)),
+        (20, {140: "near"}, 140, (32, 128)),
+        (20, {140: "lead"}, 140, (32, 109)),
+    ], ids=["bound-at-20", "tie-at-bound-across-blocks", "no-bound-last-block-wins", "bound-at-140"])
     def test_stops_early_and_matches_reference(self, monkeypatch, k, placed, feature, blocks):
         total = [5 if c == 3 else 2 for c in range(k)]
         columns = many_class_columns(k)
@@ -578,7 +580,74 @@ class TestManyClassBlockScan:
         for p in (np.arange(len(y_idx)), rng.permutation(len(y_idx))):
             widths.clear()
             assert best_split(X[p], y_idx[p]) == expected
-            assert widths == [w for w in (32, 96, 32)[:blocks] for _ in range(count_words(y_idx) + 1)]
+            assert widths == [w for w in blocks for _ in range(count_words(y_idx) + 1)]
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The width of every prefix sum (trees._running) run in the test, in order."""
+    running, seen = trees._running, []
+    monkeypatch.setattr(trees, "_running", lambda a: seen.append(a.shape[1]) or running(a))
+    return seen
+
+
+def parting_node(rng):
+    """A node of 33-300 columns of small integers (many ties) and 2-12 classes, some of
+    whose columns give one class, mostly a largest one, the lowest values or the highest;
+    in one such column in three, the class's edge value may be another class's too."""
+    n, d, k = int(rng.integers(4, 17)), int(rng.integers(33, 301)), int(rng.integers(2, 13))
+    y_idx = rng.integers(0, k, size=n)
+    y_idx[:2] = rng.choice(k, size=2, replace=False)
+    X = rng.integers(0, int(rng.integers(2, 8)), size=(n, d)) * 1.0
+    counts = np.bincount(y_idx)
+    for f in rng.choice(d, size=int(rng.integers(0, 4)), replace=False):
+        c = rng.choice(np.flatnonzero(counts == counts.max())) if rng.random() < 0.8 else rng.choice(y_idx)
+        rest = rng.integers(2 if rng.random() < 1 / 3 else 3, 6, size=n)
+        X[:, f] = np.where(y_idx == c, rng.integers(0, 3, size=n), rest) * rng.choice([-1.0, 1.0])
+    return X, y_idx, k
+
+
+class TestPartingStop:
+    """Past [0, 32), the scan stops after the first column whose ranks put every row of
+    the largest class (the lowest such class code) below, or above, every other row:
+    a cut there reaches the bound, and none after it can score higher."""
+
+    @pytest.mark.parametrize("total, below, placed, tie, feature, blocks", [
+        ([3, 4, 5], 7, {60: BOUND_FIRST, 140: BOUND_LAST}, (60, 5, 4), 140, (32, 109)),
+        ([3, 4, 5], 7, {60: BOUND_LAST, 140: BOUND_FIRST}, (60, 7, 6), 140, (32, 109)),
+        ([5, 5, 3, 2], 7, {60: [1] * 5 + [0, 2, 0, 3, 0, 2, 0, 3, 2, 0],
+                           100: [0] * 5 + [1, 2, 1, 3, 1, 2, 1, 3, 2, 1]}, None, 60, (32, 69)),
+        ([3, 3, 3, 3], 5, {50: [1, 0, 1, 0, 1, 0, 2, 3, 2, 3, 2, 3], 120: [0] * 3 + [1, 2, 3] * 3}, None, 50, (32, 89)),
+    ], ids=["tie-at-top-edge", "tie-at-bottom-edge", "tied-largest-parted-first", "two-class-partition-first"])
+    def test_directed_nodes_match_reference(self, widths, total, below, placed, tie, feature, blocks):
+        # a tie (column, value, new value) moves the edge row of the largest class onto
+        # its neighbour's value: that column no longer parts the class, so the scan goes on
+        rng = np.random.default_rng(feature + len(total))
+        X, y_idx = block_node(rng, total, 160, Fraction(below), placed)
+        if tie:
+            f, value, new = tie
+            X[X[:, f] == value, f] = new
+        for column in placed.values():
+            assert column_score(column, total) == Fraction(*_partition_bound(total))
+        expected = reference_split(X.tolist(), y_idx.tolist(), len(total))
+        assert expected[0] == feature
+        for p in (np.arange(len(y_idx)), rng.permutation(len(y_idx))):
+            widths.clear()
+            assert best_split(X[p], y_idx[p]) == expected
+            assert widths == [w for w in blocks for _ in range(count_words(y_idx) + 1)]
+
+    def test_random_wide_nodes_match_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(80):
+            X, y_idx, n_classes = parting_node(rng)
+            assert best_split(X, y_idx) == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
+
+    def test_wide_ensemble_scans_a_pinned_width(self, widths):
+        # the prefix sums of a 10-tree fit at the interaction-wide shape (96 x 1080);
+        # blocks ending at the fixed edges 32 and 128 instead sum to 77,088 columns
+        X, y = harness_training_split(**PINNED_MACHINES[1][0])
+        BaggedTreeEnsemble(n_trees=10, seed=11).fit(X, y)
+        assert sum(widths) == 59_350
 
 
 class TestEnsembleFit:
