@@ -71,14 +71,16 @@ def _fmt_array(name, rows):
     return [header] + [" ".join(map(repr, row.tolist())) for row in rows]
 
 
-def _read_array(lines, name, dims, dtype, sizes):
-    """An array record of dtype whose shape matches dims, one letter per dimension: "n"
+def _read_array(lines, name, dims, sizes):
+    """An array record whose shape matches dims[:2], one letter per dimension: "n"
     stored training rows, "d" features, "K" classes; a leading "1" marks a vector, stored
-    as one row and returned 1-D. An int64 array holds label indices, each in 0..K-1.
+    as one row and returned 1-D. A third letter "K" marks label indices: int64, each in
+    0..K-1; any other array is float.
 
     A letter already in sizes must have that size; any other takes this
     array's size, so later arrays are checked against it.
     """
+    dims, labels = dims[:2], dims[2:] == "K"
     fields = _expect(lines, "array", 4)
     if fields[1] != name:
         raise ModelFormatError(f"expected array {name!r}, got {fields[1]!r}")
@@ -96,13 +98,13 @@ def _read_array(lines, name, dims, dtype, sizes):
                 f"array {name!r} row {r} has {len(values)} values, expected {shape[1]}"
             )
         try:
-            rows.append(np.array(values, dtype=dtype))
+            rows.append(np.array(values, dtype=np.int64 if labels else float))
         except (ValueError, OverflowError):
             raise ModelFormatError(f"array {name!r} row {r} holds a bad value") from None
         if not np.isfinite(rows[-1]).all():
             raise ModelFormatError(f"array {name!r} row {r} holds a non-finite value")
     arr = np.stack(rows)
-    if dtype is np.int64 and ((arr < 0) | (arr >= sizes["K"])).any():
+    if labels and ((arr < 0) | (arr >= sizes["K"])).any():
         raise ModelFormatError(f"array {name!r} holds a label index outside 0..{sizes['K'] - 1}")
     return arr.reshape(-1) if dims[0] == "1" else arr
 
@@ -119,10 +121,10 @@ def _fmt_trees(name, trees):
     return lines
 
 
-def _read_trees(lines, name, n_trees, sizes):
-    """The n_trees trees _fmt_trees wrote, each checked by _checked_tree."""
+def _read_trees(lines, name, dims, sizes):
+    """The sizes[dims] trees _fmt_trees wrote, each checked by _checked_tree."""
     trees = []
-    for t in range(n_trees):
+    for t in range(sizes[dims]):
         fields = _expect(lines, name, 3)
         index, n_nodes = (_parse(v, int, f"{name} record field") for v in fields[1:])
         if index != t:
@@ -164,13 +166,13 @@ def _checked_tree(t, nodes, n_features, n_classes):
 
 
 # Each kind's fitted records after its scalars, in file order: (record,
-# attribute, dims, dtype) of an array (see _read_array; an int64 array holds
-# label indices, each checked to be in 0..K-1). dims None marks the trees record.
+# attribute, dims, (format, read)); dims are an array's (see _read_array), or
+# "T" for the n_trees trees.
+_ARRAY, _TREES = (_fmt_array, _read_array), (_fmt_trees, _read_trees)
 _FIELDS = {
-    "svm": [("X", "X_", "nd", float), ("dual_coef", "dual_coef_", "Kn", float),
-            ("bias", "bias_", "1K", float)],
-    "edt": [("tree", "trees_", None, None)],
-    "knn": [("X", "X_", "nd", float), ("y_idx", "y_", "1n", np.int64)],
+    "svm": [("X", "X_", "nd", _ARRAY), ("dual_coef", "dual_coef_", "Kn", _ARRAY), ("bias", "bias_", "1K", _ARRAY)],
+    "edt": [("tree", "trees_", "T", _TREES)],
+    "knn": [("X", "X_", "nd", _ARRAY), ("y_idx", "y_", "1nK", _ARRAY)],
 }
 
 
@@ -183,8 +185,8 @@ def dumps_model(model):
     lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
     lines += [f"scalar {name} {getattr(model, name)}" for name in CLASSIFIERS[kind]._defaults()]
     lines.append(f"scalar n_features {model.n_features_}")
-    for name, attr, dims, _ in _FIELDS[kind]:
-        lines += (_fmt_array if dims else _fmt_trees)(name, getattr(model, attr))
+    for name, attr, _, (write, _) in _FIELDS[kind]:
+        lines += write(name, getattr(model, attr))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -216,10 +218,9 @@ def loads_model(text):
                    for name, default in cls._defaults().items()})
     model.classes_ = classes
     model.n_features_ = _read_scalar(lines, "n_features", int)
-    sizes = {"1": 1, "K": n_labels, "d": model.n_features_}
-    for name, attr, dims, dtype in _FIELDS[kind]:
-        setattr(model, attr, _read_array(lines, name, dims, dtype, sizes) if dims
-                else _read_trees(lines, name, model.n_trees, sizes))
+    sizes = {"1": 1, "K": n_labels, "d": model.n_features_, "T": getattr(model, "n_trees", None)}
+    for name, attr, dims, (_, read) in _FIELDS[kind]:
+        setattr(model, attr, read(lines, name, dims, sizes))
     try:
         model._check_params(sizes.get("n"))  # an edt file stores no training rows
     except (ValueError, ComputationError) as exc:

@@ -33,7 +33,6 @@ class BadTokenError(InputFormatError):
 
     def __init__(self, position, token):
         self.position = position
-        self.token = token
         super().__init__(f"token {position} is not a finite float: {token!r}")
 
 
@@ -78,8 +77,6 @@ class FeatureOverflowError(ComputationError):
 
 class DimensionMismatchError(ComputationError):
     def __init__(self, expected, got):
-        self.expected = expected
-        self.got = got
         super().__init__(f"feature vector length {got}, model expects {expected}")
 
 

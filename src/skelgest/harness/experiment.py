@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..base import check_labels
 from ..classifiers import CLASSIFIERS
 from ..evaluation import evaluate
-from .synthesis import FEATURE_KINDS, check_noise_std, reuse_or_build, stratified_split
+from .synthesis import FEATURE_KINDS, check_noise_std, reuse_or_build
 from .templates import BENCHMARK_CLASSES, INTERACTION_TEMPLATES, SINGLE_PERSON_TEMPLATES
 
 
@@ -71,17 +71,17 @@ def run_experiment(config):
 
     The report's summary() is byte-identical across runs with the same
     config; report.timings carries the wall-clock seconds per stage. The
-    last call's dataset stays alive, and a call whose problem is the same
-    (see synthesis.reuse_or_build), as when only classifier, params or
-    split_fraction differ, reuses it; every artifact is still a pure function
-    of the config, and report.timings["build_dataset"] then times only the lookup.
+    last call's trajectories, dataset and split stay alive, and a call reuses
+    those its config shares (see synthesis.reuse_or_build): the trajectories
+    across seeds, the dataset when only classifier, params or split_fraction
+    differ, the split when only classifier or params do. Every artifact is still a
+    pure function of the config; report.timings["build_dataset"] times the
+    build and the split, or only the lookups.
     """
     timings = {}
     t0 = time.perf_counter()
-    data = reuse_or_build(config)
+    data, (train, test) = reuse_or_build(config)
     timings["build_dataset"] = time.perf_counter() - t0
-
-    train, test = stratified_split(data, config.split_fraction, config.seed)
 
     model = make_classifier(config)
     t0 = time.perf_counter()

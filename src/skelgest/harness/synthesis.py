@@ -4,7 +4,7 @@ Everything here is a pure function of (configuration, seed): per-sample
 noise streams derive from the dataset seed and the sample's global index
 (and are drawn and featurized a class at a time, as one array), and split
 shuffles derive from the split seed and the class index. reuse_or_build
-keeps the last dataset it built and decides when a config may reuse it.
+keeps what it built for the last problem and decides what a config reuses.
 """
 
 import math
@@ -115,22 +115,34 @@ def _dataset_from(config, cleans):
     return LabeledDataset(np.concatenate(vectors), _labels(config), tuple(config.classes))
 
 
-# (key, LabeledDataset) of the last problem reuse_or_build built, or None
+# what reuse_or_build built for the last problem, by level: (key, value) of its checked
+# trajectories, its dataset and its split, each None until built
 _last = None
 
 
-def reuse_or_build(config):
-    """build_dataset(config), or the last one this built if its key matches: the
-    classes, sizes, seed, feature kind, noise std, and per class the shape and
-    bytes of its trajectory (templates are mutable, so not their identity)."""
+def _reuse(level, key, build):
+    """_last[level]'s value if its key is key, else build()'s; the levels from this one on
+    are dropped first, so the old values are freed and a raise stores nothing."""
     global _last
-    cleans = _clean_classes(config)
-    key = (config.classes, config.feature_kind, config.frames, config.seed, config.samples_per_class,
-           config.noise_std, [(clean.shape, clean.tobytes()) for clean in cleans])
-    if _last is None or _last[0] != key:
-        _last = None  # free the old dataset and key before building the next
-        _last = key, _dataset_from(config, cleans)
-    return _last[1]
+    _last = _last or [None] * 3
+    if _last[level] is None or _last[level][0] != key:
+        _last[level:] = [None] * (3 - level)
+        _last[level] = key, build()
+    return _last[level][1]
+
+
+def reuse_or_build(config):
+    """(build_dataset(config), its stratified_split at config.split_fraction and seed), reusing
+    each level the last call built while its key matches: the checked trajectories while the
+    frame count and every class's GestureTemplate.key() do (templates are mutable, so the
+    bytes they hold, not their identity), the dataset while also the classes, feature kind,
+    seed, samples per class and noise std do, and the split while also split_fraction does."""
+    templates = config.templates or {}
+    keys = [(templates.get(name) or get_template(name)).key() for name in config.classes]
+    cleans = _reuse(0, (config.frames, keys), lambda: _clean_classes(config))
+    problem = (config.classes, config.feature_kind, config.seed, config.samples_per_class, config.noise_std)
+    data = _reuse(1, problem, lambda: _dataset_from(config, cleans))
+    return data, _reuse(2, config.split_fraction, lambda: stratified_split(data, config.split_fraction, config.seed))
 
 
 def stratified_split(data, fraction, seed):

@@ -56,17 +56,29 @@ class GestureTemplate:
     moves: dict = field(default_factory=dict)
     base_pose: np.ndarray = field(default_factory=lambda: BASE_POSE)
 
+    def _inputs(self):
+        """All that trajectory reads: the base pose as float64 and, per track (the joints
+        sharing one keyframe object), its joint rows and keyframe times and offsets as float64."""
+        tracks = {}  # id(keys) -> (keys, rows); keys stays referenced, so its id stays unique
+        for joint, keys in self.moves.items():
+            tracks.setdefault(id(keys), (keys, []))[1].append(Joint(joint).row)
+        return np.asarray(self.base_pose, dtype=np.float64), [
+            (rows, np.array([k[0] for k in keys], dtype=np.float64), np.array([k[1] for k in keys], dtype=np.float64))
+            for keys, rows in tracks.values()]
+
+    def key(self):
+        """_inputs() as the base pose's shape and the bytes of every array: equal keys give
+        byte-equal trajectories, and an edit of any value read, a zero's sign too, changes it."""
+        base, tracks = self._inputs()
+        return base.shape, base.tobytes(), [(rows, kts.tobytes(), offs.tobytes()) for rows, kts, offs in tracks]
+
     def trajectory(self, ts):
         """(len(ts), 20, 3) noiseless joint positions at the given times; joints
         sharing one keyframe object are one track, interpolated once."""
         ts = np.asarray(ts, dtype=np.float64)
-        poses = np.tile(np.asarray(self.base_pose, dtype=np.float64), (len(ts), 1, 1))
-        tracks = {}  # id(keys) -> (keys, rows); keys stays referenced, so its id stays unique
-        for joint, keys in self.moves.items():
-            tracks.setdefault(id(keys), (keys, []))[1].append(Joint(joint).row)
-        for keys, rows in tracks.values():
-            kts = np.array([k[0] for k in keys], dtype=np.float64)
-            offs = np.array([k[1] for k in keys], dtype=np.float64)
+        base, tracks = self._inputs()
+        poses = np.tile(base, (len(ts), 1, 1))
+        for rows, kts, offs in tracks:
             for axis in range(3):
                 poses[:, rows, axis] += np.interp(ts, kts, offs[:, axis])[:, None]
         return poses

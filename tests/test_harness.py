@@ -269,6 +269,19 @@ def builds(monkeypatch):
     return built
 
 
+def count_calls(monkeypatch, owner, name):
+    """The argument tuples of each call of owner.name from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def editable_template(name):
     """A copy of a catalog template whose moves and base pose can be edited."""
     template = get_template(name)
@@ -379,6 +392,73 @@ class TestRunExperiment:
         assert np.array_equal(after, before) and after.tobytes() != before.tobytes()
         run_experiment(config)
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("change", [{"classifier": "knn"}, {"seed": 6}], ids=["reuse", "seed"])
+    def test_the_same_templates_sample_no_trajectory(self, builds, monkeypatch, change):
+        run_experiment(SMALL)
+        trajectories = count_calls(monkeypatch, GestureTemplate, "trajectory")
+        changed = dataclasses.replace(SMALL, **change)
+        summary = run_experiment(changed).summary()
+        assert trajectories == [] and len(builds) == 1 + ("seed" in change)
+        monkeypatch.setattr(synthesis, "_last", None)
+        assert run_experiment(changed).summary() == summary
+
+    def test_a_reused_call_splits_nothing(self, builds, monkeypatch):
+        run_experiment(SMALL)
+        splits = count_calls(monkeypatch, synthesis, "stratified_split")
+        run_experiment(dataclasses.replace(SMALL, classifier="edt", params={"n_trees": 3}))
+        assert splits == [] and len(builds) == 1
+
+    def test_a_reused_split_is_the_fresh_split(self, builds):
+        for kind in CLASSIFIERS:  # a fit that edited its training rows would show below
+            run_experiment(dataclasses.replace(SMALL, classifier=kind))
+        _, reused = synthesis.reuse_or_build(SMALL)
+        assert len(builds) == 1
+        fresh = stratified_split(build_dataset(SMALL), SMALL.split_fraction, SMALL.seed)
+        for kept, split in zip(reused, fresh):
+            assert np.array_equal(kept.vectors, split.vectors) and kept.labels == split.labels
+
+    def test_a_new_split_fraction_resplits_without_a_rebuild(self, builds, monkeypatch):
+        run_experiment(SMALL)
+        splits = count_calls(monkeypatch, synthesis, "stratified_split")
+        halved = dataclasses.replace(SMALL, split_fraction=0.5)
+        resplit = run_experiment(halved).summary()
+        assert len(splits) == 1 and len(builds) == 1
+        monkeypatch.setattr(synthesis, "_last", None)
+        assert run_experiment(halved).summary() == resplit
+
+    def test_an_in_place_edit_of_a_shared_keyframe_list_rebuilds(self, builds, monkeypatch):
+        keys = [(0.0, (0.0, 0.0, 0.0)), (1.0, (0.0, 0.3, -0.1))]
+        template = GestureTemplate("raise", dict.fromkeys((Joint.WRIST_RIGHT, Joint.HAND_RIGHT), keys))
+        config = dataclasses.replace(SMALL, classes=("raise", "clap"), templates={"raise": template})
+        run_experiment(config)
+        keys[1] = (1.0, (0.0, 0.5, -0.1))  # the same list object, so the same track id
+        rebuilt = run_experiment(config).summary()
+        assert len(builds) == 2
+        monkeypatch.setattr(synthesis, "_last", None)
+        assert run_experiment(config).summary() == rebuilt
+
+    def test_a_negative_zero_offset_over_a_negative_zero_pose_rebuilds(self, builds):
+        # -0.0 + 0.0 is 0.0 but -0.0 + -0.0 is -0.0: the key holds the offsets' bytes
+        keys = [(0.0, (0.0, 0.0, 0.0))]
+        template = GestureTemplate("still", {Joint.HIP_CENTER: keys}, base_pose=BASE_POSE.copy())
+        template.base_pose[Joint.HIP_CENTER.row, 0] = -0.0
+        config = dataclasses.replace(SMALL, classes=("still", "clap"), templates={"still": template})
+        before = synthesis._clean(template, config.frames)
+        run_experiment(config)
+        keys[0] = (0.0, (-0.0, 0.0, 0.0))
+        after = synthesis._clean(template, config.frames)
+        assert np.array_equal(after, before) and after.tobytes() != before.tobytes()
+        run_experiment(config)
+        assert len(builds) == 2
+
+    def test_a_template_out_of_depth_range_raises_on_every_call(self, builds):
+        far = GestureTemplate("far", {Joint.HAND_RIGHT: ((0.0, (0.0, 0.0, 2.0)),)})
+        config = dataclasses.replace(SMALL, classes=("far", "clap"), templates={"far": far})
+        for _ in range(2):
+            with pytest.raises(DepthRangeViolationError):
+                run_experiment(config)
+        assert builds == []
 
 
 class TestExportDataset:
