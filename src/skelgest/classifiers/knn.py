@@ -7,6 +7,9 @@ import numpy as np
 from ..base import ClassifierMixin
 from ..errors import TrainingDegenerateError
 
+_PAIR_CELLS = 1 << 17  # (pair, column) cells the exact pass measures at once
+_PRODUCT_CELLS = (1 << 19) - 1  # multiply-adds per product block: OpenBLAS threads from 2^19
+
 
 @dataclass(eq=False)
 class KNearestNeighbors(ClassifierMixin):
@@ -41,20 +44,25 @@ class KNearestNeighbors(ClassifierMixin):
         with np.errstate(over="ignore", invalid="ignore"):
             q, train = X - self.X_[0], self.X_ - self.X_[0]
             nq, nt = np.einsum("ij,ij->i", q, q)[:, None], np.einsum("ij,ij->i", train, train)
-            sq = nq + nt - 2.0 * (q @ train.T)
+            # the product only picks candidates, so its blocks of query rows change no label
+            block, prod = _PRODUCT_CELLS // train.size or len(q) or 1, np.empty((len(q), len(train)))
+            for i in range(0, len(q), block):
+                np.matmul(q[i : i + block], train.T, out=prod[i : i + block])
+            sq = nq + nt - 2.0 * prod
             slack = (4 * X.shape[1] + 16) * np.finfo(np.float64).eps * (nq + nt)
             kth = np.partition(sq + slack, self.k - 1, axis=1)[:, self.k - 1, None]
+            pair_q, pair_t = np.nonzero(~(sq - slack > kth))
             dist = np.full(sq.shape, np.inf)
-            for i, maybe in enumerate(~(sq - slack > kth)):
-                cand = np.flatnonzero(maybe)
-                diff = self.X_[cand] - X[i]
+            step = max(1, _PAIR_CELLS // X.shape[1])
+            for s in range(0, len(pair_q), step):
+                r, c = pair_q[s : s + step], pair_t[s : s + step]
+                diff = self.X_[c] - X[r]
                 # cumsum adds the squared differences left to right
-                dist[i, cand] = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
+                dist[r, c] = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
         near = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
-        rows = np.arange(len(X))[:, None]
-        counts = np.zeros((len(X), len(self.classes_)), dtype=np.int64)
-        summed = np.zeros(counts.shape)
-        # add.at sums each row's neighbors in order, nearest first
-        np.add.at(counts, (rows, self.y_[near]), 1)
-        np.add.at(summed, (rows, self.y_[near]), dist[rows, near])
+        rows, n = np.arange(len(X))[:, None], len(self.classes_)
+        # bincount adds in input order: each row's neighbors, nearest first
+        slot = (rows * n + self.y_[near]).ravel()
+        counts = np.bincount(slot, minlength=len(X) * n).reshape(-1, n)
+        summed = np.bincount(slot, dist[rows, near].ravel(), len(X) * n).reshape(-1, n)
         return np.where(counts == counts.max(axis=1, keepdims=True), -summed, -np.inf)

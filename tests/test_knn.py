@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import skelgest.classifiers.knn as knn_module
 from skelgest.classifiers import KNearestNeighbors
 from skelgest.classifiers.model_io import dumps_model
 from skelgest.errors import DimensionMismatchError, TrainingDegenerateError
@@ -150,6 +151,74 @@ class TestOracleAgreement:
         base = KNearestNeighbors(k=3).fit(X, y).predict(probe)
         renamed = KNearestNeighbors(k=3).fit(X, [rename[v] for v in y]).predict(probe)
         assert [rename[v] for v in base] == renamed
+
+
+class TestChunksAndBlocks:
+    """The exact pass's chunks of pairs and the prefilter product's blocks of
+    query rows change no score bit."""
+
+    def test_chunked_exact_pass_matches_one_chunk_and_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        X, y = blobs(rng, THREE_BLOBS, 8, std=3.0)
+        queries = rng.uniform(-5.0, 15.0, size=(40, 2))
+        models = [KNearestNeighbors(k=k).fit(X, y) for k in (1, 3, 5)]
+        whole = [model._class_scores(queries).tobytes() for model in models]
+        monkeypatch.setattr(knn_module, "_PAIR_CELLS", 5)  # 2 pairs of 2 columns
+        for model, scores in zip(models, whole):
+            assert model._class_scores(queries).tobytes() == scores
+            assert model.predict(queries) == [oracle_knn(X.tolist(), y, q.tolist(), model.k) for q in queries]
+
+    def test_chunked_exact_pass_measures_every_overflowing_pair(self, monkeypatch):
+        # the expansion overflows to nan and rules out no pair, so all 16 are
+        # measured, 1 per chunk
+        X = 1e200 * np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        y = ["a", "b", "a", "b"]
+        model = KNearestNeighbors(k=1).fit(X, y)
+        whole = model._class_scores(X).tobytes()
+        monkeypatch.setattr(knn_module, "_PAIR_CELLS", 2)
+        assert model._class_scores(X).tobytes() == whole
+        assert model.predict(X) == y
+
+    @pytest.mark.parametrize("cells", [1, 1 << 19], ids=["one-row-blocks", "one-block"])
+    def test_no_queries_give_no_scores(self, monkeypatch, cells):
+        rng = np.random.default_rng(66)
+        X, y = blobs(rng, THREE_BLOBS, 8, std=3.0)
+        model = KNearestNeighbors(k=3).fit(X, y)
+        monkeypatch.setattr(knn_module, "_PRODUCT_CELLS", cells)
+        assert model._class_scores(np.empty((0, 2))).shape == (0, 3)
+
+    def test_winning_label_adds_its_distances_nearest_first(self):
+        # its score is minus that sum to the last bit, in the oracle's order
+        rng = np.random.default_rng(65)
+        X, y = blobs(rng, THREE_BLOBS, 8, std=3.0)
+        queries = rng.uniform(-5.0, 15.0, size=(40, 2))
+        model = KNearestNeighbors(k=5).fit(X, y)
+        for row, q in zip(model._class_scores(queries), queries.tolist()):
+            ranked = oracle_ranked(X.tolist(), q)
+            label, total = oracle_vote(ranked, y, 5), 0.0
+            for d, i in ranked[:5]:
+                if y[i] == label:
+                    total += d
+            assert -row[model.classes_.index(label)] == total
+
+    @pytest.mark.parametrize("fields", [m[0] for m in PINNED_MACHINES], ids=["paper-single", "interaction-wide"])
+    def test_prefilter_blocks_of_one_two_and_all_query_rows(self, monkeypatch, fields):
+        # midpoints of consecutive training rows are near-tied, so the product's
+        # last bits decide which rows the prefilter keeps; 7 rows leave a
+        # 1-row block after the 2-row blocks
+        config = ExperimentConfig(**fields)
+        train, _ = stratified_split(build_dataset(config), config.split_fraction, config.seed)
+        X, y = train.vectors, train.labels
+        queries = (X[:7] + X[1:8]) / 2.0
+        ranked = [oracle_ranked(X.tolist(), q) for q in queries.tolist()]
+        for k in (1, 3, 5):
+            model = KNearestNeighbors(k=k).fit(X, y)
+            scores = set()
+            for rows in (1, 2, len(queries)):
+                monkeypatch.setattr(knn_module, "_PRODUCT_CELLS", rows * X.size)
+                scores.add(model._class_scores(queries).tobytes())
+            assert len(scores) == 1
+            assert model.predict(queries) == [oracle_vote(r, y, k) for r in ranked]
 
 
 # SHA-256 of dumps_model and of the predicted labels, for k-NN models fitted
