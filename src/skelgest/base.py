@@ -24,17 +24,11 @@ class ClassifierMixin:
         return {name: getattr(self, name) for name in self._defaults()}
 
     def fit(self, X, y):
-        """Fit to rows X and labels y, after checking them, each parameter for its
-        default's type as the model file reads it (an int default takes integers,
-        a float one real numbers, neither a bool) and _check_params(n_samples).
-        classes_, n_features_ and _fit's attributes are set together once _fit
-        returns, so a fit that raises leaves the model as it was."""
+        """Fit to rows X and labels y after checking them, the parameters' types and _check_params(n_samples).
+        classes_, n_features_ and _fit's attributes are set together: a fit that raises leaves the model as it was."""
         X = check_feature_matrix(X)
         y = check_labels(y, X.shape[0])
-        for name, default in self._defaults().items():
-            value, integral = getattr(self, name), isinstance(default, int)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-                raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
+        check_param_types(self, self._defaults())
         self._check_params(X.shape[0])
         classes, codes = encode_labels(y)
         fitted = self._fit(X, codes, len(classes))
@@ -57,6 +51,15 @@ class ClassifierMixin:
         pred = self.predict(X)
         y = check_labels(y, len(pred))
         return float(np.mean([p == t for p, t in zip(pred, y)]))
+
+
+def check_param_types(obj, defaults):
+    """A ValueError naming the first of obj's parameters not of its default's type as a model
+    file reads it: an int default takes integers, a float one real numbers, neither a bool."""
+    for name, default in defaults.items():
+        value, integral = getattr(obj, name), isinstance(default, int)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+            raise ValueError(f"{name} must be {'an integer' if integral else 'a real number'}, got {value!r}")
 
 
 def feature_matrix(sequence_features, sequences):

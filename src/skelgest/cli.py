@@ -139,6 +139,10 @@ _FEATURE_MODULES = {kind.replace("_", "-"): module for kind, module in FEATURE_M
 
 
 def cmd_extract_features(args):
+    if args.labels_out and not args.manifest:
+        args.usage_error("--labels-out needs --manifest")
+    if args.frame_column and (args.flatten or args.manifest):
+        args.usage_error("--frame-column needs per-frame rows, not --flatten or --manifest")
     module = _FEATURE_MODULES[args.mode]
     if args.input and not args.flatten:
         feats = module.sequence_features(read_skeleton_file(args.input))
@@ -247,7 +251,7 @@ def build_parser():
     p.add_argument("--flatten", action="store_true", help="emit one flattened row")
     p.add_argument("--frame-column", action="store_true", help="prepend a frame index column")
     p.add_argument("--labels-out", help="with --manifest: write the labels sidecar here")
-    p.set_defaults(func=cmd_extract_features)
+    p.set_defaults(func=cmd_extract_features, usage_error=p.error)
 
     p = sub.add_parser("train", help="fit a classifier on features + labels")
     p.add_argument("--features", required=True)

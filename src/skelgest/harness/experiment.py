@@ -8,9 +8,9 @@ deterministic summary.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from ..base import check_labels
+from ..base import check_labels, check_param_types
 from ..classifiers import CLASSIFIERS
 from ..evaluation import evaluate
 from .synthesis import FEATURE_KINDS, check_noise_std, reuse_or_build
@@ -31,6 +31,7 @@ class ExperimentConfig:
     templates: dict | None = None  # overrides for class -> GestureTemplate
 
     def __post_init__(self):
+        check_param_types(self, {f.name: f.default for f in fields(self) if type(f.default) in (int, float)})
         self.classes = tuple(self.classes)
         if not self.classes:
             raise ValueError("config needs at least one class")

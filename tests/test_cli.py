@@ -1,5 +1,6 @@
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,10 +38,13 @@ def write_blob_csvs(tmp_path, rng, n=10):
     return features, labels
 
 
-def run_cli(*argv, timeout=60):
-    """The skelgest CLI in a fresh interpreter; returns the CompletedProcess."""
-    env = dict(os.environ, PYTHONPATH=str(Path(skelgest.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "skelgest.cli", *argv],
+def run_cli(*argv, code=None, timeout=60, **env):
+    """The skelgest CLI, or the Python program `code`, run on argv in a fresh interpreter
+    that turns warnings into errors, as tier-1 does in-process; env adds environment
+    variables. Returns the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skelgest.__file__).parents[1]), **env)
+    program = ["-m", "skelgest.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, "-W", "error", *program, *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
@@ -201,6 +205,25 @@ class TestExtractFeatures:
                      "--out", str(out), "--labels-out", str(labels_out)]) == 2
         assert "labels.csv line 2: label 'has space'" in capsys.readouterr().err
         assert not out.exists() and not labels_out.exists()
+
+    # a flag the chosen rows would ignore is a usage error, raised before the (missing)
+    # input is read or anything is written
+    @pytest.mark.parametrize("flag, argv", [
+        ("--labels-out", ["--input", "ghost.txt", "--labels-out", "y.csv"]),
+        ("--labels-out", ["--input", "ghost.txt", "--flatten", "--labels-out", "y.csv"]),
+        ("--frame-column", ["--input", "ghost.txt", "--flatten", "--frame-column"]),
+        ("--frame-column", ["--manifest", "ghost.csv", "--frame-column"]),
+    ], ids=["labels-out-without-manifest", "labels-out-with-flatten", "frame-column-with-flatten",
+            "frame-column-with-manifest"])
+    def test_ignored_flag_exits_1(self, tmp_path, monkeypatch, capsys, flag, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract-features", *argv, "--mode", "single", "--out", "x.csv"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: skelgest extract-features")
+        assert err[-1].startswith(f"skelgest extract-features: error: {flag} needs")
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_of_differing_lengths_exits_2(self, tmp_path):
         for name, frames in (("a.txt", 5), ("b.txt", 7)):
@@ -389,6 +412,67 @@ class TestTrainPredictEvaluate:
                      "--model", kind, "--out", str(model), flag, value]) == code
         assert capsys.readouterr().err.startswith("skelgest: ")
         assert not model.exists()
+
+    HUGE = ["1e308,1e200", "-1e308,-1e200", "1e308,-1e200", "-1e308,1e200"]
+    ENSEMBLE = ["--trees", "5", "--bootstrap-fraction", "1.0"]
+
+    # each trains without a warning and within the per-test time limit; predict gives
+    # the training labels back (exact) or some of them
+    @pytest.mark.parametrize("kind, flags, rows, labels, exact", [
+        # adjacent doubles, whose midpoint rounds onto the upper one: the ensemble still splits them
+        ("edt", ENSEMBLE, ["1.0000000000000002", "1.0000000000000004"], ["a", "b"], True),
+        # 40 classes of 1 to 40 rows: the split search's bound, the largest class against
+        # the rest, stays cheap at any class count (a search over the splits of whole
+        # classes would take minutes here)
+        ("edt", ENSEMBLE, [f"{i},{i % 7}" for i in range(820)],
+         [f"c{c}" for c in range(40) for _ in range(c + 1)], False),
+        # features near the float range's ends, whose squares and first-column gaps overflow
+        ("knn", [], HUGE, list("abab"), True),
+        ("svm", [], HUGE, list("abab"), True),
+        # a sigma whose d / (2 sigma^2) overflows: kernel values of 0 off the diagonal,
+        # so the model file holds them and loads
+        ("svm", ["--sigma", "1e-156"], ["0", "1", "2", "3"], list("abab"), True),
+    ], ids=["edt-adjacent-doubles", "edt-40-classes", "knn-huge", "svm-huge", "svm-narrow-sigma"])
+    def test_train_then_predict(self, tmp_path, capsys, kind, flags, rows, labels, exact):
+        features, y, model = tmp_path / "f.csv", tmp_path / "y.csv", tmp_path / "m.model"
+        features.write_text("\n".join(rows) + "\n")
+        y.write_text("\n".join(labels) + "\n")
+        assert main(["train", "--features", str(features), "--labels", str(y), "--model", kind,
+                     "--out", str(model), *flags]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--features", str(features)]) == 0
+        predicted = capsys.readouterr().out.splitlines()
+        assert len(predicted) == len(labels) and set(predicted) <= set(labels)
+        if exact:
+            assert predicted == labels
+
+    def test_fresh_processes_write_the_same_bytes(self, tmp_path):
+        # gen-synth, each kind's model file and the ensemble's predictions and report, in two
+        # interpreters whose hash seeds order the class names apart, as the first line each
+        # prints shows: 1 and 13 do under Python 3.10's SipHash-2-4 and 3.11's SipHash-1-3
+        program = ("import json, sys\nfrom skelgest.cli import main\nprint(*set(['waving', 'clap']))\n"
+                   "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n")
+        orders = []
+        for hash_seed in ("1", "13"):
+            d = tmp_path / hash_seed
+            train = ["train", "--features", f"{d}/x.csv", "--labels", f"{d}/y.csv", "--model"]
+            commands = [
+                ["gen-synth", "--out-dir", str(d), "--classes", "waving,clap", "--samples-per-class", "3",
+                 "--frames", "5"],
+                ["extract-features", "--manifest", f"{d}/labels.csv", "--mode", "single", "--out", f"{d}/x.csv",
+                 "--labels-out", f"{d}/y.csv"],
+                [*train, "svm", "--out", f"{d}/svm.model"],
+                [*train, "knn", "--out", f"{d}/knn.model"],
+                [*train, "edt", "--out", f"{d}/edt.model", *self.ENSEMBLE],
+                ["predict", "--model", f"{d}/edt.model", "--features", f"{d}/x.csv", "--out", f"{d}/edt.csv"],
+                ["evaluate", "--model", f"{d}/edt.model", "--features", f"{d}/x.csv", "--labels", f"{d}/y.csv",
+                 "--report", f"{d}/report.csv"],
+            ]
+            done = run_cli(json.dumps(commands), code=program, PYTHONHASHSEED=hash_seed)
+            assert done.returncode == 0, done.stderr
+            orders.append(done.stdout.splitlines()[0])
+        assert sorted(orders) == ["clap waving", "waving clap"]
+        assert dir_bytes(tmp_path / "1") == dir_bytes(tmp_path / "13")
 
     def test_predict_labels(self, tmp_path, capsys):
         features, labels = write_blob_csvs(tmp_path, np.random.default_rng(93))

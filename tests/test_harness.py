@@ -518,6 +518,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(classes=("waving",), **{field: value})
 
+    # an int field takes integers and a float field real numbers, neither a bool
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_class", 2.5),
+        ("samples_per_class", True),
+        ("frames", 2.5),
+        ("seed", 1.5),
+        ("noise_std", True),
+        ("split_fraction", "0.5"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|real number), got"):
+            ExperimentConfig(classes=("waving",), **{field: value})
+
     def test_default_is_benchmark(self):
         cfg = ExperimentConfig()
         assert cfg.classes == BENCHMARK_CLASSES
