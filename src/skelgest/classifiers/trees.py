@@ -5,7 +5,9 @@ nodes are pure or hold fewer than 2 samples, never pruned. The ensemble
 trains each tree on a bootstrap sample (drawn with replacement, sized as a
 fraction of the training set) and predicts by majority vote. Sampling runs on
 the portable RNG with per-tree substreams and splits are exact, so the same
-training matrix and seed give the same model anywhere.
+training matrix and seed give the same model anywhere. All trees of a fit grow
+together, a level at a time, and the first split-search block of a level's nodes
+is scored in chunks of them (_grow).
 """
 
 from dataclasses import dataclass
@@ -30,24 +32,8 @@ class DecisionTree:
     """
 
     def fit(self, X, y_idx):
-        return self._grow(*_rank_keys(np.asarray(X, dtype=np.float64), y_idx))
-
-    def _grow(self, keys, class_bits, vals):
-        """Grow on these rows' keys; class_bits and vals are _rank_keys's for all of X."""
-        nodes = []  # [feature, threshold, left, right, label] in pre-order
-        counts = np.bincount(keys[:, 0] & (1 << class_bits) - 1)
-        # a stack (unlimited depth) of (keys, or None for a pure node, counts, parent, slot 2 or 3)
-        stack = [(keys if np.count_nonzero(counts) > 1 else None, counts, [0] * 4, 2)]
-        while stack:
-            keys, counts, parent, slot = stack.pop()
-            parent[slot] = len(nodes)
-            split = None if keys is None else _best_split(keys, class_bits, counts, vals)
-            nodes.append([*split[:2], -1, -1, -1] if split else [-1, 0.0, -1, -1, int(np.argmax(counts))])
-            if split:
-                mask, left = split[2:]  # the left rows and their class counts
-                for side, part, at in ((~mask, counts - left, 3), (mask, left, 2)):  # left subtree numbered first
-                    stack.append((keys[side] if np.count_nonzero(part) > 1 else None, part, nodes[-1], at))
-        return self.set_nodes(nodes)
+        keys, class_bits, vals = _rank_keys(np.asarray(X, dtype=np.float64), y_idx)
+        return self.set_nodes(_grow(keys, class_bits, vals, np.arange(len(keys))[None])[0])
 
     def set_nodes(self, table):
         """Fill the node arrays from (feature, threshold, left, right, label) rows."""
@@ -122,16 +108,65 @@ def _word_tables(n_classes, per_word, bits):
 
 _PAIRS = 1 << 15  # (row, tree) pairs vote_counts descends at once, which bounds its memory; see README
 _FIRST_BLOCK = 32  # columns the split search scores before it seeks a parting column; see README
+_CHUNK_ROWS = 256  # rows whose first blocks _grow scores at once (a larger node alone); see README
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
 
+def _grow(keys, class_bits, vals, roots):
+    """The node tables (set_nodes) of trees grown on rows roots[t] of keys, all trees a level at
+    a time. A level keeps each node's class counts and, node after node, its rows as indices
+    into keys. A node of one class is a leaf; the others' first blocks are scored a chunk of
+    nodes at a time (_block_splits), and a node whose cut there misses its bound scans on alone
+    (_best_split). One mask parts the level's rows into children, counted by one bincount.
+    Each tree's nodes are numbered in pre-order, left subtree first (README)."""
+    codes, d = keys[:, 0] & (1 << class_bits) - 1, keys.shape[1]
+    k, rows, child = int(codes.max()) + 1, roots.ravel(), np.repeat(np.arange(len(roots)), roots.shape[1])
+    levels, nodes = [], len(roots)  # levels: (split, feature, threshold, label) of each level's nodes
+    while nodes:
+        counts = np.bincount(child * k + codes[rows], minlength=nodes * k).reshape(-1, k)
+        rows, sizes, split = rows[np.argsort(child, kind="stable")], counts.sum(axis=1), np.zeros(nodes, dtype=bool)
+        searched = np.count_nonzero(counts, axis=1) > 1
+        rows, n, total = rows[np.repeat(searched, sizes)], sizes[searched], counts[searched]
+        starts, ends, edges = (np.cumsum(n) - n).tolist(), np.cumsum(n).tolist(), [0]
+        for i, end in enumerate(ends):  # chunks: runs of nodes of at most _CHUNK_ROWS rows, or one node
+            if end - starts[edges[-1]] > _CHUNK_ROWS and i > edges[-1]:
+                edges.append(i)
+        found = [_block_splits(keys[rows[starts[a]:ends[b - 1]], :_FIRST_BLOCK], class_bits, n[a:b], total[a:b])
+                 for a, b in zip(edges, [*edges[1:], len(n)]) if a < b]
+        p, q, f, lo, hi = (np.concatenate(c) for c in zip(*found)) if found else np.zeros((5, 0), dtype=np.int64)
+        bound, (p_, q_) = _partition_bound(total), (p.astype(object), q.astype(object))  # exact products
+        cut = p_ * n.astype(object) > np.einsum("ij,ij->i", total, total).astype(object) * q_  # beats S_t/n
+        for i in np.flatnonzero((p_ * bound[1] != bound[0] * q_) & (d > _FIRST_BLOCK)).tolist():
+            block = _best_split(keys[rows[starts[i]:ends[i]]], class_bits, total[i], (p[i], q[i], f[i], lo[i], hi[i]))
+            cut[i] = block is not None
+            f[i], lo[i], hi[i] = block or (f[i], lo[i], hi[i])
+        split[searched] = cut = cut.astype(bool)
+        feature, threshold = np.full(nodes, -1), np.zeros(nodes)
+        feature[split], threshold[split] = f[cut], _thresholds(vals, class_bits, f[cut], lo[cut], hi[cut])
+        levels.append((split, feature, threshold, np.where(split, -1, np.argmax(counts, axis=1))))
+        seg = np.repeat(np.arange(len(n)), n)[np.repeat(cut, n)]  # the splitting node of each of its rows
+        rows, nodes = rows[np.repeat(cut, n)], 2 * int(cut.sum())
+        child = 2 * (np.cumsum(cut) - 1)[seg] + (keys[rows, f[seg]] > lo[seg])  # left child first
+    size = [np.ones(len(split), dtype=np.int64) for split, *_ in levels] + [np.zeros(0, dtype=np.int64)]
+    for h in range(len(levels) - 1, -1, -1):  # subtree sizes
+        size[h][levels[h][0]] += size[h + 1][0::2] + size[h + 1][1::2]
+    table, offset = np.empty((int(size[0].sum()), 5)), np.cumsum(size[0]) - size[0]
+    tree, pre = np.arange(len(roots)), np.zeros(len(roots), dtype=np.int64)  # pre: numbers within a tree
+    for h, (split, feature, threshold, label) in enumerate(levels):
+        children = np.full((len(split), 2), -1)  # a left child follows its parent, a right one the left's subtree
+        children[split] = (pre[split] + 1)[:, None] + np.outer(size[h + 1][0::2], [0, 1])
+        table[offset[tree] + pre] = np.column_stack([feature, threshold, children, label])
+        tree, pre = np.repeat(tree[split], 2), children[split].ravel()
+    return np.split(table, offset[1:])
+
+
 def _partition_bound(counts):
-    """The best split of whole classes for these class counts, the largest class (t rows)
-    against the rest: its (S_L·n_R + S_R·n_L, n_L·n_R) over t, exact as p / q. No cut
-    scores above it (README). With one class, every cut scores the parent's S_t/n."""
-    counts = np.asarray(counts).tolist()
-    n, sq, t = sum(counts), sum(c * c for c in counts), max(counts)
-    return (sq + t * (n - 2 * t), n - t) if t < n else (sq, n)
+    """The best split of whole classes for these class counts (each row's, for a matrix), the
+    largest class (t rows) against the rest: its (S_L·n_R + S_R·n_L, n_L·n_R) over t, exact as
+    p / q. No cut scores above it (README). With one class, every cut scores the parent's S_t/n."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n, sq, t = counts.sum(-1), (counts * counts).sum(-1), counts.max(-1)
+    return sq + t * (n - 2 * t) * (t < n), n - t * (t < n)
 
 
 def _parting_width(keys, class_bits, total):
@@ -143,61 +178,96 @@ def _parting_width(keys, class_bits, total):
     return int(np.argmax(parts)) + 1 if parts.any() else keys.shape[1]
 
 
-def _best_split(keys, class_bits, total, vals):
-    """(feature, threshold, left, counts) minimizing weighted Gini, or None if
-    no cut lowers it, for the node whose keys (rows of _rank_keys) and class
-    counts are keys and total; left marks the rows at or below the threshold,
-    and counts are their class counts. README derives the arithmetic: one
-    prefix sum per packed int64 word counts the classes left of every cut, in
-    fields of t_max.bit_length() bits below bit high = 63 − S_t.bit_length(),
-    and sums Σ t_k l_k ≤ S_t = Σ t_k² from bit high up. A cut between distinct
-    ranks scores n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up
-    to about 1.6 million rows; the threshold is the midpoint of the values either
-    side (vals), or the lower one if the midpoint rounds out of [lower, upper).
-    Columns [0, _FIRST_BLOCK) are scored first; unless a cut there reaches _partition_bound, then
-    those through the first that parts the largest class (_parting_width), where a cut reaches it,
-    or else all. No later cut scores higher, and ties go to the lowest feature (README)."""
+def _restart(a, first):
+    """a, in place, with row first[j] less the sum of rows first[j - 1] to first[j] - 1: prefix
+    sums down it restart at each first[j], exact in int64 (README)."""
+    if len(first) > 1:
+        a[first[1:]] -= np.add.reduceat(a, first, axis=0)[:-1]
+    return a
+
+
+def _block_splits(keys, class_bits, sizes, totals):
+    """Per node, the best cut in a block of columns of keys (rows of _rank_keys; node j's
+    sizes[j] rows follow node j - 1's, with class counts totals[j]): its exact score p / q
+    (p = 0 if no cut lies between distinct ranks), column f and the sorted keys lo and hi
+    either side, class bits set. README derives it: one prefix sum per packed int64 word
+    counts the classes left of every cut, in fields of t_max.bit_length() bits below bit
+    high = 63 − S_t.bit_length() (the largest of the block's nodes, so each is exact), and
+    sums Σ t_k l_k ≤ S_t from bit high up; _restart starts it again at each node. A cut scores
+    n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up to about 1.6 million rows.
+    Ties go to the lowest column, then threshold; a node of n**5 >= 2**56 rows compares the
+    cuts that share its best float exactly. A one-node block skips the segment steps (key
+    lift, node offsets, np.maximum.reduceat), which made fits about a fifth slower (README)."""
+    m, s, k = len(keys), len(sizes), totals.shape[1]
+    sq = np.einsum("ij,ij->i", totals, totals)
+    bits, high = int(totals.max()).bit_length(), 63 - int(sq.max()).bit_length()
+    first, node, n, nl, lift = np.zeros(1, dtype=np.intp), 0, m, np.arange(1, m)[:, None], 0  # one node
+    if s > 1:  # nodes one after another, each one's keys sorting above every key of the nodes before
+        first, node = np.cumsum(sizes) - sizes, np.repeat(np.arange(s), sizes)
+        lift = np.arange(s) << int(keys.max()).bit_length()
+        lift = lift.astype(np.min_scalar_type(-int(lift[-1]) << 1))  # int32 when it holds them: a faster sort
+        keys, node = keys + lift[node, None], node[:-1, None]  # the node of cut i, which follows row i
+        n, nl = sizes[node], nl - first[node]  # nl: the node's rows at or before the cut
+    sk = np.sort(keys, axis=0)
+    y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # intp gathers fast
+    if s > 1:
+        y += node * k  # row j of each word's table below is node j's
+    for w, (table, shift) in enumerate(_word_tables(k, high // bits, bits)):
+        packed = _running(_restart((table + (totals << high)).ravel()[y], first))
+        num = packed >> high  # Σ_k t_k l_k, summed by every word from bit high up
+        packed >>= np.tile(shift, s)[y]  # the fields of other words, and bit high up, read 0
+        packed &= (1 << bits) - 1
+        seen = seen + packed if w else packed
+    seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
+    num *= -2 * nl
+    num += (sq[node] - n) * nl
+    num += _running(_restart(seen, first))  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l, 0 at l = t
+    sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
+    num *= sk[1:] != sk[:-1]  # no cut between equal values; a real cut scores at least S_t/n > 0
+    q = nl * (n - nl)
+    score = num / np.maximum(q, 1)  # a node's last row: 0 / 1
+    # scan feature-major: ties go to the lowest feature, then threshold
+    top = np.maximum.reduceat(score, first, axis=0) if s > 1 else score.max(axis=0, keepdims=True)
+    f, rows = np.argmax(top, axis=1), np.arange(m - 1)[:, None]
+    at = (np.minimum.reduceat(np.where(score[rows, f[node]] == top[node, f[node]], rows, m), first)[:, 0]
+          if s > 1 else np.argmax(score[:, f], axis=0))
+    p, q = num[at, f], q[at, 0]
+    for j, n in enumerate(sizes.tolist()):
+        if n ** 5 >= 1 << 56 and top[j, f[j]] > 0:  # distinct scores of node j may share its best float
+            cuts, a = np.argwhere(score[first[j]:first[j] + n - 1].T == top[j, f[j]]).tolist(), int(first[j])
+            p[j], q[j], f[j], at[j] = max([(int(num[a + c, g]), (c + 1) * (n - 1 - c), g, a + c) for g, c in cuts],
+                                          key=_by_score)
+    return p, q, f, sk[at, f] - lift, sk[at + 1, f] - lift
+
+
+def _thresholds(vals, class_bits, f, lo, hi):
+    """The threshold of each cut of column f between the sorted keys lo and hi: the midpoint of
+    their values (vals), or the lower one if the midpoint rounds out of [lower, upper)."""
+    lo, hi = vals[lo >> class_bits, f], vals[hi >> class_bits, f]
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, out of [lower, upper)
+        mid = (lo + hi) / 2.0
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
+
+
+def _best_split(keys, class_bits, total, found=None):
+    """The cut (feature, lo, hi) minimizing weighted Gini, or None if no cut lowers it, for the
+    node whose keys (rows of _rank_keys) and class counts are keys and total; found is its first
+    block's _block_splits result, if _grow scored it already. Columns [0, _FIRST_BLOCK) come
+    first; unless a cut there reaches _partition_bound, then those through the first that parts
+    the largest class (_parting_width), or else all. No later cut scores higher, and ties go to
+    the lowest feature (README)."""
     n, d = keys.shape
-    sq_total = int(total @ total)
-    bits, high = int(total.max()).bit_length(), 63 - sq_total.bit_length()
-    nl = np.arange(1, n, dtype=np.int64)[:, None]
-    bound = _partition_bound(total)
+    bound, best, split = tuple(map(int, _partition_bound(total))), (int(total @ total), n), None  # beat S_t/n
     start, stop = 0, min(_FIRST_BLOCK, d)
-    best, split = (sq_total, n), None  # a cut must beat the parent's S_t/n
     while True:
-        sk = np.sort(keys[:, start:stop], axis=0)
-        y = np.bitwise_and(sk[:-1], (1 << class_bits) - 1, dtype=np.intp)  # cut i follows row i; intp gathers fast
-        for w, (table, shift) in enumerate(_word_tables(len(total), high // bits, bits)):
-            packed = _running((table + (total << high))[y])
-            num = packed >> high  # Σ_k t_k l_k, summed by every word from bit high up
-            packed >>= shift[y]  # the fields of other words, and bit high up, read 0
-            packed &= (1 << bits) - 1
-            seen = seen + packed if w else packed
-        seen *= 2 * n  # S_l sums 2·seen − 1, so n·S_l is this prefix sum less n·n_l
-        num *= -2 * nl
-        num += (sq_total - n) * nl
-        num += _running(seen)  # n·S_l + n_l·(S_t − 2 Σ_k t_k l_k) = S_l·n_r + S_r·n_l
-        sk |= (1 << class_bits) - 1  # one key per rank, at or above each of its keys
-        num *= sk[1:] != sk[:-1]  # no cut between equal values; a real cut scores at least S_t/n > 0
-        score = num / (nl * (n - nl))
-        top = score.max(axis=0)  # scan feature-major: ties go to the lowest feature, then threshold
-        f = int(np.argmax(top))
-        cuts = [(f, int(np.argmax(score[:, f])))]
-        if n ** 5 >= 1 << 56 and top[f] > 0:  # distinct scores may share the best float
-            cuts = np.argwhere(score.T == top[f]).tolist()
-        p, q, f, cut = max([(int(num[c, g]), (c + 1) * (n - 1 - c), g, c) for g, c in cuts], key=_by_score)
+        p, q, f, lo, hi = map(int, found or [a[0] for a in _block_splits(
+            keys[:, start:stop], class_bits, np.array([n]), total[None])])
+        found = None
         if p * best[1] > best[0] * q:  # only a better block's cut: ties stay with the lower feature
-            best, split = (p, q), (start + f, cut, sk[:, f], y[:, f])
+            best, split = (p, q), (start + f, lo, hi)
         if stop == d or p * bound[1] == bound[0] * q:  # no later cut can score higher
-            break
+            return split
         start, stop = stop, stop + _parting_width(keys[:, stop:], class_bits, total)
-    if split is None:
-        return None
-    f, cut, column, labels = split
-    lo, hi = (float(vals[int(k) >> class_bits, f]) for k in column[cut:cut + 2])
-    mid = (lo + hi) / 2.0  # Python floats: an overflow to inf does not warn
-    left = keys[:, f] <= column[cut]
-    return f, mid if lo <= mid < hi else lo, left, np.bincount(labels[:cut + 1], minlength=len(total))
 
 
 @dataclass(eq=False)
@@ -223,9 +293,9 @@ class BaggedTreeEnsemble(ClassifierMixin):
 
     def _fit(self, X, codes, n_classes):
         n = X.shape[0]
-        draws = self._draw_indices(n, int(np.ceil(self.bootstrap_fraction * n)))
+        draws = np.asarray(self._draw_indices(n, int(np.ceil(self.bootstrap_fraction * n))))
         keys, class_bits, vals = _rank_keys(X, codes)  # once for every tree
-        return {"trees_": [DecisionTree()._grow(keys[idx], class_bits, vals) for idx in draws]}
+        return {"trees_": [DecisionTree().set_nodes(table) for table in _grow(keys, class_bits, vals, draws)]}
 
     def vote_counts(self, X):
         """(n_samples, n_classes) tally of tree votes; rows sum to n_trees. All (row, tree)

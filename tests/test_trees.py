@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, loads_model, trees
-from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys
+from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys, _thresholds
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 from skelgest.rng import PortableRNG
@@ -29,6 +29,15 @@ def leaf_of(tree, x):
     while tree.feature[i] >= 0:
         i = tree.children[i, 0] if x[tree.feature[i]] <= tree.threshold[i] else tree.children[i, 1]
     return int(i)
+
+
+def path_of(tree, x):
+    """The nodes one row passes through, root to leaf, following them one at a time."""
+    path = [0]
+    while tree.feature[path[-1]] >= 0:
+        i = path[-1]
+        path.append(tree.children[i, 0] if x[tree.feature[i]] <= tree.threshold[i] else tree.children[i, 1])
+    return path
 
 
 def walk(tree, x):
@@ -75,17 +84,19 @@ def depth(tree):
 
 def best_split(X, y_idx):
     """_best_split's (feature, threshold) for a node of rows X, reached as
-    DecisionTree.fit reaches it: through the rank keys of X. Its left mask
-    must route the rows as their values and the threshold do, and its left
-    class counts must be those of the rows it routes left."""
+    DecisionTree.fit reaches it: through the rank keys of X. Its cut must route
+    the rows by their keys as their values and the threshold do, and its upper
+    key must be the node's next rank above the cut."""
     X, y_idx = np.asarray(X, dtype=np.float64), np.asarray(y_idx)
     keys, class_bits, vals = _rank_keys(X, y_idx)
-    split = _best_split(keys, class_bits, np.bincount(y_idx), vals)
+    split = _best_split(keys, class_bits, np.bincount(y_idx))
     if split is None:
         return None
-    f, threshold, left, counts = split
+    f, lo, hi = split
+    threshold = float(_thresholds(vals, class_bits, f, lo, hi))
+    left = keys[:, f] <= lo
     assert np.array_equal(left, X[:, f] <= threshold), (X, y_idx, split)
-    assert np.array_equal(counts, np.bincount(y_idx[left], minlength=y_idx.max() + 1)), (X, y_idx, split)
+    assert hi >> class_bits == (keys[~left, f] >> class_bits).min(), (X, y_idx, split)
     return f, threshold
 
 
@@ -195,11 +206,16 @@ def signed_zero_node(rng):
 
 
 def count_words(y_idx):
-    """How many count words _best_split packs a node's classes into. A class's
-    field has as many bits as the largest class count, and a word holds the
-    fields that fit below bit 63 - S_t.bit_length(), from which each word also
-    sums Σ t_k l_k."""
-    total = np.bincount(y_idx)
+    """How many count words a node of these labels takes (words)."""
+    return words(np.bincount(y_idx))
+
+
+def words(total):
+    """How many count words the split search packs the class counts of a node,
+    scored alone, into. A class's field has as many bits as the largest class
+    count, and a word holds the fields that fit below bit 63 - S_t.bit_length(),
+    from which each word also sums Σ t_k l_k."""
+    total = np.asarray(total)
     per_word = (63 - int(total @ total).bit_length()) // int(total.max()).bit_length()
     return -(-len(total) // per_word)
 
@@ -325,25 +341,7 @@ class TestBestSplitOracle:
         assert best_split(X, y_idx) == expected
 
     def test_large_node_compares_float_tied_cuts_exactly(self):
-        # 7,098 rows of 12 classes; each column holds 0s and 1s, so its one cut
-        # leaves these class counts on the left. Column 1's score is exactly
-        # higher, but both round to the same float, as distinct scores can
-        # from about 2,300 rows on. Column 2, a copy of column 1, ties it exactly.
-        totals = 300 + 53 * np.arange(12)
-        lefts = [[142, 257, 185, 308, 306, 270, 196, 194, 200, 231, 234, 478],
-                 [253, 268, 227, 358, 371, 216, 283, 267, 286, 362, 288, 320]]
-        lefts.append(lefts[1])
-        n = int(totals.sum())
-
-        def score(left):  # S_l/n_l + S_r/n_r
-            nl = sum(left)
-            right = (totals - left).tolist()
-            return Fraction(sum(c * c for c in left), nl) + Fraction(sum(c * c for c in right), n - nl)
-
-        assert score(lefts[0]) < score(lefts[1]) and float(score(lefts[0])) == float(score(lefts[1]))
-        y_idx = np.repeat(np.arange(12), totals)
-        X = np.column_stack([np.concatenate([np.arange(t) >= c for t, c in zip(totals, left)])
-                             for left in lefts]) * 1.0
+        X, y_idx = float_tied_node()
         assert reference_split(X.tolist(), y_idx.tolist(), 12) == (1, 0.5)
         assert best_split(X, y_idx) == (1, 0.5)
 
@@ -359,23 +357,27 @@ class TestBestSplitOracle:
 
 
 class TestNodeInvariants:
-    """What the per-node path carries instead of recomputing: the class counts
-    a split gives its left child, the value of each rank, and leaf labels from
-    the counts pushed down the tree."""
+    """What the grower carries instead of recomputing: the class counts of every
+    node, a split's children counted from the rows routed to each side, the value
+    of each rank, and leaf labels from the counts pushed down the tree."""
 
     @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
-    def test_left_counts_are_those_of_the_rows_routed_left(self, make):
+    def test_left_counts_are_those_of_the_rows_routed_left(self, blocks, make):
+        # the counts of every node the split search is given are those of the
+        # training rows its tree's thresholds route there, and every node of
+        # two classes or more is searched
         rng = np.random.default_rng(70)
         splits = 0
         for _ in range(40):
             X, y_idx, _ = make(rng)
-            keys, class_bits, vals = _rank_keys(X, y_idx)
-            split = _best_split(keys, class_bits, np.bincount(y_idx), vals)
-            if split is not None:
-                f, threshold, left, counts = split
-                assert np.array_equal(left, X[:, f] <= threshold)
-                assert np.array_equal(counts, np.bincount(y_idx[left], minlength=y_idx.max() + 1))
-                splits += 1
+            blocks.clear()
+            tree = DecisionTree().fit(X, y_idx)
+            reached = [path_of(tree, x) for x in X]
+            routed = {tuple(np.bincount(y_idx[[i in path for path in reached]], minlength=y_idx.max() + 1).tolist())
+                      for i in range(len(tree.feature))}
+            searched = {tuple(total) for _, totals in blocks for total in totals}
+            assert searched == {c for c in routed if np.count_nonzero(c) > 1}, (X, y_idx)
+            splits += len(tree.feature) > 1
         assert splits >= (0 if make is balanced_node else 10), splits
 
     @pytest.mark.parametrize("make", NODE_MAKERS, ids=NODE_IDS)
@@ -584,6 +586,15 @@ class TestManyClassBlockScan:
 
 
 @pytest.fixture
+def blocks(monkeypatch):
+    """(width, class counts of each node) of every _block_splits call in the test, in order."""
+    seen, block_splits = [], trees._block_splits
+    monkeypatch.setattr(trees, "_block_splits", lambda keys, class_bits, sizes, totals: seen.append(
+        (keys.shape[1], totals.tolist())) or block_splits(keys, class_bits, sizes, totals))
+    return seen
+
+
+@pytest.fixture
 def widths(monkeypatch):
     """The width of every prefix sum (trees._running) run in the test, in order."""
     running, seen = trees._running, []
@@ -642,12 +653,14 @@ class TestPartingStop:
             X, y_idx, n_classes = parting_node(rng)
             assert best_split(X, y_idx) == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
 
-    def test_wide_ensemble_scans_a_pinned_width(self, widths):
-        # the prefix sums of a 10-tree fit at the interaction-wide shape (96 x 1080);
-        # blocks ending at the fixed edges 32 and 128 instead sum to 77,088 columns
+    def test_wide_ensemble_scans_a_pinned_width(self, blocks):
+        # a 10-tree fit at the interaction-wide shape (96 x 1080): per node and block,
+        # the columns the node scores, each taking a prefix sum per count word and one
+        # for S_l as a scan of the node alone would; blocks ending at the fixed edges
+        # 32 and 128 instead sum to 77,088 columns
         X, y = harness_training_split(**PINNED_MACHINES[1][0])
         BaggedTreeEnsemble(n_trees=10, seed=11).fit(X, y)
-        assert sum(widths) == 59_350
+        assert sum(width * (words(total) + 1) for width, totals in blocks for total in totals) == 59_350
 
 
 class TestEnsembleFit:
@@ -725,6 +738,140 @@ class TestEnsembleFit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             BaggedTreeEnsemble(bootstrap_fraction=1.5).fit(np.zeros((4, 1)), ["A", "A", "B", "B"])
+
+
+def reference_tree(X, y_idx, n_classes):
+    """The (feature, threshold, left, right, label) rows of the tree reference_split
+    grows on X node by node, numbered in pre-order, left subtree first; a leaf is a
+    node of one class or none that a cut splits, labelled with its lowest majority class."""
+    table, stack = [], [(list(range(len(X))), None, 0)]
+    while stack:
+        rows, parent, side = stack.pop()
+        if parent is not None:
+            table[parent][2 + side] = len(table)
+        labels = [y_idx[i] for i in rows]
+        split = reference_split([X[i] for i in rows], labels, n_classes) if len(set(labels)) > 1 else None
+        if split is None:
+            counts = [labels.count(c) for c in range(n_classes)]
+            table.append([-1, 0.0, -1, -1, counts.index(max(counts))])
+            continue
+        f, threshold = split
+        table.append([f, threshold, -1, -1, -1])
+        stack.append(([i for i in rows if X[i][f] > threshold], len(table) - 1, 1))
+        stack.append(([i for i in rows if X[i][f] <= threshold], len(table) - 1, 0))
+    return table
+
+
+def forest_on(X, codes, rows):
+    """The ensemble whose tree t grows on rows[t] of X, with class codes 0..k-1 as labels."""
+    class Drawn(BaggedTreeEnsemble):
+        def _draw_indices(self, n_samples, size):
+            return np.asarray(rows)
+
+    model = Drawn(n_trees=len(rows)).fit(X, [f"{c:02d}" for c in codes])  # labels in code order
+    assert model.classes_ == [f"{c:02d}" for c in range(max(codes) + 1)]
+    return model
+
+
+def assert_same_tree(tree, expected):
+    for name in ("feature", "threshold", "children", "label"):
+        assert getattr(tree, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def float_tied_node():
+    """(X, y_idx) of 7,098 rows of 12 classes; each column holds 0s and 1s, so its one cut
+    leaves fixed class counts on the left. Column 1's score is exactly higher than column
+    0's, but both round to the same float, as distinct scores can from about 2,300 rows
+    on. Column 2, a copy of column 1, ties it exactly. The best split is (1, 0.5)."""
+    totals = 300 + 53 * np.arange(12)
+    lefts = [[142, 257, 185, 308, 306, 270, 196, 194, 200, 231, 234, 478],
+             [253, 268, 227, 358, 371, 216, 283, 267, 286, 362, 288, 320]]
+    lefts.append(lefts[1])
+    n = int(totals.sum())
+
+    def score(left):  # S_l/n_l + S_r/n_r
+        nl = sum(left)
+        right = (totals - left).tolist()
+        return Fraction(sum(c * c for c in left), nl) + Fraction(sum(c * c for c in right), n - nl)
+
+    assert score(lefts[0]) < score(lefts[1]) and float(score(lefts[0])) == float(score(lefts[1]))
+    X = np.column_stack([np.concatenate([np.arange(t) >= c for t, c in zip(totals, left)]) for left in lefts])
+    return X * 1.0, np.repeat(np.arange(12), totals)
+
+
+class TestLevelGrower:
+    """_grow grows the trees of a fit together, a level at a time, and scores the
+    first blocks of a level's nodes in chunks: every tree must be the one the plain-
+    Python reference_split grows node by node on that tree's rows, byte for byte."""
+
+    def test_level_mixing_one_and_multi_word_nodes(self, blocks):
+        # 15 classes: scored alone, a node whose largest class has 8 rows or more
+        # takes two count words and one of at most 7 rows per class takes one; a
+        # chunk sizes its fields from its largest node, so it holds both in two words
+        rng = np.random.default_rng(80)
+        codes = np.concatenate([np.zeros(60, dtype=np.int64), np.repeat(np.arange(1, 15), 4)])
+        X = rng.integers(0, 6, size=(len(codes), 3)) + 3.0 * (codes == 0)[:, None]
+        rows = rng.integers(0, len(codes), size=(4, 110))
+        model = forest_on(X, codes, rows)
+        for tree, idx in zip(model.trees_, rows):
+            assert_same_tree(tree, DecisionTree().set_nodes(reference_tree(X[idx].tolist(), codes[idx].tolist(), 15)))
+        assert any(len(c) > 1 and max(map(words, c)) > 1 and min(map(words, c)) == 1 for _, c in blocks)
+
+    def test_chunk_edges_large_nodes_and_unsplittable_nodes_match_reference(self, monkeypatch, blocks):
+        # 270-row roots, each a chunk of its own at 256 rows; chunks of 2 rows (a node
+        # each) and of 16; zeros of either sign; repeated rows of other classes, in
+        # nodes no cut splits; and a tree of one class, a leaf
+        rng = np.random.default_rng(81)
+        codes = rng.integers(0, 3, size=270)
+        X = np.round(rng.normal(size=(270, 2)) + codes[:, None])
+        X = np.where(X == 0, rng.choice([-0.0, 0.0], size=X.shape), X)
+        X[200:230] = X[:30]
+        rows = np.stack([*rng.integers(0, 270, size=(3, 270)), np.resize(np.flatnonzero(codes == 1), 270)])
+        expected = [DecisionTree().set_nodes(reference_tree(X[idx].tolist(), codes[idx].tolist(), 3)) for idx in rows]
+        for chunk in (2, 16, 256):
+            monkeypatch.setattr(trees, "_CHUNK_ROWS", chunk)
+            blocks.clear()
+            model = forest_on(X, codes, rows)
+            for tree, want in zip(model.trees_, expected):
+                assert_same_tree(tree, want)
+            assert all(len(c) == 1 or np.sum(c) <= chunk for _, c in blocks)
+            assert chunk == 2 or any(len(c) > 1 for _, c in blocks)
+        assert len(model.trees_[3].feature) == 1
+        assert any(sum(c[0]) > 256 for _, c in blocks)  # a root scored alone
+        leaves = [leaf_of(model.trees_[0], x) for x in X[rows[0]]]
+        assert any(len(set(codes[rows[0]][np.array(leaves) == leaf].tolist())) > 1 for leaf in set(leaves))
+
+    def test_large_nodes_in_one_chunk_compare_float_tied_cuts_exactly(self, monkeypatch, blocks):
+        # two roots of float_tied_node's rows, scored in one chunk: each node's own
+        # size, not its chunk's, decides that its float ties are compared exactly
+        X, y_idx = float_tied_node()
+        monkeypatch.setattr(trees, "_CHUNK_ROWS", 2 * len(X))
+        model = forest_on(X, y_idx, np.stack([np.arange(len(X)), np.arange(len(X))[::-1]]))
+        assert [(t.feature[0], t.threshold[0]) for t in model.trees_] == [(1, 0.5), (1, 0.5)]
+        assert [sum(c) for c in blocks[0][1]] == [len(X), len(X)]
+
+    def test_chain_deeper_than_the_recursion_limit_beside_another_tree(self):
+        # alternating labels on a line, every split peeling off one end row, grown
+        # together with a bootstrap of the same rows
+        X, codes = np.arange(1500.0)[:, None], np.arange(1500) % 2
+        rows = np.stack([np.arange(1500), np.random.default_rng(82).integers(0, 1500, size=1500)])
+        model = forest_on(X, codes, rows)
+        assert depth(model.trees_[0]) == 1499
+        assert np.array_equal(model.trees_[0].predict(X), codes)
+        for tree, idx in zip(model.trees_, rows):
+            assert_same_tree(tree, DecisionTree().fit(X[idx], codes[idx]))
+
+    def test_fit_memory_is_bounded(self):
+        # a 100-tree fit at the interaction-wide shape (96 x 1080): a level holds its
+        # rows as indices, where copies of their keys would take 6.3 MB at the roots
+        X, y = harness_training_split(**PINNED_MACHINES[1][0])
+        tracemalloc.start()
+        try:
+            BaggedTreeEnsemble(seed=14).fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 def per_tree_tally(model, X):
