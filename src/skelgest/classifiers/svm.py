@@ -36,7 +36,8 @@ def squared_distances(X, Y=None):
 
     The explicit difference form gives bitwise-equal rows a distance of
     exactly 0; the dot product expansion would leave cancellation residue.
-    One row of X at a time keeps the (m, d) difference cache-sized. With
+    One row of X at a time keeps the (m, d) difference cache-sized, in one
+    buffer that every row reuses. With
     Y=None row i measures only rows i.. and mirrors them into column i: the
     result equals squared_distances(X, X) bit for bit, since x - y and
     y - x square alike and einsum sums a pair the same way in any block.
@@ -44,11 +45,11 @@ def squared_distances(X, Y=None):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     sym = Y is None
     Y = X if sym else np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    sq = np.empty((X.shape[0], Y.shape[0]))
+    sq, diff = np.empty((X.shape[0], Y.shape[0])), np.empty(Y.shape)
     for i, x in enumerate(X):
         lo = i if sym else 0
-        diff = Y[lo:] - x
-        sq[i, lo:] = np.einsum("jk,jk->j", diff, diff)
+        np.subtract(Y[lo:], x, out=diff[lo:])
+        np.einsum("jk,jk->j", diff[lo:], diff[lo:], out=sq[i, lo:])
         if sym:
             sq[lo:, i] = sq[i, lo:]
     return sq

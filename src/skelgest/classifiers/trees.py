@@ -6,8 +6,10 @@ trains each tree on a bootstrap sample (drawn with replacement, sized as a
 fraction of the training set) and predicts by majority vote. Sampling runs on
 the portable RNG with per-tree substreams and splits are exact, so the same
 training matrix and seed give the same model anywhere. All trees of a fit grow
-together, a level at a time, and the first split-search block of a level's nodes
-is scored in chunks of them (_grow).
+together, a level at a time, and a level's split searches, first blocks and their
+continuations alike, are scored in chunks of its nodes (_grow). A chunk scores every
+node as wide as its widest; that padding is exact, since past its own width no cut
+of a node scores above its best and ties go to the lowest column.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ class DecisionTree:
 
     Nodes live in parallel arrays: feature[i] is -1 for leaves, whose class
     is label[i]; internal nodes route x[feature] <= threshold to children[i,0]
-    and the rest to children[i,1]. Cuts of exactly equal Gini (_best_split) go
+    and the rest to children[i,1]. Cuts of exactly equal Gini (_grow) go
     to the lowest feature, then threshold; leaf majorities to the lowest class.
     A split depends only on the order of each column's values, so the tree
     grows on their ranks (_rank_keys) and gets the splits the values give.
@@ -115,10 +117,14 @@ _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p
 def _grow(keys, class_bits, vals, roots):
     """The node tables (set_nodes) of trees grown on rows roots[t] of keys, all trees a level at
     a time. A level keeps each node's class counts and, node after node, its rows as indices
-    into keys. A node of one class is a leaf; the others' first blocks are scored a chunk of
-    nodes at a time (_block_splits), and a node whose cut there misses its bound scans on alone
-    (_best_split). One mask parts the level's rows into children, counted by one bincount.
-    Each tree's nodes are numbered in pre-order, left subtree first (README)."""
+    into keys. A node of one class is a leaf. The others' cuts minimize weighted Gini, ties going
+    to the lowest feature: columns [0, _FIRST_BLOCK) come first, and a node whose cut there
+    misses its bound (_partition_bound) goes on through the first column that parts its largest
+    class (_parting_width), or else all; no later cut scores higher (README). Both blocks are
+    scored in chunks of nodes (_chunk_splits), the continuations sorted by width, so padding a
+    node to its chunk's width cannot change its cut, and a continuation's cut replaces the first
+    block's only if strictly better. One mask parts the level's rows into children, counted by
+    one bincount. Each tree's nodes are numbered in pre-order, left subtree first (README)."""
     codes, d = keys[:, 0] & (1 << class_bits) - 1, keys.shape[1]
     k, rows, child = int(codes.max()) + 1, roots.ravel(), np.repeat(np.arange(len(roots)), roots.shape[1])
     levels, nodes = [], len(roots)  # levels: (split, feature, threshold, label) of each level's nodes
@@ -127,19 +133,18 @@ def _grow(keys, class_bits, vals, roots):
         rows, sizes, split = rows[np.argsort(child, kind="stable")], counts.sum(axis=1), np.zeros(nodes, dtype=bool)
         searched = np.count_nonzero(counts, axis=1) > 1
         rows, n, total = rows[np.repeat(searched, sizes)], sizes[searched], counts[searched]
-        starts, ends, edges = (np.cumsum(n) - n).tolist(), np.cumsum(n).tolist(), [0]
-        for i, end in enumerate(ends):  # chunks: runs of nodes of at most _CHUNK_ROWS rows, or one node
-            if end - starts[edges[-1]] > _CHUNK_ROWS and i > edges[-1]:
-                edges.append(i)
-        found = [_block_splits(keys[rows[starts[a]:ends[b - 1]], :_FIRST_BLOCK], class_bits, n[a:b], total[a:b])
-                 for a, b in zip(edges, [*edges[1:], len(n)]) if a < b]
-        p, q, f, lo, hi = (np.concatenate(c) for c in zip(*found)) if found else np.zeros((5, 0), dtype=np.int64)
-        bound, (p_, q_) = _partition_bound(total), (p.astype(object), q.astype(object))  # exact products
-        cut = p_ * n.astype(object) > np.einsum("ij,ij->i", total, total).astype(object) * q_  # beats S_t/n
-        for i in np.flatnonzero((p_ * bound[1] != bound[0] * q_) & (d > _FIRST_BLOCK)).tolist():
-            block = _best_split(keys[rows[starts[i]:ends[i]]], class_bits, total[i], (p[i], q[i], f[i], lo[i], hi[i]))
-            cut[i] = block is not None
-            f[i], lo[i], hi[i] = block or (f[i], lo[i], hi[i])
+        starts, block = np.cumsum(n) - n, min(d, _FIRST_BLOCK)
+        p, q, f, lo, hi = _chunk_splits(keys[:, :block], class_bits, rows, starts, n, total, np.full(len(n), block))
+        bound = _partition_bound(total)
+        go = np.flatnonzero((p.astype(object) * bound[1] != bound[0] * q.astype(object)) & (d > block))
+        width = np.array([_parting_width(keys[rows[starts[i]:starts[i] + n[i]], block:], class_bits, total[i])
+                          for i in go.tolist()], dtype=np.intp)  # the columns past the first block each node needs
+        go, width = go[np.argsort(width, kind="stable")], np.sort(width)
+        cp, cq, cf, clo, chi = _chunk_splits(keys[:, block:], class_bits, rows, starts[go], n[go], total[go], width)
+        better = cp.astype(object) * q[go].astype(object) > p[go].astype(object) * cq.astype(object)
+        go = go[better]  # only a strictly better cut: ties stay with the lower column
+        p[go], q[go], f[go], lo[go], hi[go] = cp[better], cq[better], cf[better] + block, clo[better], chi[better]
+        cut = p.astype(object) * n.astype(object) > np.einsum("ij,ij->i", total, total).astype(object) * q  # > S_t/n
         split[searched] = cut = cut.astype(bool)
         feature, threshold = np.full(nodes, -1), np.zeros(nodes)
         feature[split], threshold[split] = f[cut], _thresholds(vals, class_bits, f[cut], lo[cut], hi[cut])
@@ -158,6 +163,27 @@ def _grow(keys, class_bits, vals, roots):
         table[offset[tree] + pre] = np.column_stack([feature, threshold, children, label])
         tree, pre = np.repeat(tree[split], 2), children[split].ravel()
     return np.split(table, offset[1:])
+
+
+def _chunk_splits(keys, class_bits, rows, first, sizes, totals, widths):
+    """_block_splits of columns [0, widths[j]) of keys for each node j, whose rows are
+    rows[first[j]:first[j] + sizes[j]], with widths that never fall from node to node. Runs of
+    consecutive nodes of at most _CHUNK_ROWS rows and _CHUNK_ROWS · _FIRST_BLOCK cells at the
+    run's last width are scored in one call (a larger node alone). Scoring a node past its own
+    width changes nothing: that width ends at keys' last column or at a column whose cut reaches
+    the node's bound, which no cut exceeds, and the lowest column reaching the best score wins."""
+    edges, held = [0], 0
+    for j, (m, w) in enumerate(zip(sizes.tolist(), widths.tolist())):
+        if j > edges[-1] and (held + m > _CHUNK_ROWS or (held + m) * w > _CHUNK_ROWS * _FIRST_BLOCK):
+            edges.append(j)
+            held = 0
+        held += m
+    found = []
+    for a, b in zip(edges, [*edges[1:], len(sizes)]):
+        if a < b:  # the chunk's rows, node after node
+            at = np.repeat(first[a:b] - np.cumsum(sizes[a:b]) + sizes[a:b], sizes[a:b]) + np.arange(sizes[a:b].sum())
+            found.append(_block_splits(keys[rows[at], :widths[b - 1]], class_bits, sizes[a:b], totals[a:b]))
+    return [np.concatenate(c) for c in zip(*found)] if found else np.zeros((5, 0), dtype=np.int64)
 
 
 def _partition_bound(counts):
@@ -204,7 +230,7 @@ def _block_splits(keys, class_bits, sizes, totals):
     first, node, n, nl, lift = np.zeros(1, dtype=np.intp), 0, m, np.arange(1, m)[:, None], 0  # one node
     if s > 1:  # nodes one after another, each one's keys sorting above every key of the nodes before
         first, node = np.cumsum(sizes) - sizes, np.repeat(np.arange(s), sizes)
-        lift = np.arange(s) << int(keys.max()).bit_length()
+        lift = np.arange(s) << int(keys.max() | (1 << class_bits) - 1).bit_length()  # past the class bits too
         lift = lift.astype(np.min_scalar_type(-int(lift[-1]) << 1))  # int32 when it holds them: a faster sort
         keys, node = keys + lift[node, None], node[:-1, None]  # the node of cut i, which follows row i
         n, nl = sizes[node], nl - first[node]  # nl: the node's rows at or before the cut
@@ -247,27 +273,6 @@ def _thresholds(vals, class_bits, f, lo, hi):
     with np.errstate(over="ignore"):  # a sum past the largest double is inf, out of [lower, upper)
         mid = (lo + hi) / 2.0
     return np.where((lo <= mid) & (mid < hi), mid, lo)
-
-
-def _best_split(keys, class_bits, total, found=None):
-    """The cut (feature, lo, hi) minimizing weighted Gini, or None if no cut lowers it, for the
-    node whose keys (rows of _rank_keys) and class counts are keys and total; found is its first
-    block's _block_splits result, if _grow scored it already. Columns [0, _FIRST_BLOCK) come
-    first; unless a cut there reaches _partition_bound, then those through the first that parts
-    the largest class (_parting_width), or else all. No later cut scores higher, and ties go to
-    the lowest feature (README)."""
-    n, d = keys.shape
-    bound, best, split = tuple(map(int, _partition_bound(total))), (int(total @ total), n), None  # beat S_t/n
-    start, stop = 0, min(_FIRST_BLOCK, d)
-    while True:
-        p, q, f, lo, hi = map(int, found or [a[0] for a in _block_splits(
-            keys[:, start:stop], class_bits, np.array([n]), total[None])])
-        found = None
-        if p * best[1] > best[0] * q:  # only a better block's cut: ties stay with the lower feature
-            best, split = (p, q), (start + f, lo, hi)
-        if stop == d or p * bound[1] == bound[0] * q:  # no later cut can score higher
-            return split
-        start, stop = stop, stop + _parting_width(keys[:, stop:], class_bits, total)
 
 
 @dataclass(eq=False)

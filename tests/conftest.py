@@ -5,8 +5,13 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from skelgest import Frame, Joint
+
+# `pytest --hypothesis-profile=ci`: ten times the default profile's examples, with no deadline
+# per example, for a property test that scales its example count from the profile's
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # No test here takes more than a few seconds; one that runs past this limit
 # (a descent that loops, say) fails instead of hanging the run.

@@ -6,9 +6,11 @@ from functools import cmp_to_key
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, target
+from hypothesis import strategies as st
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, loads_model, trees
-from skelgest.classifiers.trees import _best_split, _partition_bound, _rank_keys, _thresholds
+from skelgest.classifiers.trees import _grow, _partition_bound, _rank_keys, _thresholds
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 from skelgest.rng import PortableRNG
@@ -82,21 +84,33 @@ def depth(tree):
     return int(level.max())
 
 
+class RootCut(Exception):
+    """Raised with the root level's cuts (feature, lo, hi) to stop a grow there."""
+
+
 def best_split(X, y_idx):
-    """_best_split's (feature, threshold) for a node of rows X, reached as
-    DecisionTree.fit reaches it: through the rank keys of X. Its cut must route
-    the rows by their keys as their values and the threshold do, and its upper
-    key must be the node's next rank above the cut."""
+    """The root split (feature, threshold) of a one-tree _grow on rows X, or None,
+    reached as DecisionTree.fit reaches it: through the rank keys of X. The grow
+    stops once its root level has cut, so no child is searched. The cut must route
+    the rows by their keys as their values and the threshold do, and its upper key
+    must be the node's next rank above the cut."""
     X, y_idx = np.asarray(X, dtype=np.float64), np.asarray(y_idx)
     keys, class_bits, vals = _rank_keys(X, y_idx)
-    split = _best_split(keys, class_bits, np.bincount(y_idx))
-    if split is None:
+
+    def root_cut(vals, class_bits, f, lo, hi):
+        raise RootCut(f, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trees, "_thresholds", root_cut)
+        with pytest.raises(RootCut) as stop:
+            _grow(keys, class_bits, vals, np.arange(len(keys))[None])
+    if not len(stop.value.args[0]):
         return None
-    f, lo, hi = split
+    f, lo, hi = (int(a[0]) for a in stop.value.args)
     threshold = float(_thresholds(vals, class_bits, f, lo, hi))
     left = keys[:, f] <= lo
-    assert np.array_equal(left, X[:, f] <= threshold), (X, y_idx, split)
-    assert hi >> class_bits == (keys[~left, f] >> class_bits).min(), (X, y_idx, split)
+    assert np.array_equal(left, X[:, f] <= threshold), (X, y_idx, (f, lo, hi))
+    assert hi >> class_bits == (keys[~left, f] >> class_bits).min(), (X, y_idx, (f, lo, hi))
     return f, threshold
 
 
@@ -595,6 +609,15 @@ def blocks(monkeypatch):
 
 
 @pytest.fixture
+def chunked(monkeypatch):
+    """(each node's width, each node's class counts) of every _chunk_splits call in the test."""
+    seen, chunk_splits = [], trees._chunk_splits
+    monkeypatch.setattr(trees, "_chunk_splits", lambda *args: seen.append(
+        (args[-1].tolist(), args[-2].tolist())) or chunk_splits(*args))  # (..., totals, widths)
+    return seen
+
+
+@pytest.fixture
 def widths(monkeypatch):
     """The width of every prefix sum (trees._running) run in the test, in order."""
     running, seen = trees._running, []
@@ -653,14 +676,16 @@ class TestPartingStop:
             X, y_idx, n_classes = parting_node(rng)
             assert best_split(X, y_idx) == reference_split(X.tolist(), y_idx.tolist(), n_classes), (X, y_idx)
 
-    def test_wide_ensemble_scans_a_pinned_width(self, blocks):
+    def test_wide_ensemble_scans_a_pinned_width(self, blocks, chunked):
         # a 10-tree fit at the interaction-wide shape (96 x 1080): per node and block,
-        # the columns the node scores, each taking a prefix sum per count word and one
+        # the columns the node needs, each taking a prefix sum per count word and one
         # for S_l as a scan of the node alone would; blocks ending at the fixed edges
-        # 32 and 128 instead sum to 77,088 columns
+        # 32 and 128 instead sum to 77,088 columns. A chunk of continuations scores each
+        # of its nodes as wide as its widest, so the calls themselves score 60,224
         X, y = harness_training_split(**PINNED_MACHINES[1][0])
         BaggedTreeEnsemble(n_trees=10, seed=11).fit(X, y)
-        assert sum(width * (words(total) + 1) for width, totals in blocks for total in totals) == 59_350
+        assert sum(w * (words(t) + 1) for widths, totals in chunked for w, t in zip(widths, totals)) == 59_350
+        assert sum(width * (words(total) + 1) for width, totals in blocks for total in totals) == 60_224
 
 
 class TestEnsembleFit:
@@ -872,6 +897,66 @@ class TestLevelGrower:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+    def test_chunk_of_continuations_keeps_ties_with_the_first_block(self, blocks, chunked):
+        # two roots of 12 rows (classes of 3, 4 and 5) and 160 columns, every unplaced one
+        # scoring below 7, in one chunk; neither reaches the bound, 60/7, in [0, 32). Node A
+        # has no parting column, so it scans [32, 160); its columns 10 and 60 score 23/3, an
+        # exact tie that the first block's column keeps. Node B parts the class of 5 at
+        # column 50, a width of 19 padded to A's 128, and that cut beats its first block
+        # strictly; column 100, in B's padding, ties it at the bound, and 50 keeps it
+        rng = np.random.default_rng(83)
+        a = block_node(rng, [3, 4, 5], 160, Fraction(7), {10: SCORES_23_3, 60: SCORES_23_3})
+        b = block_node(rng, [3, 4, 5], 160, Fraction(7), {50: BOUND_FIRST, 100: BOUND_LAST})
+        X, codes = np.concatenate([a[0], b[0]]), np.concatenate([a[1], b[1]])
+        rows = np.stack([np.arange(12), np.arange(12, 24)])
+        model = forest_on(X, codes, rows)
+        for tree, idx in zip(model.trees_, rows):
+            assert_same_tree(tree, DecisionTree().set_nodes(reference_tree(X[idx].tolist(), codes[idx].tolist(), 3)))
+        assert [int(tree.feature[0]) for tree in model.trees_] == [10, 50]
+        assert chunked[1] == ([19, 128], [[3, 4, 5], [3, 4, 5]])
+        assert blocks[1] == (128, [[3, 4, 5], [3, 4, 5]])
+
+    def test_chunk_of_keys_narrower_than_the_class_bits(self):
+        # classes 0-2 take two class bits; roots of rows of classes 0 and 1 alone, all at one
+        # value, are scored in one chunk with keys 0 and 1. Each node's keys must be lifted
+        # past the class bits as well, or a lifted class 1 reads as class 3: a spurious cut,
+        # or a count-table index past its end
+        X, codes = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [1.0]]), np.array([0, 1, 2, 2, 2, 2])
+        for rows in ([0, 1], [0, 1, 1], [1, 0, 0]):
+            model = forest_on(X, codes, [rows] * 4)
+            want = DecisionTree().set_nodes(reference_tree(X[rows].tolist(), codes[rows].tolist(), 3))
+            for tree in model.trees_:
+                assert_same_tree(tree, want)
+
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)  # 50; 500 under the ci profile
+    @given(n=st.integers(2, 24), d=st.integers(33, 80), k=st.integers(1, 20), values=st.integers(1, 4),
+           parted=st.integers(0, 6), n_trees=st.integers(1, 5), chunk=st.sampled_from([2, 16, 256]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grower_matches_reference_past_the_first_block(self, n, d, k, values, parted, n_trees, chunk, seed):
+        # bootstraps of n rows of 33-80 columns of few values, zeros of either sign, a row
+        # repeated under another class, and columns whose values part one class from the
+        # rest past column 32, so that nodes go on past it and stop at different widths
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, k, size=n)
+        X = rng.integers(0, values, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+        for f in rng.choice(np.arange(32, d), size=min(parted, d - 32), replace=False):
+            X[:, f] = np.where(codes == rng.choice(codes), 0, rng.integers(1, 3, size=n)) * rng.choice([-1.0, 1.0])
+        X[rng.integers(0, n)] = X[rng.integers(0, n)]
+        rows = rng.integers(0, n, size=(n_trees, n))
+        calls = []  # node widths of each _chunk_splits call: a level's first blocks, then its continuations
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_CHUNK_ROWS", chunk)
+            chunk_splits = trees._chunk_splits
+            patch.setattr(trees, "_chunk_splits", lambda *args: calls.append(args[-1].tolist()) or chunk_splits(*args))
+            keys, class_bits, vals = _rank_keys(X, codes)
+            tables = _grow(keys, class_bits, vals, rows)
+        for table, idx in zip(tables, rows):
+            want = reference_tree(X[idx].tolist(), codes[idx].tolist(), k)
+            assert_same_tree(DecisionTree().set_nodes(table), DecisionTree().set_nodes(want))
+        target(sum(map(len, calls[1::2])))
+        event("continued" if any(calls[1::2]) else "first block only")
+        event(f"chunk {chunk}: a level's continuations of unequal widths: {any(len(set(w)) > 1 for w in calls[1::2])}")
 
 
 def per_tree_tally(model, X):
