@@ -44,9 +44,3 @@ class LabeledDataset:
         return LabeledDataset(
             self.vectors[idx], [self.labels[i] for i in idx], self.label_set
         )
-
-    def class_counts(self):
-        counts = {lab: 0 for lab in self.label_set}
-        for lab in self.labels:
-            counts[lab] += 1
-        return counts

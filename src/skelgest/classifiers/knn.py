@@ -36,15 +36,44 @@ class KNearestNeighbors(ClassifierMixin):
 
     def _class_scores(self, X):
         """Per class, minus its summed neighbor distance if it holds the most
-        of the k nearest neighbors, else -inf: the argmax is the vote above."""
+        of the k nearest neighbors, else -inf: the argmax is the vote above.
+
+        Candidates. The dot-product expansion sq = |q|^2 + |t|^2 - 2 q.t, on rows
+        shifted by the first stored row so that data far from 0 does not cancel,
+        only picks the rows to measure: every stored row whose sq may reach the
+        k-th smallest within slack = (4d + 16) eps (|q|^2 + |t|^2) is measured
+        exactly, its squared differences added left to right. With u = eps / 2
+        and S = |q|^2 + |t|^2, sq is within (2d + 7) u S of the true squared
+        distance (the two sums of squares and the product err by at most d u of
+        their terms' magnitudes, S in all; the two additions by u of at most S
+        and 2S; the shift by at most 4 u S), and the exact sum within
+        (2d + 4) u S, up to terms in u^2. So slack is more than twice their sum:
+        a row left out (sq - slack above the k-th smallest sq + slack) measures
+        above k kept rows by more than (2d + 8) eps S, more than the rounding
+        of a square root can undo, and is not among the k nearest, ties
+        included. Where the expansion overflows (values from about 1.3e154) it
+        reads inf or nan, and a nan comparison rules out no row.
+
+        Blocks. The product q @ train.T runs on blocks of _PRODUCT_CELLS //
+        train.size query rows, written into one array, so no call reaches 2^19
+        multiply-adds: from there OpenBLAS (0.3.31, with its SkylakeX and
+        Haswell kernels) wakes a worker thread, which spins after the call and
+        competes with the caller. A block that covers every query row is one
+        call, as is a training set of 2^19 cells or more, which OpenBLAS may
+        thread. The bound above holds for any summation order, so no distance,
+        score or label depends on the blocks or the thread count.
+
+        Pairs. Every kept (query, row) pair is measured in chunks of at most
+        _PAIR_CELLS (pair, column) cells, each pair's squares added left to
+        right, so no distance depends on its chunk. The votes are two bincounts
+        over query * classes + class fed each query's neighbors nearest first,
+        and bincount adds in input order: each class's summed distance is added
+        nearest first, as a plain loop would.
+        """
         X = self._checked(X)
-        # the dot-product expansion (shifted by a stored row, so it does not cancel far
-        # from 0) keeps every row it cannot rule out as near as the k-th, its rounding
-        # being below (4d + 16) eps (|q|^2 + |t|^2); where it overflows to nan it rules out none
         with np.errstate(over="ignore", invalid="ignore"):
             q, train = X - self.X_[0], self.X_ - self.X_[0]
             nq, nt = np.einsum("ij,ij->i", q, q)[:, None], np.einsum("ij,ij->i", train, train)
-            # the product only picks candidates, so its blocks of query rows change no label
             block, prod = _PRODUCT_CELLS // train.size or len(q) or 1, np.empty((len(q), len(train)))
             for i in range(0, len(q), block):
                 np.matmul(q[i : i + block], train.T, out=prod[i : i + block])

@@ -35,12 +35,16 @@ def squared_distances(X, Y=None):
     """||x - y||^2 for every row x of X and y of Y; Y=None pairs X with itself.
 
     The explicit difference form gives bitwise-equal rows a distance of
-    exactly 0; the dot product expansion would leave cancellation residue.
-    One row of X at a time keeps the (m, d) difference cache-sized, in one
-    buffer that every row reuses. With
-    Y=None row i measures only rows i.. and mirrors them into column i: the
-    result equals squared_distances(X, X) bit for bit, since x - y and
-    y - x square alike and einsum sums a pair the same way in any block.
+    exactly 0, so K(x, x) is exactly 1; the dot product expansion would leave
+    cancellation residue. One row of X at a time keeps the (m, d) difference
+    cache-sized, in one buffer that every row reuses.
+
+    With Y=None each pair is measured once: row i measures only rows i.. and
+    mirrors them into column i. The result equals squared_distances(X, X) bit
+    for bit. A rounded difference is odd, fl(x - y) = -fl(y - x), so the two
+    square alike; and einsum sums one output's d products along the row in an
+    order set by d alone, not by the row's place in the block, so a pair sums
+    the same way whichever row measures it and however many rows follow.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     sym = Y is None

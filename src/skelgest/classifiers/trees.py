@@ -10,6 +10,11 @@ together, a level at a time, and a level's split searches, first blocks and thei
 continuations alike, are scored in chunks of its nodes (_grow). A chunk scores every
 node as wide as its widest; that padding is exact, since past its own width no cut
 of a node scores above its best and ties go to the lowest column.
+
+Each helper states what its exactness rests on: the split bound (_partition_bound), the
+parting-column certificate (_parting_width), padding (_chunk_splits), packed counts and
+integer scores (_block_splits), restarted prefix sums (_restart), thresholds and signed
+zeros (_thresholds), ranks (_rank_keys) and pre-order numbering (_grow).
 """
 
 from dataclasses import dataclass
@@ -31,6 +36,10 @@ class DecisionTree:
     to the lowest feature, then threshold; leaf majorities to the lowest class.
     A split depends only on the order of each column's values, so the tree
     grows on their ranks (_rank_keys) and gets the splits the values give.
+    fit ranks its own X, and gives the node tables the ensemble's tree grows on
+    the same rows of a larger matrix: dense ranks of a subset order its rows as
+    the larger matrix's do, and a threshold is read from the two values either
+    side of a cut, which are the node's own.
     """
 
     def fit(self, X, y_idx):
@@ -79,10 +88,17 @@ def _running(a):
 
 def _rank_keys(X, codes):
     """(keys, class_bits, vals): each cell as rank << class_bits | codes[row] in the
-    smallest signed dtype that holds it, rank being its dense rank in its column
-    (equal values share one, -0.0 and 0.0 too), and vals[rank, column] that rank's
-    value (unset past a column's last rank). Ranking 24 columns at a time keeps its
-    temporaries below the split search's, so glibc's mmap threshold stays put."""
+    smallest signed dtype that holds it, and vals[rank, column] that rank's value (the
+    column's sorted distinct values, unset past its last rank).
+
+    A CART split depends only on the order of the values within each column, so a fit
+    ranks X once, for every tree. Ranks are dense: equal values share one, so -0.0 and
+    0.0, which compare equal, are one value, and a node's cuts between distinct ranks
+    are exactly its cuts between distinct values. class_bits is the largest code's bit
+    length, so a tree needs no class count. Sorting a node's keys in a column gives its
+    rows in value order with their labels in the low bits. Every threshold is read from
+    vals (_thresholds). Ranking 24 columns at a time keeps its temporaries below the
+    split search's, so glibc's mmap threshold stays put."""
     n, d = X.shape
     top = int(np.max(codes))
     class_bits = top.bit_length()
@@ -108,23 +124,35 @@ def _word_tables(n_classes, per_word, bits):
             for w in range(word[-1] + 1)]
 
 
-_PAIRS = 1 << 15  # (row, tree) pairs vote_counts descends at once, which bounds its memory; see README
-_FIRST_BLOCK = 32  # columns the split search scores before it seeks a parting column; see README
-_CHUNK_ROWS = 256  # rows whose first blocks _grow scores at once (a larger node alone); see README
+_PAIRS = 1 << 15  # (row, tree) pairs vote_counts descends at once: bounds its temporaries, changes no vote
+_FIRST_BLOCK = 32  # columns a node scores before it seeks a parting column: most nodes reach their bound there
+# rows of a level's nodes, first blocks or continuations alike, that one _block_splits call scores, in at
+# most _CHUNK_ROWS · _FIRST_BLOCK cells (a larger node alone): a small block costs about numpy's call overhead
+_CHUNK_ROWS = 256
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
 
 def _grow(keys, class_bits, vals, roots):
     """The node tables (set_nodes) of trees grown on rows roots[t] of keys, all trees a level at
-    a time. A level keeps each node's class counts and, node after node, its rows as indices
-    into keys. A node of one class is a leaf. The others' cuts minimize weighted Gini, ties going
-    to the lowest feature: columns [0, _FIRST_BLOCK) come first, and a node whose cut there
-    misses its bound (_partition_bound) goes on through the first column that parts its largest
-    class (_parting_width), or else all; no later cut scores higher (README). Both blocks are
-    scored in chunks of nodes (_chunk_splits), the continuations sorted by width, so padding a
-    node to its chunk's width cannot change its cut, and a continuation's cut replaces the first
-    block's only if strictly better. One mask parts the level's rows into children, counted by
-    one bincount. Each tree's nodes are numbered in pre-order, left subtree first (README)."""
+    a time, so depth is not bounded by Python's recursion limit. A level keeps each node's class
+    counts and, node after node, its rows as indices into keys, never a copy of their keys. A
+    node of one class is a leaf.
+
+    The others' cuts minimize weighted Gini, ties going to the lowest feature, then threshold,
+    and a cut is taken only if it scores above the parent's S_t/n. Columns [0, _FIRST_BLOCK)
+    come first. A node whose best cut there misses its bound (_partition_bound, which no cut
+    exceeds) goes on through the first later column that parts its largest class (_parting_width,
+    whose cut reaches the bound), or else every column. Both passes are scored in chunks of nodes
+    (_chunk_splits), the continuations sorted by width so that little padding is scored, and a
+    continuation's cut replaces the first block's only if its exact score is strictly higher, so
+    ties stay with the lower column. Every node thus gets the cut a scan of every column gives.
+    One mask parts the level's rows into children (keys[row, f] <= the cut's lower key), and one
+    bincount counts every child's classes.
+
+    Each tree's nodes are numbered in pre-order, left subtree first, as a depth-first grower
+    numbers them. The levels give every node's subtree size, 1 plus its children's, summed from
+    the last level up. A left child is numbered right after its parent and a right child right
+    after its left sibling's subtree, so node i's children are i + 1 and i + 1 + size(left)."""
     codes, d = keys[:, 0] & (1 << class_bits) - 1, keys.shape[1]
     k, rows, child = int(codes.max()) + 1, roots.ravel(), np.repeat(np.arange(len(roots)), roots.shape[1])
     levels, nodes = [], len(roots)  # levels: (split, feature, threshold, label) of each level's nodes
@@ -169,9 +197,13 @@ def _chunk_splits(keys, class_bits, rows, first, sizes, totals, widths):
     """_block_splits of columns [0, widths[j]) of keys for each node j, whose rows are
     rows[first[j]:first[j] + sizes[j]], with widths that never fall from node to node. Runs of
     consecutive nodes of at most _CHUNK_ROWS rows and _CHUNK_ROWS · _FIRST_BLOCK cells at the
-    run's last width are scored in one call (a larger node alone). Scoring a node past its own
-    width changes nothing: that width ends at keys' last column or at a column whose cut reaches
-    the node's bound, which no cut exceeds, and the lowest column reaching the best score wins."""
+    run's last, widest width are scored in one call (a larger node alone), so a wide node is a
+    chunk of its own, as it would be scanned alone.
+
+    Padding is exact: a chunk scores each node as wide as its widest, and scoring node j past
+    widths[j] cannot change its cut. widths[j] ends at keys' last column, or at a column whose
+    cut reaches the node's bound (_parting_width), which no cut exceeds (_partition_bound); and
+    the lowest column that reaches a node's best score wins, so no padded column is taken."""
     edges, held = [0], 0
     for j, (m, w) in enumerate(zip(sizes.tolist(), widths.tolist())):
         if j > edges[-1] and (held + m > _CHUNK_ROWS or (held + m) * w > _CHUNK_ROWS * _FIRST_BLOCK):
@@ -187,17 +219,52 @@ def _chunk_splits(keys, class_bits, rows, first, sizes, totals, widths):
 
 
 def _partition_bound(counts):
-    """The best split of whole classes for these class counts (each row's, for a matrix), the
-    largest class (t rows) against the rest: its (S_L·n_R + S_R·n_L, n_L·n_R) over t, exact as
-    p / q. No cut scores above it (README). With one class, every cut scores the parent's S_t/n."""
+    """The best split of whole classes for these class counts (each row's, for a matrix), exact as
+    p / q: the largest class, of t rows, against the rest, scoring t + (S_t − t²)/(n − t), that
+    is its (S_L·n_R + S_R·n_L, n_L·n_R) over t. No cut of a node with these counts scores above
+    it. With one class, every cut scores the parent's S_t/n, which is what it returns.
+
+    No cut beats the best split of whole classes. With g(x) = Σ x_k² / Σ x_k (g(0) = 0), a cut
+    with left class counts l scores g(l) + g(t − l). g is a quadratic over a linear function, so
+    it is convex, and so is the score over the box 0 ≤ l ≤ t; a convex function's maximum over
+    a box lies at a corner, where each class goes wholly left or right. The corners l = 0 and
+    l = t score S_t/n, and no point of the box scores less (g is convex and of degree 1, so
+    g(l) + g(t − l) ≥ g(t)), so a split of whole classes is also a best corner.
+
+    That split is the largest class against the rest. Let L be the side of a split of whole
+    classes with A ≤ n/2 rows and S_L its sum of squared counts. For a fixed A the score
+    S_L·(1/A − 1/(n − A)) + S_t/(n − A) never falls as S_L rises.
+    - If A < t, L lacks the largest class. Let m = S_L/A, so m ≤ A, and let R' be the rest of
+      the right side, with N' rows and mean r = S_R'/N'. The largest class alone scores
+      t + (m·A + r·N')/(A + N') and L scores m + (t² + r·N')/(t + N'); the first minus the
+      second is t·N'/(t + N') − m·N'/(A + N') + r·(t/(t + N') − A/(A + N')), at least 0
+      because x/(x + N') rises with x and m ≤ A < t (if N' = 0, L is the rest, one split).
+    - If A ≥ t, S_L is at most the fractional fill U(A) that takes rows of the largest classes
+      first, since a row of class i adds t_i to S_L. With the counts sorted in descending order
+      and N_j their prefix sums, for N_j ≤ A ≤ N_{j+1} the bound H(A) = U(A)/A + (S_t − U(A))/
+      (n − A) equals 2t_{j+1} + c/A + d/(n − A), where c = Σ_{i≤j} t_i(t_i − t_{j+1}) ≥ 0 and
+      d = Σ_{i>j} t_i(t_i − t_{j+1}) ≤ 0. So H is continuous and never rises from A = t on:
+      L scores at most H(A) ≤ H(t), the score of the largest class alone."""
     counts = np.asarray(counts, dtype=np.int64)
     n, sq, t = counts.sum(-1), (counts * counts).sum(-1), counts.max(-1)
     return sq + t * (n - 2 * t) * (t < n), n - t * (t < n)
 
 
 def _parting_width(keys, class_bits, total):
-    """Columns of keys to score: through the first where every row of the largest class ranks
-    below, or every one above, all the others, so a cut there scores _partition_bound; else all."""
+    """Columns of keys (a node's rows, of 2 classes or more) to score: through the first column
+    c in which every row of the largest class (the lowest class code among those of the largest
+    count) ranks strictly below, or strictly above, every other row; else every column.
+
+    Such a column certifies the bound: its cut between that class and the rest lies between two
+    distinct ranks, so it is a cut, and it scores _partition_bound exactly. A rank tie at the
+    class's edge certifies nothing, since no cut lies between equal values. One minimum and one
+    maximum of the ranks per side and column decide it.
+
+    Every column through c is scored, not c alone, because exact ties go to the lowest column:
+    an earlier column may reach the bound another way (by parting another class of the largest
+    count, or by a split of several whole classes when all counts are equal). No column after c
+    scores above the bound, and a later cut replaces an earlier one only if strictly higher
+    (_grow), so the certificate only sets where the scan ends: the cut is a full scan's."""
     mine = keys[:, 0] & (1 << class_bits) - 1 == np.argmax(total)
     ours, rest = keys[mine] >> class_bits, keys[~mine] >> class_bits  # ranks; a node has 2 classes or more
     parts = (ours.max(0) < rest.min(0)) | (ours.min(0) > rest.max(0))
@@ -206,7 +273,12 @@ def _parting_width(keys, class_bits, total):
 
 def _restart(a, first):
     """a, in place, with row first[j] less the sum of rows first[j - 1] to first[j] - 1: prefix
-    sums down it restart at each first[j], exact in int64 (README)."""
+    sums down it restart at each first[j], so each is a sum within one node.
+
+    Exact in int64 whenever every node's own prefix sums lie in [0, 2**63): each prefix sum is
+    then a sum within one node, and each changed row a row less such a sum, so nothing wraps.
+    Global prefix sums less each node's start would be exact too: int64 arithmetic is exact
+    modulo 2**64, and a true value in [0, 2**63) is the one int64 congruent to it."""
     if len(first) > 1:
         a[first[1:]] -= np.add.reduceat(a, first, axis=0)[:-1]
     return a
@@ -216,14 +288,45 @@ def _block_splits(keys, class_bits, sizes, totals):
     """Per node, the best cut in a block of columns of keys (rows of _rank_keys; node j's
     sizes[j] rows follow node j - 1's, with class counts totals[j]): its exact score p / q
     (p = 0 if no cut lies between distinct ranks), column f and the sorted keys lo and hi
-    either side, class bits set. README derives it: one prefix sum per packed int64 word
-    counts the classes left of every cut, in fields of t_max.bit_length() bits below bit
-    high = 63 − S_t.bit_length() (the largest of the block's nodes, so each is exact), and
-    sums Σ t_k l_k ≤ S_t from bit high up; _restart starts it again at each node. A cut scores
-    n·S_l + n_l·(S_t − 2 Σ t_k l_k) over n_l·n_r, exact in int64 up to about 1.6 million rows.
-    Ties go to the lowest column, then threshold; a node of n**5 >= 2**56 rows compares the
-    cuts that share its best float exactly. A one-node block skips the segment steps (key
-    lift, node offsets, np.maximum.reduceat), which made fits about a fifth slower (README)."""
+    either side, class bits set. Ties go to the lowest column, then the lowest threshold.
+
+    Score. A cut after n_l of a node's n rows leaves class counts l on the left. With
+    S_l = Σ l_k², S_t = Σ t_k² and S_r = Σ (t_k − l_k)² = S_t − 2 Σ t_k l_k + S_l, minimizing
+    the weighted Gini impurity (Breiman et al., CART, 1984) is maximizing S_l/n_l + S_r/n_r,
+    whose numerator over n_l·n_r is the integer n·S_l + n_l·(S_t − 2 Σ t_k l_k).
+
+    Counts. One prefix sum per packed int64 word, down the rows in sorted order, counts the
+    classes left of every cut. Each class has a field of bits = t_max.bit_length() bits, t_max
+    being the block's largest class count, which bounds every count, so no field carries into
+    the next. Each word's table also holds t_k << high for every class k, high = 63 −
+    S_t.bit_length() for the block's largest S_t, so from bit high up the same prefix sum holds
+    Σ t_k l_k ≤ S_t, below 2**63. A word holds high // bits classes; more take a prefix sum per
+    word. A row's own field is l_k for its class k, the rows of k at or before it, and the row
+    raises S_l by 2·l_k − 1, so n·S_l is a prefix sum of 2n·l_k less n·n_l.
+
+    Exactness. No intermediate exceeds 2n³ in magnitude, so the integers are exact in int64 up
+    to about 1.6 million rows in a node. The numerator is at most n³/4 and n_l·n_r at most n²/4,
+    so up to about 330,000 rows both convert to floats exactly; a correctly rounded quotient is
+    monotone, so cuts of equal exact score get equal floats and the scan order breaks the tie.
+    Two different scores differ by at least 16/n⁴, which one division keeps apart only while
+    n⁵ < 2**56 (about 2,350 rows): a larger node compares the cuts that share its best float
+    again exactly, in Python integers, whatever else its chunk holds.
+
+    Cuts. A cut counts only between two distinct ranks. Tied rows sort by class code, and any
+    order would do: the class counts at a cut between distinct ranks are the same for any order
+    of the tied rows. At a node's last row l = t, and the numerator n·S_t + n·(S_t − 2 S_t) is
+    0, so no cut crosses into the next node: a real cut scores at least S_t/n > 0.
+
+    Chunks. Node j's keys are lifted above every key of the nodes before it (j << key_bits |
+    key), so one sort per column keeps the nodes apart. key_bits counts the class bits too: a
+    chunk's largest key can be narrower than them (all of rank 0, class codes below the top
+    bit); with codes 0–2, a one-bit lift moved node 1's class-1 key onto class 3. The fields and
+    high come from the chunk's largest class count and S_t, so every node is exact, in as many
+    words as its largest node needs; row j of each word's table holds node j's t_k << high, and
+    _restart starts the prefix sums again at each node. np.maximum.reduceat gives each node's
+    column maxima, and the lowest column reaching the node's maximum, then its first row that
+    does, keep the tie rule. A one-node block skips these segment steps (the key lift, the node
+    offsets, np.maximum.reduceat), which made fits about a fifth slower when run for one node."""
     m, s, k = len(keys), len(sizes), totals.shape[1]
     sq = np.einsum("ij,ij->i", totals, totals)
     bits, high = int(totals.max()).bit_length(), 63 - int(sq.max()).bit_length()
@@ -268,7 +371,17 @@ def _block_splits(keys, class_bits, sizes, totals):
 
 def _thresholds(vals, class_bits, f, lo, hi):
     """The threshold of each cut of column f between the sorted keys lo and hi: the midpoint of
-    their values (vals), or the lower one if the midpoint rounds out of [lower, upper)."""
+    their values (vals), or the lower one if the midpoint rounds out of [lower, upper)
+    (scikit-learn's rule). That happens for adjacent doubles such as 1 + 2**-52 and 1 + 2**-51,
+    for a sum that overflows to ±inf, and for -5e-324 and 0.0, whose midpoint -0.0 is not below
+    0.0; the midpoint alone would send every row to one side, and the fit would never end. So
+    x <= threshold routes every training row as its rank does.
+
+    The sign of a zero cannot reach the threshold, though a rank stands for values that compare
+    equal, so the zero vals keeps may have the other sign than a node's own rows. If the lower
+    value is ±0, the upper one is positive and (±0 + hi)/2 is hi/2 either way, in [0, hi), so
+    the fallback never fires; if the upper value is ±0, the lower one is negative and lo + ±0
+    is lo. So the thresholds, and the model files, are those the values give."""
     lo, hi = vals[lo >> class_bits, f], vals[hi >> class_bits, f]
     with np.errstate(over="ignore"):  # a sum past the largest double is inf, out of [lower, upper)
         mid = (lo + hi) / 2.0
@@ -303,8 +416,12 @@ class BaggedTreeEnsemble(ClassifierMixin):
         return {"trees_": [DecisionTree().set_nodes(table) for table in _grow(keys, class_bits, vals, draws)]}
 
     def vote_counts(self, X):
-        """(n_samples, n_classes) tally of tree votes; rows sum to n_trees. All (row, tree)
-        pairs of a chunk of rows, at most _PAIRS, descend the joined trees at once (_leaves)."""
+        """(n_samples, n_classes) tally of tree votes; rows sum to n_trees. The trees' node arrays
+        are joined into one, each tree's children offset by its first node; every (row, tree) pair
+        of a chunk of rows descends from its tree's root a level per step (_leaves), and one
+        bincount tallies the leaves' labels. A chunk holds at most _PAIRS = 2**15 pairs (327 rows
+        at 100 trees). A pair's leaf does not depend on its chunk, so the chunk changes no vote,
+        and it bounds the descent's temporaries, which grow with the pairs in flight."""
         X, trees, n_classes = self._checked(X), self.trees_, len(self.classes_)
         sizes = [len(t.feature) for t in trees]
         roots = np.cumsum([0, *sizes[:-1]])

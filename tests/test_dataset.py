@@ -11,7 +11,6 @@ class TestLabeledDataset:
         assert data.label_set == ("a", "b")
         assert data.vectors.shape == (3, 4)
         assert data.total_scalars == 12
-        assert data.class_counts() == {"a": 1, "b": 2}
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, target
 from hypothesis import strategies as st
 
 from skelgest.classifiers import BaggedTreeEnsemble, DecisionTree, dumps_model, loads_model, trees
-from skelgest.classifiers.trees import _grow, _partition_bound, _rank_keys, _thresholds
+from skelgest.classifiers.trees import _block_splits, _grow, _partition_bound, _rank_keys, _thresholds
 from skelgest.errors import DimensionMismatchError, InvalidBootstrapError, TrainingDegenerateError
 from skelgest.harness import ExperimentConfig, build_dataset, make_classifier, stratified_split
 from skelgest.rng import PortableRNG
@@ -597,6 +597,39 @@ class TestManyClassBlockScan:
             widths.clear()
             assert best_split(X[p], y_idx[p]) == expected
             assert widths == [w for w in blocks for _ in range(count_words(y_idx) + 1)]
+
+
+class TestChunkedBlockSplits:
+    """One _block_splits call scores several nodes; each must get reference_split's cut."""
+
+    @settings(max_examples=settings.default.max_examples // 4, deadline=None)  # 25; 250 under the ci profile
+    @given(sizes=st.lists(st.integers(2, 16), min_size=1, max_size=6), k=st.integers(2, 40),
+           d=st.integers(1, 12), values=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_chunk_matches_reference_node_by_node(self, sizes, k, d, values, seed):
+        # one _block_splits call on 1-6 nodes of 2-16 rows of few values (zeros of either sign),
+        # each node holding its own 2 or more of k classes, so nodes differ in size, class counts
+        # and count words; ranked together with a row of class k that no node holds, as a fit
+        # ranks its whole matrix, so a chunk's keys can be narrower than the class bits
+        rng = np.random.default_rng(seed)
+        codes = np.concatenate([rng.choice(rng.choice(k, size=min(n, int(rng.integers(2, k + 1))), replace=False),
+                                           size=n) for n in sizes])
+        first = np.cumsum(sizes) - sizes
+        codes[first + 1] = (codes[first] + 1 + rng.integers(0, k - 1, size=len(sizes))) % k  # 2 classes or more
+        codes = np.append(codes, k)
+        X = rng.integers(0, values, size=(len(codes), d)) * rng.choice([-1.0, 1.0], size=(len(codes), d))
+        keys, class_bits, vals = _rank_keys(X, codes)
+        totals = np.stack([np.bincount(codes[a:a + n], minlength=k + 1) for a, n in zip(first, sizes)])
+        p, q, f, lo, hi = _block_splits(keys[:-1], class_bits, np.array(sizes), totals)
+        threshold, found = _thresholds(vals, class_bits, f, lo, hi), []
+        for j, (a, n) in enumerate(zip(first.tolist(), sizes)):
+            found.append(reference_split(X[a:a + n].tolist(), codes[a:a + n].tolist(), k + 1))
+            beats = int(p[j]) * n > int(totals[j] @ totals[j]) * int(q[j])  # p / q > S_t / n: a cut is taken
+            assert beats == (found[j] is not None), (j, found[j])
+            if found[j]:
+                assert (int(f[j]), float(threshold[j])) == found[j], j
+        per_word = (63 - int(max(t @ t for t in totals)).bit_length()) // int(totals.max()).bit_length()
+        event(f"{len(sizes)} nodes, {-(-(k + 1) // per_word)} count words")
+        event("a node without a split" if None in found else "every node splits")
 
 
 @pytest.fixture
