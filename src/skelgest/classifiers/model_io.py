@@ -12,12 +12,15 @@ Layout (one record per line, whitespace separated):
     <n_nodes lines of: feature threshold left right label>
     end
 
-The scalar records are the kind's parameters, its dataclass fields in
-declaration order, each read as the type of its default, then the fitted
-n_features; _FIELDS lists the array and tree records after them. Floats are
-written with repr, so a save/load round trip reproduces bit-equal predictions.
-The trailing `end` sentinel turns truncation into a ModelFormatError instead
-of a silently shorter model.
+The scalar records are the kind's parameters, then the fitted n_features,
+always written; _FIELDS lists the array and tree records after them. A
+parameter is written, in declaration order, only when it differs from its
+default, and read by name as its default's type (an int directly: a wide seed
+would clip through a float); one left out is its default. So the defaults are
+part of format v1: changing one needs a new _VERSION, or old files silently
+change meaning. Floats are written with repr, so a round trip reproduces
+bit-equal predictions. The `end` sentinel, with only blank lines after it,
+makes a truncated file or two run together a ModelFormatError.
 """
 
 import numpy as np
@@ -35,9 +38,9 @@ _MAGIC = "skelgest-model"
 _VERSION = "v1"
 
 
-def _lines(text):
-    """The lines of a model file; reading past the last one is a format error."""
-    yield from text.splitlines()
+def _lines(rest):
+    """The lines left in rest, an iterator over a model file's lines; reading past the last is a format error."""
+    yield from rest
     raise ModelFormatError("unexpected end of model file")
 
 
@@ -55,14 +58,6 @@ def _parse(text, cast, what):
         return cast(text)
     except ValueError:
         raise ModelFormatError(f"bad {what} {text!r}") from None
-
-
-def _read_scalar(lines, name, cast):
-    # ints are parsed directly; float round-tripping would clip wide seeds
-    fields = _expect(lines, "scalar", 3)
-    if fields[1] != name:
-        raise ModelFormatError(f"expected scalar {name!r}, got {fields[1]!r}")
-    return _parse(fields[2], cast, f"scalar {name!r}")
 
 
 def _fmt_array(name, rows):
@@ -183,7 +178,7 @@ def dumps_model(model):
     model._checked()  # a model never fitted raises "not fitted yet"
     lines = [f"{_MAGIC} {_VERSION}", f"kind {kind}"]
     lines.append(f"labels {len(model.classes_)} " + " ".join(model.classes_))
-    lines += [f"scalar {name} {getattr(model, name)}" for name in CLASSIFIERS[kind]._defaults()]
+    lines += [f"scalar {name} {v}" for name, v in model.get_params().items() if v != model._defaults()[name]]
     lines.append(f"scalar n_features {model.n_features_}")
     for name, attr, _, (write, _) in _FIELDS[kind]:
         lines += write(name, getattr(model, attr))
@@ -192,7 +187,7 @@ def dumps_model(model):
 
 
 def loads_model(text):
-    lines = _lines(text)
+    lines = _lines(rest := iter(text.splitlines()))
     header = next(lines).split()
     if header[:1] != [_MAGIC]:
         raise ModelFormatError("not a skelgest model file")
@@ -213,12 +208,16 @@ def loads_model(text):
     except ValueError as exc:
         raise ModelFormatError(f"bad labels record: {exc}") from None
 
-    cls = CLASSIFIERS[kind]
-    model = cls(**{name: _read_scalar(lines, name, type(default))
-                   for name, default in cls._defaults().items()})
-    model.classes_ = classes
-    model.n_features_ = _read_scalar(lines, "n_features", int)
-    sizes = {"1": 1, "K": n_labels, "d": model.n_features_, "T": getattr(model, "n_trees", None)}
+    cls, params = CLASSIFIERS[kind], {}
+    while (fields := _expect(lines, "scalar", 3))[1] != "n_features":
+        if (name := fields[1]) not in cls._defaults().keys() - params.keys():
+            raise ModelFormatError(f"{'repeated' if name in params else 'unknown'} {kind} parameter {name!r}")
+        params[name] = _parse(fields[2], type(cls._defaults()[name]), f"scalar {name!r}")
+    if (n_features := _parse(fields[2], int, "scalar 'n_features'")) < 1:
+        raise ModelFormatError(f"n_features must be at least 1, got {n_features}")
+    model = cls(**params)
+    model.classes_, model.n_features_ = classes, n_features
+    sizes = {"1": 1, "K": n_labels, "d": n_features, "T": getattr(model, "n_trees", None)}
     for name, attr, dims, (_, read) in _FIELDS[kind]:
         setattr(model, attr, read(lines, name, dims, sizes))
     try:
@@ -226,8 +225,9 @@ def loads_model(text):
     except (ValueError, ComputationError) as exc:
         raise ModelFormatError(f"bad model parameter: {exc}") from None
 
-    if next(lines).strip() != "end":
-        raise ModelFormatError("missing end sentinel")
+    # rest is read directly, since lines raises at the end of the file
+    if next(lines).strip() != "end" or any(line.strip() for line in rest):
+        raise ModelFormatError("missing end sentinel as the last non-blank line")
     return model
 
 

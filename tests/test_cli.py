@@ -568,6 +568,8 @@ class TestTrainPredictEvaluate:
 
 # GOLDEN_EDT cut to zero trees, so only its n_trees scalar can reject it
 EDT_WITHOUT_TREES = GOLDEN_EDT[: GOLDEN_EDT.index("tree 0")] + "end\n"
+# GOLDEN_EDT with its split tree cut to a leaf, so no split feature bounds n_features
+EDT_OF_LEAVES = GOLDEN_EDT.replace("tree 0 3\n0 0.5 1 2 -1\n-1 0.0 -1 -1 0\n", "tree 0 1\n")
 
 
 class TestMalformedModelFiles:
@@ -591,12 +593,17 @@ class TestMalformedModelFiles:
             (GOLDEN_SVM, "scalar sigma 0.5", "scalar sigma 1e-200"),
             (GOLDEN_SVM, "scalar C 2.0", "scalar C -2.0"),
             (GOLDEN_SVM, "scalar tol 0.001", "scalar tol nan"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 1\nscalar k 1"),
+            (GOLDEN_KNN, "scalar k 1", "scalar j 1"),
+            (EDT_OF_LEAVES, "scalar n_features 2", "scalar n_features 0"),
+            (GOLDEN_KNN, "0 1 1\nend\n", "0 1 1\nend\njunk\n"),
         ],
         ids=[
             "non-integer-tree-index", "knn-label-index-past-K",
             "knn-k-0", "knn-k-even", "knn-k-past-stored-rows", "edt-n_trees-0",
             "edt-bootstrap-0", "edt-bootstrap-above-1", "edt-bootstrap-nan",
             "svm-sigma-0", "svm-sigma-inf", "svm-sigma-1e-200", "svm-C-negative", "svm-tol-nan",
+            "repeated-parameter", "unknown-parameter", "edt-n_features-0", "junk-after-end",
         ],
     )
     def test_exits_2_without_traceback(self, tmp_path, golden, old, new):

@@ -67,6 +67,14 @@ class TestRoundTrip:
         text = dumps_model(model)
         assert dumps_model(loads_model(text)) == text
 
+    # a parameter left out is its default, so a model of defaults writes only n_features
+    @pytest.mark.parametrize("kind", sorted(CLASSIFIERS))
+    def test_default_parameters_are_not_written(self, training, kind):
+        X, y, _ = training
+        text = dumps_model(CLASSIFIERS[kind]().fit(X, y))
+        assert [line for line in text.splitlines() if line.startswith("scalar")] == ["scalar n_features 2"]
+        assert dumps_model(loads_model(text)) == text
+
     def test_wide_seed_survives_round_trip(self, training):
         X, y, _ = training
         seed = (1 << 63) + 12345  # would clip through a float
@@ -197,6 +205,10 @@ class TestCorruptFiles:
         with pytest.raises(ModelFormatError, match="missing end sentinel"):
             loads_model(text)
 
+    def test_blank_lines_may_follow_end(self):
+        loaded = loads_model(GOLDEN_KNN + "\n  \n\t\n")
+        assert loaded.predict(GOLDEN_PROBE) == loads_model(GOLDEN_KNN).predict(GOLDEN_PROBE)
+
     def test_wrong_magic(self):
         with pytest.raises(ModelFormatError):
             loads_model("something-else v1\nend\n")
@@ -211,8 +223,8 @@ class TestCorruptFiles:
 
     def test_garbled_value(self, training):
         X, y, _ = training
-        model = KNearestNeighbors(k=1).fit(X, y)
-        text = dumps_model(model).replace("scalar k 1", "scalar k banana")
+        model = KNearestNeighbors(k=3).fit(X, y)
+        text = dumps_model(model).replace("scalar k 3", "scalar k banana")
         with pytest.raises(ModelFormatError):
             loads_model(text)
 
@@ -260,9 +272,10 @@ def _knn_by_hand():
     return model
 
 
-# Model files as the v1 format writes them. A change to any of these texts is
-# a file-format change: files written by earlier versions would stop loading
-# to the same model.
+# Model files as the v1 format wrote them before a parameter at its default
+# was left out; each holds every parameter record. A change to how any of
+# these texts loads is a file-format change: files written by earlier versions
+# would stop loading to the same model.
 GOLDEN_SVM = """\
 skelgest-model v1
 kind svm
@@ -318,19 +331,21 @@ GOLDEN_PROBE = np.array([[-0.8, 0.0], [0.9, -0.1], [0.4, 2.5], [0.5, 0.5], [2.0,
 
 
 @pytest.mark.parametrize(
-    "build, golden, expected",
+    "build, golden, default, expected",
     [
-        (_svm_by_hand, GOLDEN_SVM, ["left", "right", "left", "right", "left"]),
-        (_edt_by_hand, GOLDEN_EDT, ["left", "right", "left", "left", "right"]),
-        (_knn_by_hand, GOLDEN_KNN, ["left", "right", "right", "right", "right"]),
+        (_svm_by_hand, GOLDEN_SVM, "scalar tol 0.001\n", ["left", "right", "left", "right", "left"]),
+        (_edt_by_hand, GOLDEN_EDT, "scalar bootstrap_fraction 0.3\n", ["left", "right", "left", "left", "right"]),
+        (_knn_by_hand, GOLDEN_KNN, "scalar k 1\n", ["left", "right", "right", "right", "right"]),
     ],
     ids=["svm", "edt", "knn"],
 )
 class TestGoldenFiles:
-    def test_dump_matches_golden_text(self, build, golden, expected):
-        assert dumps_model(build()) == golden
+    """Each golden text holds one parameter record at its default, `default`, which a dump leaves out."""
 
-    def test_load_restores_predictions(self, build, golden, expected):
+    def test_dump_matches_golden_text(self, build, golden, default, expected):
+        assert dumps_model(build()) == dumps_model(loads_model(golden)) == golden.replace(default, "")
+
+    def test_load_restores_predictions(self, build, golden, default, expected):
         loaded = loads_model(golden)
         assert loaded.predict(GOLDEN_PROBE) == build().predict(GOLDEN_PROBE) == expected
         assert loaded.get_params() == build().get_params()
@@ -370,7 +385,12 @@ class TestStructureChecks:
             (GOLDEN_KNN, "labels 2 left right", "labels 2 left caf\u00e9", "single comma-free token"),
             (GOLDEN_SVM, "kind svm", "kinds svm", "expected 'kind' record"),
             (GOLDEN_KNN, "kind knn", "kind knn knn", "'kind' record has 3 fields"),
-            (GOLDEN_KNN, "scalar k 1", "scalar j 1", "expected scalar 'k'"),
+            (GOLDEN_KNN, "scalar k 1", "scalar j 1", "unknown knn parameter 'j'"),
+            (GOLDEN_KNN, "scalar k 1", "scalar seed 1", "unknown knn parameter 'seed'"),
+            (GOLDEN_SVM, "scalar C 2.0", "scalar C 2.0\nscalar C 3.0", "repeated svm parameter 'C'"),
+            (GOLDEN_KNN, "scalar n_features 2", "scalar n_features 0", "n_features must be at least 1"),
+            (GOLDEN_KNN, "0 1 1\nend\n", "0 1 1\nend\njunk\n", "end sentinel as the last non-blank line"),
+            (GOLDEN_KNN, "0 1 1\nend\n", "0 1 1\nend\n" + GOLDEN_SVM, "end sentinel as the last non-blank line"),
             (GOLDEN_SVM, "array X 2 2", "array Y 2 2", "expected array 'X'"),
             (GOLDEN_SVM, "1.0 -0.25", "1.0 x", "array 'X' row 1 holds a bad value"),
             (GOLDEN_EDT, "tree 1 1", "tree 2 1", "tree 2 out of order"),
@@ -387,7 +407,8 @@ class TestStructureChecks:
             "svm-nan-in-X", "svm-inf-bias", "knn-negative-inf-in-X", "edt-nan-threshold",
             "edt-inf-threshold", "svm-repeated-label", "knn-repeated-label",
             "svm-label-with-comma", "knn-non-ascii-label", "misspelt-record-keyword",
-            "record-field-count", "misnamed-scalar", "misnamed-array", "unparsable-array-value",
+            "record-field-count", "misnamed-scalar", "other-kinds-scalar", "repeated-scalar",
+            "n_features-0", "junk-after-end", "two-files-run-together", "misnamed-array", "unparsable-array-value",
             "tree-out-of-order", "short-tree-node", "label-count-mismatch", "even-k",
         ],
     )

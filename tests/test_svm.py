@@ -240,14 +240,14 @@ PINNED_MACHINES = [
     (
         dict(samples_per_class=8, noise_std=0.1, seed=11),
         (48, 540),
-        "64e141d72daa60a30717311389deeab50b020a49f0becb9dbc9e45e1b7a1f7f6",
+        "354019bac619d06d8a4cb361d2a938019baffaa0abea3b7e2d3cf485cd2410a8",
         "b506bbb0d1b5733db07d731c3ff913f2d1b9a477444d7b480cb4601c144361b3",
     ),
     (
         dict(classes=tuple(INTERACTION_TEMPLATES), feature_kind="two_person",
              samples_per_class=15, noise_std=0.3, seed=11),
         (96, 1080),
-        "dfb352ed7b7ff8ea1867220484a0bc78d8996024784c65a5724c12647970a3c0",
+        "4c16f8c1ab132a2ff13e26b58a3ece9fc2bd739c9d87c71b40782817581ba20a",
         "91a059b7ce8aed94c6135ab5f05164a6f12e09908df823c85789be4f912e96eb",
     ),
 ]

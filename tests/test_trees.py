@@ -1143,11 +1143,11 @@ PINNED_ENSEMBLES = [
     # the default 100-tree ensemble at the benchmark's two workload shapes
     (
         ExperimentConfig(**PINNED_MACHINES[0][0], classifier="edt"),
-        "eea80a06bede69a88ca56556aff1a0457ad8aebc1949a94a7fd81988c9c34449",
+        "1696b72bb9a003cef837ad82ea0f77c5dd70f6b8ffe0e056ee4118cb9b34484c",
     ),
     (
         ExperimentConfig(**PINNED_MACHINES[1][0], classifier="edt"),
-        "94aaa14bc48d1bfa9e01df7dd864992591c5a5c6861d8d476e41f7db58585bd2",
+        "f7aded053477960107b7d4577281469b8217ca361b0c62d6ff5b3287b9cc2a36",
     ),
 ]
 
