@@ -19,8 +19,10 @@ default, and read by name as its default's type (an int directly: a wide seed
 would clip through a float); one left out is its default. So the defaults are
 part of format v1: changing one needs a new _VERSION, or old files silently
 change meaning. Floats are written with repr, so a round trip reproduces
-bit-equal predictions. The `end` sentinel, with only blank lines after it,
-makes a truncated file or two run together a ModelFormatError.
+bit-equal predictions. A number holding "_" is a ModelFormatError, though
+Python and numpy would read "1_0" as 10: dumps_model never writes one. The
+`end` sentinel, with only blank lines after it, makes a truncated file or two
+run together a ModelFormatError.
 """
 
 import numpy as np
@@ -55,6 +57,8 @@ def _expect(lines, keyword, count=None):
 
 def _parse(text, cast, what):
     try:
+        if "_" in text:  # int and float read digit-group underscores ("0_3" as 3), which dumps_model never writes
+            raise ValueError
         return cast(text)
     except ValueError:
         raise ModelFormatError(f"bad {what} {text!r}") from None
@@ -87,12 +91,14 @@ def _read_array(lines, name, dims, sizes):
     # more than the file holds
     rows = []
     for r in range(shape[0]):
-        values = next(lines).split()
+        values = (line := next(lines)).split()
         if len(values) != shape[1]:
             raise ModelFormatError(
                 f"array {name!r} row {r} has {len(values)} values, expected {shape[1]}"
             )
         try:
+            if "_" in line:  # numpy reads digit-group underscores too ("-1_0.0" as -10.0)
+                raise ValueError
             rows.append(np.array(values, dtype=np.int64 if labels else float))
         except (ValueError, OverflowError):
             raise ModelFormatError(f"array {name!r} row {r} holds a bad value") from None
@@ -126,9 +132,11 @@ def _read_trees(lines, name, dims, sizes):
             raise ModelFormatError(f"tree {index} out of order, expected {t}")
         nodes = []
         for _ in range(n_nodes):
-            nodes.append(next(lines).split())
+            nodes.append((line := next(lines)).split())
             if len(nodes[-1]) != 5:
                 raise ModelFormatError("tree node record needs 5 fields")
+            if "_" in line:  # as in _read_array
+                raise ModelFormatError(f"tree {t} holds a bad node record")
         trees.append(_checked_tree(t, nodes, sizes["d"], sizes["K"]))
     return trees
 

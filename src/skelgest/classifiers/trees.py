@@ -12,7 +12,7 @@ node as wide as its widest; that padding is exact, since past its own width no c
 of a node scores above its best and ties go to the lowest column.
 
 Each helper states what its exactness rests on: the split bound (_partition_bound), the
-parting-column certificate (_parting_width), padding (_chunk_splits), packed counts and
+parting-column certificate (_parting_widths), padding (_chunk_splits), packed counts and
 integer scores (_block_splits), restarted prefix sums (_restart), thresholds and signed
 zeros (_thresholds), ranks (_rank_keys) and pre-order numbering (_grow).
 """
@@ -129,6 +129,9 @@ _FIRST_BLOCK = 32  # columns a node scores before it seeks a parting column: mos
 # rows of a level's nodes, first blocks or continuations alike, that one _block_splits call scores, in at
 # most _CHUNK_ROWS · _FIRST_BLOCK cells (a larger node alone): a small block costs about numpy's call overhead
 _CHUNK_ROWS = 256
+# cells one read of _parting_widths gathers at most: uncapped, one side of a read took 2.3 MB on the
+# interaction-wide shape, far past glibc's 128 KB mmap threshold, against 56 KB capped
+_GATHER = 1 << 16
 _by_score = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])  # exact scores p / q
 
 
@@ -141,11 +144,12 @@ def _grow(keys, class_bits, vals, roots):
     The others' cuts minimize weighted Gini, ties going to the lowest feature, then threshold,
     and a cut is taken only if it scores above the parent's S_t/n. Columns [0, _FIRST_BLOCK)
     come first. A node whose best cut there misses its bound (_partition_bound, which no cut
-    exceeds) goes on through the first later column that parts its largest class (_parting_width,
-    whose cut reaches the bound), or else every column. Both passes are scored in chunks of nodes
-    (_chunk_splits), the continuations sorted by width so that little padding is scored, and a
-    continuation's cut replaces the first block's only if its exact score is strictly higher, so
-    ties stay with the lower column. Every node thus gets the cut a scan of every column gives.
+    exceeds) goes on through the first later column that parts its largest class, whose cut
+    reaches the bound, or else every column; one search finds that column for all such nodes of
+    the level (_parting_widths). Both passes are scored in chunks of nodes (_chunk_splits), the
+    continuations sorted by width so that little padding is scored, and a continuation's cut
+    replaces the first block's only if its exact score is strictly higher, so ties stay with the
+    lower column. Every node thus gets the cut a scan of every column gives.
     One mask parts the level's rows into children (keys[row, f] <= the cut's lower key), and one
     bincount counts every child's classes.
 
@@ -165,8 +169,7 @@ def _grow(keys, class_bits, vals, roots):
         p, q, f, lo, hi = _chunk_splits(keys[:, :block], class_bits, rows, starts, n, total, np.full(len(n), block))
         bound = _partition_bound(total)
         go = np.flatnonzero((p.astype(object) * bound[1] != bound[0] * q.astype(object)) & (d > block))
-        width = np.array([_parting_width(keys[rows[starts[i]:starts[i] + n[i]], block:], class_bits, total[i])
-                          for i in go.tolist()], dtype=np.intp)  # the columns past the first block each node needs
+        width = _parting_widths(keys[:, block:], class_bits, rows, starts[go], n[go], total[go])
         go, width = go[np.argsort(width, kind="stable")], np.sort(width)
         cp, cq, cf, clo, chi = _chunk_splits(keys[:, block:], class_bits, rows, starts[go], n[go], total[go], width)
         better = cp.astype(object) * q[go].astype(object) > p[go].astype(object) * cq.astype(object)
@@ -202,7 +205,7 @@ def _chunk_splits(keys, class_bits, rows, first, sizes, totals, widths):
 
     Padding is exact: a chunk scores each node as wide as its widest, and scoring node j past
     widths[j] cannot change its cut. widths[j] ends at keys' last column, or at a column whose
-    cut reaches the node's bound (_parting_width), which no cut exceeds (_partition_bound); and
+    cut reaches the node's bound (_parting_widths), which no cut exceeds (_partition_bound); and
     the lowest column that reaches a node's best score wins, so no padded column is taken."""
     edges, held = [0], 0
     for j, (m, w) in enumerate(zip(sizes.tolist(), widths.tolist())):
@@ -250,10 +253,11 @@ def _partition_bound(counts):
     return sq + t * (n - 2 * t) * (t < n), n - t * (t < n)
 
 
-def _parting_width(keys, class_bits, total):
-    """Columns of keys (a node's rows, of 2 classes or more) to score: through the first column
-    c in which every row of the largest class (the lowest class code among those of the largest
-    count) ranks strictly below, or strictly above, every other row; else every column.
+def _parting_widths(keys, class_bits, rows, first, sizes, totals):
+    """Per node j, whose rows are rows[first[j]:first[j] + sizes[j]] (2 classes or more, class
+    counts totals[j]), the columns of keys to score: through the first column c in which every
+    row of the largest class (the lowest class code among those of the largest count) ranks
+    strictly below, or strictly above, every other row; else every column.
 
     Such a column certifies the bound: its cut between that class and the rest lies between two
     distinct ranks, so it is a cut, and it scores _partition_bound exactly. A rank tie at the
@@ -264,11 +268,39 @@ def _parting_width(keys, class_bits, total):
     an earlier column may reach the bound another way (by parting another class of the largest
     count, or by a split of several whole classes when all counts are equal). No column after c
     scores above the bound, and a later cut replaces an earlier one only if strictly higher
-    (_grow), so the certificate only sets where the scan ends: the cut is a full scan's."""
-    mine = keys[:, 0] & (1 << class_bits) - 1 == np.argmax(total)
-    ours, rest = keys[mine] >> class_bits, keys[~mine] >> class_bits  # ranks; a node has 2 classes or more
-    parts = (ours.max(0) < rest.min(0)) | (ours.min(0) > rest.max(0))
-    return int(np.argmax(parts)) + 1 if parts.any() else keys.shape[1]
+    (_grow), so the certificate only sets where the scan ends: the cut is a full scan's.
+
+    All nodes are sought together. Two (row, node) tables hold each node's rows of its largest
+    class and its other rows, each padded by repeating one of the node's rows from the same
+    side, which moves no minimum or maximum. Blocks of 32, 64, 128, ... columns are read in
+    turn for the nodes still pending, largest first, in groups of at most _GATHER cells, and a
+    node drops out at its parting column. Rows run down the gathered (row, node, column) block,
+    so each minimum and maximum is one elementwise pass per row over the whole group (reducing
+    along a middle axis took several times as long); and a shift keeps order, so the extremes
+    of the keys, shifted, are those of the ranks."""
+    if not len(sizes):
+        return np.zeros(0, dtype=np.intp)
+    d, largest, t = keys.shape[1], np.argmax(totals, axis=1), totals.max(axis=1)
+    start, node, r = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes), sizes - t  # r: other rows
+    own = rows[np.repeat(first - start, sizes) + np.arange(sizes.sum())]
+    other = keys[own, 0] & (1 << class_bits) - 1 != largest[node]
+    own = own[np.lexsort((other, node))]  # each node's rows of its largest class, then its others
+    ours = own[start + np.minimum(np.arange(t.max())[:, None], t - 1)]  # (row, node): a node's rows down a column
+    rest = own[start + t + np.minimum(np.arange(r.max())[:, None], r - 1)]
+    width, pending, lo = np.full(len(sizes), d), np.argsort(-sizes, kind="stable"), 0
+    while pending.size and lo < d:
+        hi, left, g = min(d, 2 * lo + _FIRST_BLOCK), [], 0
+        while g < len(pending):  # largest first: a group's padded rows are at most twice its first node's
+            nodes = pending[g:g + max(1, _GATHER // (2 * int(sizes[pending[g]]) * (hi - lo)))]
+            a, b = keys[ours[:t[nodes].max(), nodes], lo:hi], keys[rest[:r[nodes].max(), nodes], lo:hi]
+            a_lo, a_hi, b_lo, b_hi = (m >> class_bits for m in (a.min(0), a.max(0), b.min(0), b.max(0)))
+            parts = (a_hi < b_lo) | (a_lo > b_hi)
+            found = parts.any(1)
+            width[nodes[found]] = lo + np.argmax(parts[found], axis=1) + 1
+            left.append(nodes[~found])
+            g += len(nodes)
+        pending, lo = np.concatenate(left), hi
+    return width
 
 
 def _restart(a, first):
@@ -309,7 +341,7 @@ def _block_splits(keys, class_bits, sizes, totals):
     so up to about 330,000 rows both convert to floats exactly; a correctly rounded quotient is
     monotone, so cuts of equal exact score get equal floats and the scan order breaks the tie.
     Two different scores differ by at least 16/n⁴, which one division keeps apart only while
-    n⁵ < 2**56 (about 2,350 rows): a larger node compares the cuts that share its best float
+    n⁵ < 2**56 (below 2,353 rows): a larger node compares the cuts that share its best float
     again exactly, in Python integers, whatever else its chunk holds.
 
     Cuts. A cut counts only between two distinct ranks. Tied rows sort by class code, and any
@@ -361,9 +393,10 @@ def _block_splits(keys, class_bits, sizes, totals):
     at = (np.minimum.reduceat(np.where(score[rows, f[node]] == top[node, f[node]], rows, m), first)[:, 0]
           if s > 1 else np.argmax(score[:, f], axis=0))
     p, q = num[at, f], q[at, 0]
-    for j, n in enumerate(sizes.tolist()):
-        if n ** 5 >= 1 << 56 and top[j, f[j]] > 0:  # distinct scores of node j may share its best float
-            cuts, a = np.argwhere(score[first[j]:first[j] + n - 1].T == top[j, f[j]]).tolist(), int(first[j])
+    for j in np.flatnonzero(sizes >= 2353).tolist():  # n ** 5 >= 2 ** 56 from 2,353 rows (int64 n ** 5 wraps)
+        if top[j, f[j]] > 0:  # distinct scores of node j may share its best float
+            n, a = int(sizes[j]), int(first[j])
+            cuts = np.argwhere(score[a:a + n - 1].T == top[j, f[j]]).tolist()
             p[j], q[j], f[j], at[j] = max([(int(num[a + c, g]), (c + 1) * (n - 1 - c), g, a + c) for g, c in cuts],
                                           key=_by_score)
     return p, q, f, sk[at, f] - lift, sk[at + 1, f] - lift

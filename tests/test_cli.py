@@ -597,6 +597,8 @@ class TestMalformedModelFiles:
             (GOLDEN_KNN, "scalar k 1", "scalar j 1"),
             (EDT_OF_LEAVES, "scalar n_features 2", "scalar n_features 0"),
             (GOLDEN_KNN, "0 1 1\nend\n", "0 1 1\nend\njunk\n"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 0_3"),
+            (GOLDEN_SVM, "-1.0 0.1", "-1_0.0 0.1"),
         ],
         ids=[
             "non-integer-tree-index", "knn-label-index-past-K",
@@ -604,6 +606,7 @@ class TestMalformedModelFiles:
             "edt-bootstrap-0", "edt-bootstrap-above-1", "edt-bootstrap-nan",
             "svm-sigma-0", "svm-sigma-inf", "svm-sigma-1e-200", "svm-C-negative", "svm-tol-nan",
             "repeated-parameter", "unknown-parameter", "edt-n_features-0", "junk-after-end",
+            "underscore-in-scalar", "underscore-in-array-value",
         ],
     )
     def test_exits_2_without_traceback(self, tmp_path, golden, old, new):

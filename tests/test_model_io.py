@@ -397,6 +397,12 @@ class TestStructureChecks:
             (GOLDEN_EDT, "0 0.5 1 2 -1", "0 0.5 1 2", "tree node record needs 5 fields"),
             (GOLDEN_SVM, "labels 2 left right", "labels 3 left right", "labels record lists 2 labels, declared 3"),
             (GOLDEN_KNN, "scalar k 1", "scalar k 2", "bad model parameter"),
+            (GOLDEN_KNN, "scalar k 1", "scalar k 0_3", "bad scalar 'k' '0_3'"),
+            (GOLDEN_SVM, "-1.0 0.1", "-1_0.0 0.1", "array 'X' row 0 holds a bad value"),
+            (GOLDEN_SVM, "array X 2 2", "array X 0_2 2", "bad array 'X' size '0_2'"),
+            (GOLDEN_SVM, "labels 2 left right", "labels 0_2 left right", "bad label count '0_2'"),
+            (GOLDEN_EDT, "tree 0 3", "tree 0 0_3", "bad tree record field '0_3'"),
+            (GOLDEN_EDT, "0 0.5 1 2 -1", "0 0_0.5 1 2 -1", "tree 0 holds a bad node record"),
         ],
         ids=[
             "self-loop", "child-past-end", "leaf-with-child", "feature-past-n_features",
@@ -410,6 +416,8 @@ class TestStructureChecks:
             "record-field-count", "misnamed-scalar", "other-kinds-scalar", "repeated-scalar",
             "n_features-0", "junk-after-end", "two-files-run-together", "misnamed-array", "unparsable-array-value",
             "tree-out-of-order", "short-tree-node", "label-count-mismatch", "even-k",
+            "underscore-in-scalar", "underscore-in-array-value", "underscore-in-array-size",
+            "underscore-in-label-count", "underscore-in-tree-record", "underscore-in-tree-node",
         ],
     )
     def test_rejected(self, golden, old, new, message):

@@ -721,6 +721,80 @@ class TestPartingStop:
         assert sum(width * (words(total) + 1) for width, totals in blocks for total in totals) == 60_224
 
 
+def parting_width(keys, class_bits, total):
+    """Columns of keys (one node's rows, of 2 classes or more) through the first in which every
+    row of the largest class (the lowest code of the largest count) ranks strictly below, or
+    strictly above, every other row; else every column. trees._parting_widths, node by node."""
+    mine = keys[:, 0] & (1 << class_bits) - 1 == np.argmax(total)
+    ours, rest = keys[mine] >> class_bits, keys[~mine] >> class_bits
+    parts = (ours.max(0) < rest.min(0)) | (ours.min(0) > rest.max(0))
+    return int(np.argmax(parts)) + 1 if parts.any() else keys.shape[1]
+
+
+def parting_level(rng, sizes, d, k, values):
+    """(X, codes, rows, first, totals): a level of nodes of sizes[j] rows, each a block of rows of
+    X (d columns of small integers), listed shuffled from rows[first[j]]; in every other node one
+    row of the largest class stands in for another, as a bootstrap repeats rows. A node holds 2
+    or more of k classes, in a third of nodes two tied for the largest count. Each of up to 4
+    columns parts a class of the largest count, below or above the rest, and a third of them not
+    the lowest such code; in two thirds of them one row on either side takes the other side's
+    edge value, which parts nothing. A node in five is all zeros, so it never parts."""
+    X, codes, rows = [], [], []
+    for j, (start, n) in enumerate(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist())):
+        if k > 2 and rng.random() < 1 / 3:  # two classes tied for the largest count, a third if n is odd
+            c = rng.choice(k, size=3, replace=False)
+            y = np.array([c[0], c[1]] * (n // 2) + [c[2]] * (n % 2))
+        else:
+            c = rng.choice(k, size=int(rng.integers(2, min(n, k) + 1)), replace=False)
+            y = np.concatenate([c[:2], rng.choice(c, size=n - 2)])
+        never = rng.random() < 0.2
+        x, counts = rng.integers(0, values, size=(n, d)) * (not never), np.bincount(y, minlength=k)
+        for f in rng.choice(d, size=0 if never else min(d, int(rng.integers(0, 5))), replace=False):
+            mine = y == (np.argmax(counts) if rng.random() < 2 / 3 else rng.choice(np.flatnonzero(counts == counts.max())))
+            x[:, f] = np.where(mine, rng.integers(0, 2, size=n), rng.integers(2, 4, size=n))
+            edge = rng.random()  # a row of the rest on the class's edge, or a row of the class on the rest's
+            if edge < 1 / 3:
+                x[rng.choice(np.flatnonzero(~mine)), f] = x[mine, f].max()
+            elif edge < 2 / 3:
+                x[rng.choice(np.flatnonzero(mine)), f] = x[~mine, f].min()
+            if rng.random() < 0.5:
+                x[:, f] = 3 - x[:, f]  # the class above the rest
+        own = start + rng.permutation(n)
+        if j % 2 and counts.max() > 1:
+            twins = own[y[own - start] == np.argmax(counts)][:2]
+            own[own == twins[1]] = twins[0]
+        X.append(x)
+        codes.append(y)
+        rows.append(own)
+    codes, rows, first = np.concatenate(codes), np.concatenate(rows), np.cumsum(sizes) - sizes
+    totals = np.stack([np.bincount(codes[rows[a:a + n]], minlength=k) for a, n in zip(first, sizes)])
+    return np.concatenate(X).astype(float), codes, rows, first, totals
+
+
+class TestPartingWidths:
+    """trees._parting_widths finds every node's parting column in one search over a level;
+    each width must be the one parting_width finds for the node alone."""
+
+    @settings(deadline=None)  # 100 examples; 1,000 under the ci profile
+    @given(sizes=st.lists(st.integers(2, 30), min_size=1, max_size=8), d=st.integers(1, 200),
+           k=st.integers(2, 12), values=st.integers(1, 4), cap=st.sampled_from([1, 3000, trees._GATHER]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_level_matches_node_by_node(self, sizes, d, k, values, cap, seed):
+        # a level's nodes (a random subset of them, as only some continue) past the first
+        # block, under caps that put one node, a few or all in a group
+        rng = np.random.default_rng(seed)
+        X, codes, rows, first, totals = parting_level(rng, np.array(sizes), d, k, values)
+        keys, class_bits, _ = _rank_keys(X, codes)
+        go = np.flatnonzero(rng.random(len(sizes)) < 0.8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_GATHER", cap)
+            widths = trees._parting_widths(keys, class_bits, rows, first[go], np.array(sizes)[go], totals[go])
+        want = [parting_width(keys[rows[first[j]:first[j] + sizes[j]]], class_bits, totals[j]) for j in go]
+        assert widths.tolist() == want
+        event(f"a width past the search's first 32-column block: {any(w > 32 for w in want)}")
+        event(f"a node that never parts: {d in want}")
+
+
 class TestEnsembleFit:
     def test_same_seed_identical_predictions_and_model(self):
         rng = np.random.default_rng(51)
